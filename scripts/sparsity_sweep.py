@@ -9,7 +9,6 @@ never increase how many gates stay on.
 """
 
 import argparse
-import csv
 import dataclasses
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from gaternet.config import load_config
 from gaternet.data import load_dataset
+from gaternet.persist import write_csv
 from gaternet.train import run_phase
 
 REPO = Path(__file__).resolve().parent.parent
@@ -59,11 +59,8 @@ def main() -> None:
             print(f"seed {seed} lambda {lam}: acc {rj.final_eval_acc:.4f} "
                   f"activation {rj.final_gate_activation:.4f}")
 
-    out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    # csv's default terminator, which sweep.csv has always used
+    write_csv(out_root / "sweep.csv", list(rows[0]), rows, lineterminator="\r\n")
 
     print("\nper-lambda means:")
     for lam in args.lambdas:

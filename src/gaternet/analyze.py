@@ -14,8 +14,6 @@ deterministic.
 
 from __future__ import annotations
 
-import csv
-import io
 import struct
 import warnings
 from dataclasses import dataclass
@@ -23,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gaternet.persist import CheckpointError, atomic_write_bytes, atomic_write_text
+from gaternet.persist import CheckpointError, atomic_write_bytes, write_csv
 from gaternet.tensor import Array, Tensor
 
 GATELOG_MAGIC = b"GLOG"
@@ -93,6 +91,8 @@ def load_gate_log(path: str | Path) -> GateLog:
     raw = path.read_bytes()
     if raw[:4] != GATELOG_MAGIC:
         raise CheckpointError(f"{path}: not a gate log (bad magic {raw[:4]!r})")
+    if len(raw) < 20:
+        raise CheckpointError(f"{path}: truncated gate log header ({len(raw)} bytes)")
     version, n, c, _ = struct.unpack_from("<IIII", raw, 4)
     if version != GATELOG_VERSION:
         raise CheckpointError(f"{path}: unsupported gate log version {version}")
@@ -116,8 +116,11 @@ def load_gate_log(path: str | Path) -> GateLog:
     labels = take(n, "<i8")
     packed = take(n * row_bytes, np.uint8).reshape(n, row_bytes)
     gates = np.unpackbits(packed, axis=1)[:, :c]
-    return GateLog(gates=gates, labels=labels, layer_ids=layer_ids,
-                   filter_ids=filter_ids)
+    try:
+        return GateLog(gates=gates, labels=labels, layer_ids=layer_ids,
+                       filter_ids=filter_ids)
+    except ValueError as e:  # duplicate (layer, filter) addresses
+        raise CheckpointError(f"{path}: {e}") from e
 
 
 def collect_gate_log(model, x: Array, labels: Array, batch_size: int = 256) -> GateLog:
@@ -305,15 +308,6 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
                      rank_deficient=rank_deficient)
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def write_taxonomy_csv(path: str | Path, log: GateLog, tax: GateTaxonomy) -> None:
     rows = [
         {
@@ -324,8 +318,7 @@ def write_taxonomy_csv(path: str | Path, log: GateLog, tax: GateTaxonomy) -> Non
         }
         for j in range(log.num_gates)
     ]
-    atomic_write_text(path, _csv_text(
-        ["gate_index", "layer_id", "filter_id", "category"], rows))
+    write_csv(path, ["gate_index", "layer_id", "filter_id", "category"], rows)
 
 
 def write_layer_distribution_csv(path: str | Path, tax: GateTaxonomy) -> None:
@@ -337,7 +330,7 @@ def write_layer_distribution_csv(path: str | Path, tax: GateTaxonomy) -> None:
         for c in CATEGORIES:
             formatted[f"frac_{c}"] = f"{row[f'frac_{c}']:.8e}"
         out.append(formatted)
-    atomic_write_text(path, _csv_text(names, out))
+    write_csv(path, names, out)
 
 
 def write_histogram_csv(path: str | Path, hist: Histogram) -> None:
@@ -346,7 +339,7 @@ def write_histogram_csv(path: str | Path, hist: Histogram) -> None:
          "count": int(hist.counts[i])}
         for i in range(len(hist.counts))
     ]
-    atomic_write_text(path, _csv_text(["bin_lo", "bin_hi", "count"], rows))
+    write_csv(path, ["bin_lo", "bin_hi", "count"], rows)
 
 
 def export_usage_vectors(log: GateLog, pca_k: int, path: str | Path) -> PCAResult:
@@ -359,5 +352,5 @@ def export_usage_vectors(log: GateLog, pca_k: int, path: str | Path) -> PCAResul
         for j in range(pca_k):
             row[f"pc{j}"] = f"{result.reduced[i, j]:.8e}"
         rows.append(row)
-    atomic_write_text(path, _csv_text(names, rows))
+    write_csv(path, names, rows)
     return result

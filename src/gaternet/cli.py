@@ -30,9 +30,9 @@ from gaternet.analyze import (
 )
 from gaternet.config import ConfigError, RunConfig, load_config
 from gaternet.data import DataError, load_dataset
-from gaternet.model import GaterNet, spec_to_dict
-from gaternet.persist import CheckpointError, dict_hash, load_checkpoint
-from gaternet.train import PHASES, evaluate, run_phase
+from gaternet.model import GaterNet
+from gaternet.persist import CheckpointError
+from gaternet.train import PHASES, evaluate, restore, run_phase
 
 log = logging.getLogger(__name__)
 
@@ -56,26 +56,16 @@ def _effective_config(args) -> RunConfig:
 
 
 def _load_model_for_eval(cfg: RunConfig, ckpt_path: str) -> tuple[GaterNet, str]:
-    tensors, meta = load_checkpoint(ckpt_path)
-    spec_hash = dict_hash(spec_to_dict(cfg.model))
-    if meta.get("spec_hash") != spec_hash:
-        raise CheckpointError(
-            f"{ckpt_path}: model spec hash mismatch "
-            f"(checkpoint {meta.get('spec_hash')}, current {spec_hash})"
-        )
-    phase = meta.get("phase")
-    if phase not in PHASES:
+    # Only a pretrain_gater checkpoint holds the probe head, and only its
+    # metadata names the phase, so that phase is restored a second time
+    # into a model built with a probe.
+    model = GaterNet(cfg.model, seed=cfg.seed)
+    phase = restore(model, ckpt_path).get("phase")
+    if phase == "pretrain_gater":
+        model = GaterNet(cfg.model, seed=cfg.seed, include_probe=True)
+        restore(model, ckpt_path)
+    elif phase not in PHASES:
         raise CheckpointError(f"{ckpt_path}: unknown phase {phase!r} in metadata")
-    model = GaterNet(cfg.model, seed=cfg.seed,
-                     include_probe=(phase == "pretrain_gater"))
-    for name, t in model.params.items():
-        if name not in tensors:
-            raise CheckpointError(f"{ckpt_path}: missing tensor {name}")
-        t.data[...] = tensors[name].astype(t.data.dtype, copy=False)
-    for name, arr in model.buffers.items():
-        if name not in tensors:
-            raise CheckpointError(f"{ckpt_path}: missing buffer {name}")
-        arr[...] = tensors[name].astype(arr.dtype, copy=False)
     return model, phase
 
 
@@ -147,9 +137,13 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     gate_log = load_gate_log(args.gatelog)
+    n, c = gate_log.num_samples, gate_log.num_gates
+    if n == 0 or c == 0:
+        raise CheckpointError(
+            f"{args.gatelog}: nothing to analyze ({n} samples x {c} gates)"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n, c = gate_log.num_samples, gate_log.num_gates
 
     tax = classify_gates(gate_log)
     write_taxonomy_csv(out / "taxonomy.csv", gate_log, tax)

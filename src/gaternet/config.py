@@ -40,13 +40,18 @@ class _Section:
         self.where = where
         self.taken: set[str] = set()
 
-    def take(self, key: str, default=_MISSING):
+    def take(self, key: str, default=_MISSING, convert=None):
+        """The value under key (or default), passed through convert if given."""
         self.taken.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if default is _MISSING:
+        if key not in self.raw and default is _MISSING:
             raise ConfigError(f"{self.where} is missing required key {key!r}")
-        return default
+        value = self.raw.get(key, default)
+        try:
+            return value if convert is None else convert(value)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(
+                f"{self.where}.{key} must be {convert.__name__}, got {value!r}"
+            ) from e
 
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self.taken)
@@ -104,19 +109,19 @@ def _parse_dataset(raw: dict, base_dir: Path) -> DatasetDescriptor:
     sec = _Section(raw, "dataset")
     kind = sec.take("kind")
     common = {
-        "mean": tuple(sec.take("mean", (0.0, 0.0, 0.0))),
-        "std": tuple(sec.take("std", (1.0, 1.0, 1.0))),
-        "random_crop": bool(sec.take("random_crop", False)),
-        "mirror": bool(sec.take("mirror", False)),
+        "mean": sec.take("mean", (0.0, 0.0, 0.0), tuple),
+        "std": sec.take("std", (1.0, 1.0, 1.0), tuple),
+        "random_crop": sec.take("random_crop", False, bool),
+        "mirror": sec.take("mirror", False, bool),
     }
     if kind == "synthetic":
         desc = dict(
             kind=kind,
-            num_classes=int(sec.take("num_classes")),
-            train_size=int(sec.take("train_size")),
-            eval_size=int(sec.take("eval_size")),
-            image_size=int(sec.take("image_size", 16)),
-            noise=float(sec.take("noise", 0.25)),
+            num_classes=sec.take("num_classes", convert=int),
+            train_size=sec.take("train_size", convert=int),
+            eval_size=sec.take("eval_size", convert=int),
+            image_size=sec.take("image_size", 16, int),
+            noise=sec.take("noise", 0.25, float),
             **common,
         )
     elif kind == "cifar10":
@@ -188,7 +193,10 @@ def _parse_schedule(raw, where: str) -> tuple[tuple[int, float], ...]:
         isinstance(p, list) and len(p) == 2 for p in raw
     ):
         raise ConfigError(f"{where} must be a list of [epoch, lr] pairs")
-    return tuple((int(e), float(lr)) for e, lr in raw)
+    try:
+        return tuple((int(e), float(lr)) for e, lr in raw)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: epochs and rates must be numbers: {raw}") from e
 
 
 def _parse_train(raw: dict) -> dict:
@@ -203,7 +211,7 @@ def _parse_train(raw: dict) -> dict:
             raise ConfigError(f"train.phases is missing required key {name!r}")
         psec = _Section(phases_raw[name], f"train.phases.{name}")
         phases[name] = PhaseSettings(
-            epochs=int(psec.take("epochs")),
+            epochs=psec.take("epochs", convert=int),
             lr_schedule=_parse_schedule(
                 psec.take("lr_schedule"), f"train.phases.{name}.lr_schedule"
             ),
@@ -211,13 +219,13 @@ def _parse_train(raw: dict) -> dict:
         psec.finish()
     out = {
         "phases": phases,
-        "batch_size": int(sec.take("batch_size")),
-        "momentum": float(sec.take("momentum", 0.9)),
-        "weight_decay": float(sec.take("weight_decay", 0.0)),
-        "lambda_": float(sec.take("lambda", 0.1)),
-        "reg_reduction": str(sec.take("reg_reduction", "mean")),
-        "dropout_start": float(sec.take("dropout_start", 0.0)),
-        "dropout_end": float(sec.take("dropout_end", 0.05)),
+        "batch_size": sec.take("batch_size", convert=int),
+        "momentum": sec.take("momentum", 0.9, float),
+        "weight_decay": sec.take("weight_decay", 0.0, float),
+        "lambda_": sec.take("lambda", 0.1, float),
+        "reg_reduction": sec.take("reg_reduction", "mean", str),
+        "dropout_start": sec.take("dropout_start", 0.0, float),
+        "dropout_end": sec.take("dropout_end", 0.05, float),
     }
     sec.finish()
     return out
@@ -233,8 +241,8 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     sec = _Section(raw, "config")
-    seed = int(sec.take("seed", 0))
-    out_dir = str(sec.take("out_dir"))
+    seed = sec.take("seed", 0, int)
+    out_dir = sec.take("out_dir", convert=str)
     dataset = _parse_dataset(
         _require_dict(sec.take("dataset"), "dataset"), path.parent
     )

@@ -195,10 +195,8 @@ def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
         out = gamma * xhat + beta
 
         m = p.momentum
-        batch_mean = x.data.mean(axis=axes)
-        batch_var = ((x.data - batch_mean.reshape(pshape)) ** 2).mean(axis=axes)
-        p.running_mean[...] = m * p.running_mean + (1.0 - m) * batch_mean
-        p.running_var[...] = m * p.running_var + (1.0 - m) * batch_var
+        p.running_mean[...] = m * p.running_mean + (1.0 - m) * mu.data.reshape(-1)
+        p.running_var[...] = m * p.running_var + (1.0 - m) * var.data.reshape(-1)
         return out
 
     rm = Tensor(p.running_mean.reshape(pshape).astype(x.dtype, copy=False))

@@ -230,27 +230,6 @@ def spec_from_dict(d: dict) -> ModelSpec:
     )
 
 
-@dataclass
-class GaterHeadParams:
-    """Bottleneck head: scores = W2 @ relu(batchnorm(W1 @ f + b1)) + b2."""
-
-    W1: Tensor
-    b1: Tensor
-    bn: BatchNormParams
-    W2: Tensor
-    b2: Tensor
-
-    @property
-    def weight_count(self) -> int:
-        """Weights only (biases and batchnorm excluded): (h + c) * b."""
-        return self.W1.data.size + self.W2.data.size
-
-    @property
-    def single_layer_weight_count(self) -> int:
-        """What a direct h -> c layer would cost, for comparison: h * c."""
-        return self.W1.shape[0] * self.W2.shape[1]
-
-
 @dataclass(frozen=True)
 class ParamCountReport:
     backbone: int
@@ -338,28 +317,29 @@ def gated_conv_forward(
     x: Tensor,
     p: Conv2dParams,
     bn: BatchNormParams | None,
-    gates: Tensor,
+    gates: Tensor | None,
     training: bool,
 ) -> Tensor:
     """conv -> (batchnorm) -> relu, then per-channel gate multiply.
 
-    gates is [N, out_channels]; binary gates switch channels fully on or
-    off, soft gates (the training-time alpha branch) scale them. An all-on
-    gate row reproduces the ungated layer bit for bit because multiplying
-    by 1.0 is exact.
+    gates is [N, out_channels], or None for an ungated conv; binary gates
+    switch channels fully on or off, soft gates (the training-time alpha
+    branch) scale them. An all-on gate row reproduces the ungated layer bit
+    for bit because multiplying by 1.0 is exact.
     """
-    n, ch = gates.shape
-    if ch != p.out_channels:
-        raise ValueError(
-            f"gate width {ch} does not match conv out_channels {p.out_channels}"
-        )
-    if x.shape[0] != n:
-        raise ValueError(f"gate batch {n} does not match input batch {x.shape[0]}")
+    if gates is not None:
+        n, ch = gates.shape
+        if ch != p.out_channels:
+            raise ValueError(
+                f"gate width {ch} does not match conv out_channels {p.out_channels}"
+            )
+        if x.shape[0] != n:
+            raise ValueError(f"gate batch {n} does not match input batch {x.shape[0]}")
     y = conv2d(x, p)
     if bn is not None:
         y = batchnorm(y, bn, training)
     y = relu(y)
-    return y * gates.reshape(n, ch, 1, 1)
+    return y if gates is None else y * gates.reshape(n, ch, 1, 1)
 
 
 def selective_conv_reference(
@@ -478,114 +458,79 @@ class GaterNet:
         self.gate_map = build_gate_map(spec)
         rng = np.random.default_rng(seed)
         self.params, self.buffers = init_params(spec, rng, self.dtype, include_probe)
-        self._bb_entries, _ = trace_shapes(spec.backbone, spec.input_shape)
-        self._build_views(include_probe)
-
-    def _build_views(self, include_probe: bool) -> None:
-        def conv_view(prefix: str, i: int, layer: LayerSpec):
-            conv = Conv2dParams(
-                filters=self.params[f"{prefix}.{i}.filters"],
-                bias=self.params.get(f"{prefix}.{i}.bias"),
-                stride=layer.stride,
-                padding=layer.padding,
-            )
-            bn = None
-            if layer.batchnorm:
-                bn = BatchNormParams(
-                    gamma=self.params[f"{prefix}.{i}.bn.gamma"],
-                    beta=self.params[f"{prefix}.{i}.bn.beta"],
-                    running_mean=self.buffers[f"{prefix}.{i}.bn.running_mean"],
-                    running_var=self.buffers[f"{prefix}.{i}.bn.running_var"],
-                )
-            return conv, bn
-
-        self._backbone_views: list[tuple] = []
-        for i, layer in enumerate(self.spec.backbone):
-            if layer.kind == "conv":
-                self._backbone_views.append(("conv", layer, *conv_view("backbone", i, layer), i))
-            elif layer.kind == "pool":
-                self._backbone_views.append(("pool", layer, None, None, i))
-            else:
-                self._backbone_views.append(
-                    ("fc", layer, self.params[f"backbone.{i}.W"],
-                     self.params[f"backbone.{i}.b"], i)
-                )
-        self._gater_views: list[tuple] = []
-        for i, layer in enumerate(self.spec.gater):
-            if layer.kind == "conv":
-                self._gater_views.append(("conv", layer, *conv_view("gater", i, layer), i))
-            else:
-                self._gater_views.append(("pool", layer, None, None, i))
-
-        self.head: GaterHeadParams | None = None
-        if self.spec.gated_filter_total > 0:
-            self.head = GaterHeadParams(
-                W1=self.params["head.W1"],
-                b1=self.params["head.b1"],
-                bn=BatchNormParams(
-                    gamma=self.params["head.bn.gamma"],
-                    beta=self.params["head.bn.beta"],
-                    running_mean=self.buffers["head.bn.running_mean"],
-                    running_var=self.buffers["head.bn.running_var"],
-                ),
-                W2=self.params["head.W2"],
-                b2=self.params["head.b2"],
-            )
         self.probe = None
         if include_probe:
             self.probe = (self.params["probe.W"], self.params["probe.b"])
 
+    def _bn(self, name: str) -> BatchNormParams:
+        return BatchNormParams(
+            gamma=self.params[f"{name}.gamma"],
+            beta=self.params[f"{name}.beta"],
+            running_mean=self.buffers[f"{name}.running_mean"],
+            running_var=self.buffers[f"{name}.running_var"],
+        )
+
     # -- forward passes -------------------------------------------------------
+
+    def _run_stack(
+        self,
+        prefix: str,
+        layers: tuple[LayerSpec, ...],
+        x: Tensor,
+        training: bool,
+        selected: Tensor | None = None,
+    ) -> Tensor:
+        """Walk one stack, reading each layer's parameters by name.
+
+        selected holds every gate of the backbone ([N, c]); gated convs take
+        their slice of it, and without it they run ungated.
+        """
+        h = x
+        for i, layer in enumerate(layers):
+            name = f"{prefix}.{i}"
+            if layer.kind == "conv":
+                conv = Conv2dParams(
+                    filters=self.params[f"{name}.filters"],
+                    bias=self.params.get(f"{name}.bias"),
+                    stride=layer.stride,
+                    padding=layer.padding,
+                )
+                bn = self._bn(f"{name}.bn") if layer.batchnorm else None
+                gates = None
+                if layer.gated and selected is not None:
+                    lo, hi = self.gate_map.slices[i]
+                    gates = selected[:, lo:hi]
+                h = gated_conv_forward(h, conv, bn, gates, training)
+            elif layer.kind == "pool":
+                h = avg_pool2d(h, layer.window)
+            else:
+                w = self.params[f"{name}.W"]
+                if h.ndim == 4:
+                    h = h.reshape(h.shape[0], w.shape[0])
+                h = fully_connected(h, w, self.params[f"{name}.b"])
+                if i < len(layers) - 1:
+                    h = relu(h)
+        return h
 
     def gater_features(self, x: Tensor, training: bool) -> Tensor:
         """Gater conv stack then global average pooling: [N, h]."""
         if not self.spec.gater:
             raise ValueError("this spec has no gater stack")
-        h = x
-        for kind, layer, a, b, _ in self._gater_views:
-            if kind == "conv":
-                h = conv2d(h, a)
-                if b is not None:
-                    h = batchnorm(h, b, training)
-                h = relu(h)
-            else:
-                h = avg_pool2d(h, layer.window)
-        return global_avg_pool(h)
+        return global_avg_pool(self._run_stack("gater", self.spec.gater, x, training))
 
     def gater_head(self, f: Tensor, training: bool) -> Tensor:
-        """Bottleneck head mapping pooled features [N, h] to scores [N, c]."""
-        if self.head is None:
+        """Bottleneck head mapping pooled features [N, h] to scores [N, c]:
+        W2 @ relu(batchnorm(W1 @ f + b1)) + b2."""
+        if self.spec.gated_filter_total == 0:
             raise ValueError("this spec has no gated filters, so no head")
-        z = fully_connected(f, self.head.W1, self.head.b1)
-        z = relu(batchnorm(z, self.head.bn, training))
-        return fully_connected(z, self.head.W2, self.head.b2)
-
-    def _run_backbone(self, x: Tensor, training: bool, selected: Tensor | None) -> Tensor:
-        h = x
-        n = x.shape[0]
-        for kind, layer, a, b, i in self._backbone_views:
-            if kind == "conv":
-                if layer.gated and selected is not None:
-                    lo, hi = self.gate_map.slices[i]
-                    h = gated_conv_forward(h, a, b, selected[:, lo:hi], training)
-                else:
-                    h = conv2d(h, a)
-                    if b is not None:
-                        h = batchnorm(h, b, training)
-                    h = relu(h)
-            elif kind == "pool":
-                h = avg_pool2d(h, layer.window)
-            else:
-                if h.ndim == 4:
-                    h = h.reshape(n, self._bb_entries[i][1])
-                h = fully_connected(h, a, b)
-                if i < len(self.spec.backbone) - 1:
-                    h = relu(h)
-        return h
+        p = self.params
+        z = fully_connected(f, p["head.W1"], p["head.b1"])
+        z = relu(batchnorm(z, self._bn("head.bn"), training))
+        return fully_connected(z, p["head.W2"], p["head.b2"])
 
     def forward_backbone(self, x: Tensor, training: bool) -> Tensor:
         """Plain ungated backbone pass (every gate effectively 1)."""
-        return self._run_backbone(x, training, None)
+        return self._run_stack("backbone", self.spec.backbone, x, training)
 
     def forward_probe(self, x: Tensor, training: bool) -> Tensor:
         """Gater features through the temporary pretraining classifier."""
@@ -612,14 +557,14 @@ class GaterNet:
         if self.spec.gated_filter_total == 0:
             empty = Tensor(np.zeros((n, 0), dtype=x.dtype))
             bundle = semhash_forward(empty, mode, rng)
-            return self._run_backbone(x, training, None), bundle
+            return self._run_stack("backbone", self.spec.backbone, x, training), bundle
         f = self.gater_features(x, training)
         g_pre = self.gater_head(f, training)
         bundle = semhash_forward(g_pre, mode, rng, force_branch)
         selected = bundle.selected
         if training and dropout_rate > 0.0:
             selected = gate_dropout(selected, dropout_rate, rng)
-        logits = self._run_backbone(x, training, selected)
+        logits = self._run_stack("backbone", self.spec.backbone, x, training, selected)
         return logits, bundle
 
     # -- bookkeeping ----------------------------------------------------------
@@ -642,11 +587,12 @@ class GaterNet:
         backbone, gater, head, probe = (
             count("backbone"), count("gater"), count("head"), count("probe")
         )
-        if self.head is not None:
-            head_w = self.head.weight_count
-            head_single = self.head.single_layer_weight_count
-        else:
-            head_w = head_single = 0
+        # Head weights without biases and batchnorm, (h + c) * b, against
+        # the h * c a direct h -> c layer would cost.
+        head_w = head_single = 0
+        if self.spec.gated_filter_total > 0:
+            (h, b), (_, c) = self.params["head.W1"].shape, self.params["head.W2"].shape
+            head_w, head_single = (h + c) * b, h * c
         return ParamCountReport(
             backbone=backbone,
             gater=gater,

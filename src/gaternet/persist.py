@@ -10,8 +10,11 @@ half-written file.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -21,6 +24,7 @@ import numpy as np
 
 MAGIC = b"GNCP"
 VERSION = 1
+_NUMERIC_KINDS = "biufc"  # bool, signed, unsigned, float, complex
 
 
 class CheckpointError(RuntimeError):
@@ -43,6 +47,16 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str | Path, fieldnames, rows,
+              lineterminator: str = "\n") -> None:
+    """Header plus one line per row dict, written atomically."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator=lineterminator)
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def dict_hash(d: dict) -> str:
@@ -101,19 +115,44 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack("<Q", take(8))
-    meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    try:
+        meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: unreadable metadata: {e}") from e
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8") from e
         (dtype_len,) = struct.unpack("<B", take(1))
-        dtype = np.dtype(bytes(take(dtype_len)).decode("ascii"))
+        tag = bytes(take(dtype_len))
+        # numpy raises SyntaxError on some malformed tags, such as "(1,"
+        try:
+            dtype = np.dtype(tag.decode("ascii"))
+        except (TypeError, ValueError, SyntaxError) as e:
+            raise CheckpointError(
+                f"{path}: tensor {name}: unknown dtype {tag!r}"
+            ) from e
+        if dtype.kind not in _NUMERIC_KINDS:
+            raise CheckpointError(f"{path}: tensor {name}: unsupported dtype {dtype}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
         (payload_len,) = struct.unpack("<Q", take(8))
-        arr = np.frombuffer(take(payload_len), dtype=dtype).reshape(shape).copy()
-        tensors[name] = arr
+        if payload_len != math.prod(shape) * dtype.itemsize:
+            raise CheckpointError(
+                f"{path}: tensor {name}: {payload_len} payload bytes do not fit "
+                f"{dtype} {shape}"
+            )
+        try:
+            arr = np.frombuffer(take(payload_len), dtype=dtype).reshape(shape)
+        except ValueError as e:  # more than 64 dims, or a dim past intp
+            raise CheckpointError(f"{path}: tensor {name}: bad shape {shape}") from e
+        tensors[name] = arr.copy()
     if off != len(view):
         raise CheckpointError(f"{path}: {len(view) - off} trailing bytes")
     return tensors, meta

@@ -15,8 +15,6 @@ trains everything end to end with the scheduled gate dropout.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,13 +23,13 @@ import numpy as np
 
 from gaternet.data import DatasetSplits, augment
 from gaternet.layers import softmax_cross_entropy
-from gaternet.model import GaterNet, ModelSpec
+from gaternet.model import GaterNet, ModelSpec, spec_to_dict
 from gaternet.persist import (
     CheckpointError,
-    atomic_write_text,
     dict_hash,
     load_checkpoint,
     save_checkpoint,
+    write_csv,
 )
 from gaternet.semhash import GateDropoutSchedule, dropout_rate_at
 from gaternet.tensor import Array, Tensor, assert_all_finite
@@ -289,15 +287,6 @@ def _epoch_rng(seed: int, phase: str, epoch: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _metrics_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=METRIC_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
              batch_size: int) -> tuple[float, float | None]:
     """Eval-mode accuracy, plus mean binary gate activation for joint."""
@@ -320,24 +309,40 @@ def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
     return acc, mean_gate
 
 
-def _load_prefixed(model: GaterNet, ckpt_path: Path, prefixes: tuple[str, ...],
-                   expect_spec_hash: str) -> None:
+def restore(model: GaterNet, ckpt_path: str | Path,
+            prefixes: tuple[str, ...] | None = None,
+            opt: SGD | None = None) -> dict:
+    """Copy checkpoint tensors into the model, in place; returns the metadata.
+
+    Targets every parameter and buffer under prefixes (all of them when
+    prefixes is None), plus opt's velocities when opt is given. Each target
+    must be present in the checkpoint with its exact shape and dtype;
+    tensors the checkpoint holds beyond the targets are ignored.
+    """
     tensors, meta = load_checkpoint(ckpt_path)
-    if meta.get("spec_hash") != expect_spec_hash:
+    spec_hash = dict_hash(spec_to_dict(model.spec))
+    if meta.get("spec_hash") != spec_hash:
         raise CheckpointError(
             f"{ckpt_path}: model spec hash mismatch "
-            f"(checkpoint {meta.get('spec_hash')}, current {expect_spec_hash})"
+            f"(checkpoint {meta.get('spec_hash')}, current {spec_hash})"
         )
-    for name, t in model.params.items():
-        if any(name.startswith(p + ".") for p in prefixes):
-            if name not in tensors:
-                raise CheckpointError(f"{ckpt_path}: missing tensor {name}")
-            t.data[...] = tensors[name].astype(t.data.dtype, copy=False)
-    for name, arr in model.buffers.items():
-        if any(name.startswith(p + ".") for p in prefixes):
-            if name not in tensors:
-                raise CheckpointError(f"{ckpt_path}: missing buffer {name}")
-            arr[...] = tensors[name].astype(arr.dtype, copy=False)
+    targets = {k: t.data for k, t in model.params.items()} | model.buffers
+    if prefixes is not None:
+        targets = {k: v for k, v in targets.items()
+                   if any(k.startswith(p + ".") for p in prefixes)}
+    if opt is not None:
+        targets.update({f"opt.{k}": v for k, v in opt.velocity.items()})
+    for name, dst in targets.items():
+        src = tensors.get(name)
+        if src is None:
+            raise CheckpointError(f"{ckpt_path}: missing tensor {name}")
+        if src.shape != dst.shape or src.dtype != dst.dtype:
+            raise CheckpointError(
+                f"{ckpt_path}: tensor {name} is {src.dtype} {src.shape}, "
+                f"model needs {dst.dtype} {dst.shape}"
+            )
+        dst[...] = src
+    return meta
 
 
 def _save_state(path: Path, model: GaterNet, opt: SGD, meta: dict) -> None:
@@ -363,8 +368,6 @@ def run_phase(
     an interrupted run leaves the previous epoch's files intact and can be
     resumed with resume_ckpt.
     """
-    from gaternet.model import spec_to_dict  # local import; defined below spec
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     phase = cfg.phase
@@ -378,8 +381,8 @@ def run_phase(
                 "joint phase needs --backbone-ckpt and --gater-ckpt (or the "
                 "default pretrain checkpoints), or --from-scratch to skip them"
             )
-        _load_prefixed(model, Path(backbone_ckpt), ("backbone",), spec_hash)
-        _load_prefixed(model, Path(gater_ckpt), ("gater",), spec_hash)
+        restore(model, backbone_ckpt, ("backbone",))
+        restore(model, gater_ckpt, ("gater",))
 
     trained = model.trainable(_TRAINED_PREFIXES[phase])
     opt = SGD(trained, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
@@ -388,12 +391,7 @@ def run_phase(
     step = 0
     rows: list[dict] = []
     if resume_ckpt is not None:
-        tensors, meta = load_checkpoint(resume_ckpt)
-        if meta.get("spec_hash") != spec_hash:
-            raise CheckpointError(
-                f"{resume_ckpt}: model spec hash mismatch "
-                f"(checkpoint {meta.get('spec_hash')}, current {spec_hash})"
-            )
+        meta = restore(model, resume_ckpt, opt=opt)
         if meta.get("train_config_hash") != cfg_hash:
             raise CheckpointError(
                 f"{resume_ckpt}: train config hash mismatch "
@@ -404,12 +402,9 @@ def run_phase(
                 f"{resume_ckpt}: phase mismatch (checkpoint {meta.get('phase')}, "
                 f"requested {phase})"
             )
-        for name, t in model.params.items():
-            t.data[...] = tensors[name]
-        for name, arr in model.buffers.items():
-            arr[...] = tensors[name]
-        for name in opt.velocity:
-            opt.velocity[name][...] = tensors[f"opt.{name}"]
+        for key in ("epochs_done", "step"):
+            if key not in meta:
+                raise CheckpointError(f"{resume_ckpt}: metadata lacks {key!r}")
         start_epoch = int(meta["epochs_done"])
         step = int(meta["step"])
         rows = list(meta.get("metrics_rows", []))
@@ -485,7 +480,7 @@ def run_phase(
             "eval_acc": eval_acc, "mean_gate_activation": gate_field,
             "lr": lr, "dropout_rate": last_rate,
         })
-        atomic_write_text(metrics_path, _metrics_csv(rows))
+        write_csv(metrics_path, METRIC_COLUMNS, rows)
         _save_state(ckpt_path, model, opt, {
             "format": 1, "phase": phase, "epochs_done": epoch + 1, "step": step,
             "seed": cfg.seed, "spec_hash": spec_hash,

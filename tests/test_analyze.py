@@ -8,7 +8,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaternet.analyze import (
     ALWAYS_OFF,
@@ -116,6 +116,28 @@ class TestGateLog:
         padded.write_bytes(raw + b"\x00")
         with pytest.raises(CheckpointError):
             load_gate_log(padded)
+
+        header_only = tmp_path / "header.glog"
+        header_only.write_bytes(raw[:12])
+        with pytest.raises(CheckpointError, match="header"):
+            load_gate_log(header_only)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut=st.integers(0, 10**6),
+           edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                          max_size=4))
+    def test_corrupt_bytes_raise_only_checkpoint_error(self, tmp_path_factory,
+                                                       cut, edits):
+        path = tmp_path_factory.mktemp("fuzz") / "g.glog"
+        save_gate_log(path, crafted_log())
+        raw = bytearray(path.read_bytes())
+        for pos, value in edits:
+            raw[pos % len(raw)] = value
+        path.write_bytes(bytes(raw[: cut % (len(raw) + 1)]))
+        try:
+            load_gate_log(path)
+        except CheckpointError:
+            pass
 
 
 class TestTaxonomy:

@@ -4,12 +4,13 @@ and the command-line interface end to end."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from gaternet.analyze import load_gate_log
+from gaternet.analyze import GateLog, load_gate_log, save_gate_log
 from gaternet.cli import main
 from gaternet.config import ConfigError, load_config
-from gaternet.persist import load_checkpoint
+from gaternet.persist import load_checkpoint, save_checkpoint
 
 
 def base_config(tmp_path) -> dict:
@@ -148,6 +149,12 @@ class TestLoadConfig:
         lambda d: d["train"]["phases"]["joint"].__setitem__(
             "lr_schedule", [[0, 0.1], [0, 0.2]]),
         lambda d: d["train"]["phases"]["joint"].__setitem__("epochs", 0),
+        lambda d: d["train"].__setitem__("batch_size", "abc"),
+        lambda d: d["train"].__setitem__("lambda", "x"),
+        lambda d: d["train"]["phases"]["joint"].__setitem__(
+            "lr_schedule", [[0, "x"]]),
+        lambda d: d["dataset"].__setitem__("train_size", "many"),
+        lambda d: d.__setitem__("seed", [1]),
     ])
     def test_bad_hyperparameters_fail_at_load(self, tmp_path, mutate):
         doc = base_config(tmp_path)
@@ -313,6 +320,53 @@ class TestCli:
                      "--out-dir", str(out), "--resume", str(ckpt)]) == 0
         assert ckpt.read_bytes() == before
         capsys.readouterr()
+
+    @pytest.mark.parametrize("drop", [
+        "backbone.0.filters", "opt.backbone.0.filters", "step",
+    ])
+    def test_resume_refuses_incomplete_checkpoint_exits_3(self, tmp_path,
+                                                          capsys, drop):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        out = tmp_path / "resume"
+        assert main(["train", "--config", cfg_path,
+                     "--phase", "pretrain-backbone",
+                     "--out-dir", str(out)]) == 0
+        ckpt = out / "pretrain_backbone.ckpt"
+        tensors, meta = load_checkpoint(ckpt)
+        tensors.pop(drop, None)
+        meta.pop(drop, None)
+        save_checkpoint(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path,
+                     "--phase", "pretrain-backbone",
+                     "--out-dir", str(out), "--resume", str(ckpt)]) == 3
+        assert drop in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a[:1],
+        lambda a: a.astype(np.float64),
+    ], ids=["shape", "dtype"])
+    def test_eval_refuses_mismatched_tensor_exits_3(self, tmp_path, capsys,
+                                                     edit):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg_path,
+                     "--phase", "pretrain-backbone"]) == 0
+        ckpt = tmp_path / "run" / "pretrain_backbone.ckpt"
+        tensors, meta = load_checkpoint(ckpt)
+        tensors["head.b2"] = edit(tensors["head.b2"])
+        save_checkpoint(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--ckpt", str(ckpt)]) == 3
+        assert "head.b2" in capsys.readouterr().err
+
+    def test_empty_gatelog_exits_3(self, tmp_path, capsys):
+        empty = GateLog(gates=np.zeros((0, 4), dtype=np.uint8),
+                        labels=np.zeros(0), layer_ids=np.zeros(4),
+                        filter_ids=np.arange(4))
+        save_gate_log(tmp_path / "empty.glog", empty)
+        assert main(["analyze", "--gatelog", str(tmp_path / "empty.glog"),
+                     "--out", str(tmp_path / "an")]) == 3
+        assert "nothing to analyze" in capsys.readouterr().err
 
     def test_eval_spec_mismatch_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))

@@ -1,5 +1,7 @@
 """Checkpoint container format: exact round-trips and corruption rejection."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,56 @@ class TestCorruption:
         (tmp_path / "pad.ckpt").write_bytes(blob + b"\x00\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(tmp_path / "pad.ckpt")
+
+
+def crafted_blob(meta=b"{}", tag=b"<f4", shape=(2,), payload=bytes(8)) -> bytes:
+    """A one-tensor checkpoint named "x", built field by field."""
+    return (b"GNCP" + struct.pack("<IQ", 1, len(meta)) + meta
+            + struct.pack("<IH", 1, 1) + b"x"
+            + struct.pack("<B", len(tag)) + tag
+            + struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
+            + struct.pack("<Q", len(payload)) + payload)
+
+
+class TestMalformedFields:
+    def test_crafted_blob_is_valid(self, tmp_path):
+        (tmp_path / "ok.ckpt").write_bytes(crafted_blob())
+        tensors, meta = load_checkpoint(tmp_path / "ok.ckpt")
+        assert meta == {} and np.array_equal(tensors["x"], np.zeros(2, "<f4"))
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"meta": b"{not json"}, "metadata"),
+        ({"meta": b"\xff\xfe"}, "metadata"),
+        ({"meta": b"[1, 2]"}, "not a JSON object"),
+        ({"tag": b"zz9"}, "dtype"),
+        ({"tag": b"(1,"}, "dtype"),
+        ({"tag": b"|O"}, "dtype"),
+        ({"tag": b"|V0"}, "dtype"),
+        ({"payload": bytes(7)}, "payload"),
+        ({"payload": bytes(12)}, "payload"),
+        ({"shape": (1,) * 70, "payload": bytes(4)}, "shape"),
+    ])
+    def test_raises_checkpoint_error(self, tmp_path, fields, match):
+        (tmp_path / "bad.ckpt").write_bytes(crafted_blob(**fields))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut=st.integers(0, 10**6),
+           edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                          max_size=4))
+    def test_corrupt_bytes_raise_only_checkpoint_error(self, tmp_path_factory,
+                                                       cut, edits):
+        path = tmp_path_factory.mktemp("fuzz") / "c.ckpt"
+        save_checkpoint(path, sample_tensors(), {"k": [1, "v"]})
+        blob = bytearray(path.read_bytes())
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        path.write_bytes(bytes(blob[: cut % (len(blob) + 1)]))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 class TestAtomicWrite:

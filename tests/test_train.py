@@ -1,6 +1,7 @@
 """Training machinery: schedules, the sparse-gate loss, gradient routing,
 momentum SGD, and the per-phase loop with its checkpoint/resume contract."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 from gaternet.data import DatasetDescriptor, load_dataset
 from gaternet.layers import softmax_cross_entropy
-from gaternet.model import GaterNet, LayerSpec, ModelSpec, spec_to_dict
-from gaternet.persist import CheckpointError, dict_hash, load_checkpoint
+from gaternet.model import GaterNet, LayerSpec, ModelSpec
+from gaternet.persist import CheckpointError, load_checkpoint, save_checkpoint
 from gaternet.tensor import Tensor
 from gaternet.train import (
     METRIC_COLUMNS,
@@ -25,7 +26,7 @@ from gaternet.train import (
     sgd_step,
     total_loss,
     _epoch_rng,
-    _load_prefixed,
+    restore,
 )
 
 
@@ -388,9 +389,8 @@ class TestRunPhase:
         pg = run_phase(spec, tiny_cfg("pretrain_gater", epochs=1),
                        splits, tmp_path)
         fresh = GaterNet(spec, seed=0)
-        spec_hash = dict_hash(spec_to_dict(spec))
-        _load_prefixed(fresh, pb.checkpoint_path, ("backbone",), spec_hash)
-        _load_prefixed(fresh, pg.checkpoint_path, ("gater",), spec_hash)
+        restore(fresh, pb.checkpoint_path, ("backbone",))
+        restore(fresh, pg.checkpoint_path, ("gater",))
         for name, t in fresh.params.items():
             if name.startswith("backbone."):
                 assert np.array_equal(t.data, pb.model.params[name].data), name
@@ -404,9 +404,23 @@ class TestRunPhase:
         spec, splits = tiny_spec(), tiny_splits()
         pb = run_phase(spec, tiny_cfg("pretrain_backbone", epochs=1),
                        splits, tmp_path)
+        other = dataclasses.replace(spec, bottleneck=spec.bottleneck + 1)
         with pytest.raises(CheckpointError, match="hash"):
-            _load_prefixed(GaterNet(spec, seed=0), pb.checkpoint_path,
-                           ("backbone",), "not-the-hash")
+            restore(GaterNet(other, seed=0), pb.checkpoint_path, ("backbone",))
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a[:1],
+        lambda a: a.astype(np.float64),
+    ], ids=["shape", "dtype"])
+    def test_restore_refuses_wrong_shape_or_dtype(self, tmp_path, edit):
+        spec, splits = tiny_spec(), tiny_splits()
+        pb = run_phase(spec, tiny_cfg("pretrain_backbone", epochs=1),
+                       splits, tmp_path)
+        tensors, meta = load_checkpoint(pb.checkpoint_path)
+        tensors["head.b2"] = edit(tensors["head.b2"])
+        save_checkpoint(pb.checkpoint_path, tensors, meta)
+        with pytest.raises(CheckpointError, match="head.b2"):
+            restore(GaterNet(spec, seed=0), pb.checkpoint_path)
 
     def test_checkpoint_restores_eval_behavior_bitwise(self, tmp_path):
         spec, splits = tiny_spec(), tiny_splits()
