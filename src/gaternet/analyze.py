@@ -8,8 +8,8 @@ dependent), per-layer distributions, on-count and fired-count histograms,
 and a PCA reduction of the per-sample usage vectors for external
 embedding tools.
 
-Logs are collected in eval mode only, where gates are exactly binary and
-deterministic.
+Logs hold the eval-mode gates that train.evaluate returns, which are
+exactly binary and deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from gaternet.persist import CheckpointError, atomic_write_bytes, write_csv
-from gaternet.tensor import Array, Tensor
+from gaternet.tensor import Array
 
 GATELOG_MAGIC = b"GLOG"
 GATELOG_VERSION = 1
@@ -40,16 +40,18 @@ class GateLog:
     filter_ids: Array  # int64 [c], filter index within that layer
 
     def __post_init__(self):
-        g = np.ascontiguousarray(self.gates, dtype=np.uint8)
+        g = np.asarray(self.gates)
+        if g.ndim != 2:
+            raise ValueError(f"gates must be 2-D [samples, gates], got {g.shape}")
+        # checked before the cast, which would wrap 256 or truncate 0.5 to 0
+        if not np.all((g == 0) | (g == 1)):
+            raise ValueError("gate entries must all be 0 or 1")
+        g = np.ascontiguousarray(g, dtype=np.uint8)
         object.__setattr__(self, "gates", g)
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "layer_ids", np.asarray(self.layer_ids, dtype=np.int64))
         object.__setattr__(self, "filter_ids", np.asarray(self.filter_ids, dtype=np.int64))
-        if g.ndim != 2:
-            raise ValueError(f"gates must be 2-D [samples, gates], got {g.shape}")
         n, c = g.shape
-        if not np.all((g == 0) | (g == 1)):
-            raise ValueError("gate entries must all be 0 or 1")
         if self.labels.shape != (n,):
             raise ValueError(f"labels must have shape ({n},), got {self.labels.shape}")
         if self.layer_ids.shape != (c,) or self.filter_ids.shape != (c,):
@@ -121,22 +123,6 @@ def load_gate_log(path: str | Path) -> GateLog:
                        filter_ids=filter_ids)
     except ValueError as e:  # duplicate (layer, filter) addresses
         raise CheckpointError(f"{path}: {e}") from e
-
-
-def collect_gate_log(model, x: Array, labels: Array, batch_size: int = 256) -> GateLog:
-    """Eval-mode forward over a dataset, keeping each sample's binary gates."""
-    if model.spec.gated_filter_total == 0:
-        raise ValueError("model has no gated filters, nothing to log")
-    rows = []
-    for lo in range(0, len(x), batch_size):
-        _, bundle = model.forward(Tensor(x[lo : lo + batch_size]), training=False)
-        rows.append(bundle.g_beta.data.astype(np.uint8))
-    return GateLog(
-        gates=np.concatenate(rows, axis=0),
-        labels=np.asarray(labels, dtype=np.int64),
-        layer_ids=model.gate_map.layer_ids,
-        filter_ids=model.gate_map.filter_ids,
-    )
 
 
 @dataclass(frozen=True)

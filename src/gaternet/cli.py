@@ -17,8 +17,8 @@ from pathlib import Path
 
 from gaternet.analyze import (
     CATEGORIES,
+    GateLog,
     classify_gates,
-    collect_gate_log,
     export_usage_vectors,
     fired_count_per_sample,
     load_gate_log,
@@ -111,8 +111,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     model, phase = _load_model_for_eval(cfg, args.ckpt)
+    if args.dump_gates and (phase != "joint" or not cfg.model.gated_filter_total):
+        raise CheckpointError(
+            f"--dump-gates needs a joint-phase checkpoint of a model with gated "
+            f"filters; this one is from {phase} with "
+            f"{cfg.model.gated_filter_total} gated filters"
+        )
     splits = load_dataset(cfg.dataset, cfg.seed)
-    acc, mean_gate = evaluate(
+    acc, mean_gate, gates = evaluate(
         model, phase, splits.eval_x, splits.eval_y, cfg.batch_size
     )
     print(f"phase: {phase}")
@@ -121,14 +127,9 @@ def cmd_eval(args) -> int:
     if mean_gate is not None:
         print(f"mean_gate_activation: {mean_gate:.6f}")
     if args.dump_gates:
-        if phase != "joint":
-            raise CheckpointError(
-                f"--dump-gates needs a joint-phase checkpoint; this one is "
-                f"from {phase}"
-            )
-        gate_log = collect_gate_log(
-            model, splits.eval_x, splits.eval_y, cfg.batch_size
-        )
+        gate_log = GateLog(gates=gates, labels=splits.eval_y,
+                           layer_ids=model.gate_map.layer_ids,
+                           filter_ids=model.gate_map.filter_ids)
         save_gate_log(args.dump_gates, gate_log)
         print(f"gate_log: {args.dump_gates} "
               f"[{gate_log.num_samples} x {gate_log.num_gates}]")

@@ -1,16 +1,18 @@
 """Run configuration: one JSON document describing a whole experiment.
 
-The document has four top-level sections: seed, out_dir, dataset, model,
+The document has five top-level keys: seed, out_dir, dataset, model,
 train. Parsing is strict: an unknown key anywhere is an error naming the
 key and where it appeared, because a silently ignored typo (say
 "wieght_decay") would invalidate an experiment without any visible
-symptom. Input paths named by the dataset section must exist at load
-time.
+symptom. Values are not coerced either ("no" is not a switch, 1.5 is not
+a batch size). Input paths named by the dataset section must exist at
+load time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,21 @@ def _require_dict(value, where: str) -> dict:
 _MISSING = object()
 
 
+def _strict(value, want):
+    """value as type want, never coerced: int takes integral numbers, float
+    finite numbers, bool only true/false, str only strings, and [t] a list
+    of t (returned as a tuple). A bool is not a number here."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(want, list) and isinstance(value, list):
+        return tuple(_strict(v, want[0]) for v in value)
+    if (want is bool and isinstance(value, bool)
+            or want is str and isinstance(value, str)
+            or want is float and number and math.isfinite(value)
+            or want is int and number and float(value).is_integer()):
+        return want(value)
+    raise TypeError(value)
+
+
 class _Section:
     """Dict wrapper that tracks consumed keys and rejects leftovers."""
 
@@ -40,17 +57,19 @@ class _Section:
         self.where = where
         self.taken: set[str] = set()
 
-    def take(self, key: str, default=_MISSING, convert=None):
-        """The value under key (or default), passed through convert if given."""
+    def take(self, key: str, default=_MISSING, want=None):
+        """The value under key (or default), checked as type want if given."""
         self.taken.add(key)
         if key not in self.raw and default is _MISSING:
             raise ConfigError(f"{self.where} is missing required key {key!r}")
         value = self.raw.get(key, default)
         try:
-            return value if convert is None else convert(value)
-        except (TypeError, ValueError) as e:
+            return value if want is None else _strict(value, want)
+        except (TypeError, OverflowError) as e:
+            name = (f"a list of {want[0].__name__}" if isinstance(want, list)
+                    else want.__name__)
             raise ConfigError(
-                f"{self.where}.{key} must be {convert.__name__}, got {value!r}"
+                f"{self.where}.{key} must be {name}, got {value!r}"
             ) from e
 
     def finish(self) -> None:
@@ -61,18 +80,19 @@ class _Section:
 
 def _parse_layer(raw: dict, where: str) -> LayerSpec:
     sec = _Section(raw, where)
-    kind = sec.take("kind")
+    kind = sec.take("kind", want=str)
     kwargs = {"kind": kind}
     fields = {
-        "conv": ("filters", "kernel", "stride", "padding", "gated", "batchnorm"),
-        "pool": ("window",),
-        "fc": ("width",),
+        "conv": {"filters": int, "kernel": int, "stride": int, "padding": int,
+                 "gated": bool, "batchnorm": bool},
+        "pool": {"window": int},
+        "fc": {"width": int},
     }.get(kind)
     if fields is None:
         raise ConfigError(f"{where}: unknown layer kind {kind!r}")
-    for name in fields:
+    for name, want in fields.items():
         if name in sec.raw:
-            kwargs[name] = sec.take(name)
+            kwargs[name] = sec.take(name, want=want)
     sec.finish()
     try:
         return LayerSpec(**kwargs)
@@ -84,8 +104,8 @@ def _parse_model(raw: dict) -> ModelSpec:
     sec = _Section(raw, "model")
     try:
         spec = ModelSpec(
-            input_shape=tuple(sec.take("input_shape")),
-            num_classes=int(sec.take("num_classes")),
+            input_shape=sec.take("input_shape", want=[int]),
+            num_classes=sec.take("num_classes", want=int),
             backbone=tuple(
                 _parse_layer(l, f"model.backbone[{i}]")
                 for i, l in enumerate(sec.take("backbone"))
@@ -94,7 +114,7 @@ def _parse_model(raw: dict) -> ModelSpec:
                 _parse_layer(l, f"model.gater[{i}]")
                 for i, l in enumerate(sec.take("gater", ()))
             ),
-            bottleneck=int(sec.take("bottleneck", 1)),
+            bottleneck=sec.take("bottleneck", 1, int),
         )
         sec.finish()
         validate_spec(spec)
@@ -107,28 +127,28 @@ def _parse_model(raw: dict) -> ModelSpec:
 
 def _parse_dataset(raw: dict, base_dir: Path) -> DatasetDescriptor:
     sec = _Section(raw, "dataset")
-    kind = sec.take("kind")
+    kind = sec.take("kind", want=str)
     common = {
-        "mean": sec.take("mean", (0.0, 0.0, 0.0), tuple),
-        "std": sec.take("std", (1.0, 1.0, 1.0), tuple),
+        "mean": sec.take("mean", [0.0, 0.0, 0.0], [float]),
+        "std": sec.take("std", [1.0, 1.0, 1.0], [float]),
         "random_crop": sec.take("random_crop", False, bool),
         "mirror": sec.take("mirror", False, bool),
     }
     if kind == "synthetic":
         desc = dict(
             kind=kind,
-            num_classes=sec.take("num_classes", convert=int),
-            train_size=sec.take("train_size", convert=int),
-            eval_size=sec.take("eval_size", convert=int),
+            num_classes=sec.take("num_classes", want=int),
+            train_size=sec.take("train_size", want=int),
+            eval_size=sec.take("eval_size", want=int),
             image_size=sec.take("image_size", 16, int),
             noise=sec.take("noise", 0.25, float),
             **common,
         )
     elif kind == "cifar10":
         train_paths = tuple(
-            str(base_dir / p) for p in sec.take("train_paths")
+            str(base_dir / p) for p in sec.take("train_paths", want=[str])
         )
-        eval_path = str(base_dir / sec.take("eval_path"))
+        eval_path = str(base_dir / sec.take("eval_path", want=str))
         for p in (*train_paths, eval_path):
             if not Path(p).is_file():
                 raise ConfigError(f"dataset file does not exist: {p}")
@@ -166,6 +186,11 @@ class RunConfig:
     dropout_start: float
     dropout_end: float
 
+    def __post_init__(self):
+        # checked here so a --seed override is held to it too
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     def make_phase_config(self, phase: str) -> TrainConfig:
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}, expected one of {PHASES}")
@@ -194,8 +219,8 @@ def _parse_schedule(raw, where: str) -> tuple[tuple[int, float], ...]:
     ):
         raise ConfigError(f"{where} must be a list of [epoch, lr] pairs")
     try:
-        return tuple((int(e), float(lr)) for e, lr in raw)
-    except (TypeError, ValueError) as e:
+        return tuple((_strict(e, int), _strict(lr, float)) for e, lr in raw)
+    except (TypeError, OverflowError) as e:
         raise ConfigError(f"{where}: epochs and rates must be numbers: {raw}") from e
 
 
@@ -211,7 +236,7 @@ def _parse_train(raw: dict) -> dict:
             raise ConfigError(f"train.phases is missing required key {name!r}")
         psec = _Section(phases_raw[name], f"train.phases.{name}")
         phases[name] = PhaseSettings(
-            epochs=psec.take("epochs", convert=int),
+            epochs=psec.take("epochs", want=int),
             lr_schedule=_parse_schedule(
                 psec.take("lr_schedule"), f"train.phases.{name}.lr_schedule"
             ),
@@ -219,7 +244,7 @@ def _parse_train(raw: dict) -> dict:
         psec.finish()
     out = {
         "phases": phases,
-        "batch_size": sec.take("batch_size", convert=int),
+        "batch_size": sec.take("batch_size", want=int),
         "momentum": sec.take("momentum", 0.9, float),
         "weight_decay": sec.take("weight_decay", 0.0, float),
         "lambda_": sec.take("lambda", 0.1, float),
@@ -242,7 +267,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     sec = _Section(raw, "config")
     seed = sec.take("seed", 0, int)
-    out_dir = sec.take("out_dir", convert=str)
+    out_dir = sec.take("out_dir", want=str)
     dataset = _parse_dataset(
         _require_dict(sec.take("dataset"), "dataset"), path.parent
     )
@@ -254,6 +279,9 @@ def load_config(path: str | Path) -> RunConfig:
             f"model.num_classes = {model.num_classes} does not match the "
             f"dataset's {dataset.num_classes} classes"
         )
+    if model.input_shape != dataset.image_shape:
+        raise ConfigError(f"model.input_shape = {list(model.input_shape)} does not "
+                          f"match the dataset's {list(dataset.image_shape)} images")
     cfg = RunConfig(seed=seed, out_dir=out_dir, dataset=dataset, model=model,
                     **train)
     for phase in PHASES:

@@ -14,7 +14,7 @@ original size, and a 0.5-probability horizontal mirror.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class DatasetDescriptor:
         object.__setattr__(self, "std", tuple(float(v) for v in self.std))
         if self.kind not in ("synthetic", "cifar10"):
             raise DataError(f"unknown dataset kind {self.kind!r}")
+        if len(self.mean) != 3 or len(self.std) != 3:
+            raise DataError(f"mean and std need one entry per channel (3), got "
+                            f"{self.mean} and {self.std}")
         if any(s <= 0 for s in self.std):
             raise DataError(f"std entries must be positive, got {self.std}")
         if self.kind == "synthetic":
@@ -63,6 +66,12 @@ class DatasetDescriptor:
                 raise DataError(f"image_size must be >= 4, got {self.image_size}")
             if self.noise < 0:
                 raise DataError(f"noise must be >= 0, got {self.noise}")
+
+    @property
+    def image_shape(self) -> tuple[int, int, int]:
+        """[C, H, W] of every image this descriptor yields."""
+        side = 32 if self.kind == "cifar10" else self.image_size
+        return (3, side, side)
 
 
 @dataclass

@@ -5,9 +5,9 @@ unit Gaussian noise, then two views are formed: a soft view through a
 saturating sigmoid (g_alpha) and a hard 0/1 view by thresholding at zero
 (g_beta). Each sample in the batch uses one view or the other, picked by a
 fair coin, and the hard view borrows the soft view's gradient so the
-backbone's feedback still reaches the gater. At eval time noise is skipped
-and the hard view is always used, so deployed gates are exactly binary and
-deterministic.
+backbone's feedback still reaches the gater. At eval time noise and the soft
+view are skipped and the hard view is always used, so deployed gates are
+exactly binary and deterministic.
 
 The saturating sigmoid is clip(1.2 * sigmoid(x) - 0.1, 0, 1). It hits
 exactly 0 / 1 at x = -+ln(11) (about 2.398), which is what lets a finite
@@ -68,13 +68,13 @@ class GateBundle:
     """Everything one gating pass produces.
 
     branch_mask[i] is True where sample i uses the hard branch (g_beta);
-    in eval mode that is every sample. selected is the [N, c] gate tensor
-    the backbone actually consumes.
+    in eval mode that is every sample and g_alpha is None. selected is the
+    [N, c] gate tensor the backbone actually consumes.
     """
 
     g_pre: Tensor
     g_noisy: Tensor
-    g_alpha: Tensor
+    g_alpha: Tensor | None
     g_beta: Tensor
     selected: Tensor
     branch_mask: Array
@@ -103,13 +103,11 @@ def semhash_forward(
     n = g_pre.shape[0]
 
     if mode == "eval":
-        g_noisy = g_pre
-        g_alpha = saturating_sigmoid(g_noisy)
-        g_beta = hard_gate(g_noisy)
+        g_beta = hard_gate(g_pre)
         return GateBundle(
             g_pre=g_pre,
-            g_noisy=g_noisy,
-            g_alpha=g_alpha,
+            g_noisy=g_pre,
+            g_alpha=None,
             g_beta=g_beta,
             selected=g_beta,
             branch_mask=np.ones(n, dtype=bool),
@@ -140,24 +138,6 @@ def semhash_forward(
         branch_mask=use_beta,
         mode=mode,
     )
-
-
-def semhash_backward(upstream: Array, bundle: GateBundle) -> Array:
-    """Gradient of the selected gates w.r.t. g_pre, independent of branch.
-
-    Both branches route the same surrogate gradient (the saturating
-    sigmoid's derivative at g_noisy), so the branch mask does not appear.
-    Only meaningful for training bundles; eval bundles are rejected.
-    """
-    if bundle.mode != "train":
-        raise ValueError("semhash_backward is only defined for training bundles")
-    upstream = np.asarray(upstream)
-    if upstream.shape != bundle.g_pre.shape:
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match gates "
-            f"{bundle.g_pre.shape}"
-        )
-    return upstream * _sat_sigmoid_grad(bundle.g_noisy.data)
 
 
 @dataclass(frozen=True)

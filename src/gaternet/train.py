@@ -287,26 +287,37 @@ def _epoch_rng(seed: int, phase: str, epoch: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def phase_forward(model: GaterNet, phase: str, x: Tensor, training: bool,
+                  rng: np.random.Generator | None = None,
+                  dropout_rate: float = 0.0) -> tuple[Tensor, Tensor | None]:
+    """The forward pass a phase trains and evaluates: logits, plus in joint
+    the selected gates [N, c] (before dropout), else None."""
+    if phase == "pretrain_backbone":
+        return model.forward_backbone(x, training), None
+    if phase == "pretrain_gater":
+        return model.forward_probe(x, training), None
+    logits, bundle = model.forward(x, training, rng, dropout_rate=dropout_rate)
+    return logits, bundle.selected
+
+
 def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
-             batch_size: int) -> tuple[float, float | None]:
-    """Eval-mode accuracy, plus mean binary gate activation for joint."""
+             batch_size: int) -> tuple[float, float | None, Array | None]:
+    """Eval-mode accuracy; in joint also the uint8 [N, c] eval gates and
+    their mean as an exact count ratio (None without gated filters)."""
     correct = 0
-    gate_sum = 0.0
-    gate_count = 0
+    rows = []
     for lo in range(0, len(x), batch_size):
-        xb = Tensor(x[lo : lo + batch_size])
-        if phase == "pretrain_backbone":
-            logits = model.forward_backbone(xb, training=False)
-        elif phase == "pretrain_gater":
-            logits = model.forward_probe(xb, training=False)
-        else:
-            logits, bundle = model.forward(xb, training=False)
-            gate_sum += float(bundle.g_beta.data.sum())
-            gate_count += bundle.g_beta.data.size
+        logits, gates = phase_forward(model, phase, Tensor(x[lo : lo + batch_size]),
+                                      training=False)
         correct += int((logits.data.argmax(axis=1) == y[lo : lo + batch_size]).sum())
+        if gates is not None:
+            rows.append(gates.data.astype(np.uint8))
     acc = correct / len(x)
-    mean_gate = gate_sum / gate_count if gate_count else None
-    return acc, mean_gate
+    if phase != "joint":
+        return acc, None, None
+    gates = np.concatenate(rows, axis=0)
+    mean_gate = int(gates.sum()) / gates.size if gates.size else None
+    return acc, mean_gate, gates
 
 
 def restore(model: GaterNet, ckpt_path: str | Path,
@@ -402,12 +413,16 @@ def run_phase(
                 f"{resume_ckpt}: phase mismatch (checkpoint {meta.get('phase')}, "
                 f"requested {phase})"
             )
-        for key in ("epochs_done", "step"):
+        for key in ("epochs_done", "step", "metrics_rows"):
             if key not in meta:
                 raise CheckpointError(f"{resume_ckpt}: metadata lacks {key!r}")
         start_epoch = int(meta["epochs_done"])
         step = int(meta["step"])
-        rows = list(meta.get("metrics_rows", []))
+        rows = list(meta["metrics_rows"])
+        if len(rows) != start_epoch:
+            raise CheckpointError(
+                f"{resume_ckpt}: {len(rows)} metrics rows for {start_epoch} epochs"
+            )
 
     steps_per_epoch = max(1, -(-len(splits.train_x) // cfg.batch_size))
     # Steps are numbered 0..E*S-1, so a span of E*S-1 puts the ramp's exact
@@ -421,18 +436,6 @@ def run_phase(
     metrics_path = out_dir / f"metrics_{phase}.csv"
     desc = splits.descriptor
     n_train = len(splits.train_x)
-    c = spec.gated_filter_total
-
-    train_loss = float("nan")
-    eval_acc = 0.0
-    mean_gate: float | None = None
-    if rows:
-        # resuming an already-finished phase must report the stored finals
-        last = rows[-1]
-        train_loss = float(last["train_loss"])
-        eval_acc = float(last["eval_acc"])
-        g = last["mean_gate_activation"]
-        mean_gate = float(g) if g != "" else None
     for epoch in range(start_epoch, cfg.epochs):
         rng = _epoch_rng(cfg.seed, phase, epoch)
         lr = lr_at(cfg.lr_schedule, epoch)
@@ -445,17 +448,9 @@ def run_phase(
                 for i in range(len(xb)):
                     xb[i] = augment(xb[i], rng, desc.random_crop, desc.mirror)
             yb = splits.train_y[idx]
-            xt = Tensor(xb)
-            rate = 0.0
-            if phase == "pretrain_backbone":
-                loss = total_loss(model.forward_backbone(xt, True), yb, None, 0.0)
-            elif phase == "pretrain_gater":
-                loss = total_loss(model.forward_probe(xt, True), yb, None, 0.0)
-            else:
-                rate = dropout_rate_at(dropout_sched, step)
-                logits, bundle = model.forward(xt, True, rng, dropout_rate=rate)
-                loss = total_loss(logits, yb, bundle.selected, cfg.lambda_,
-                                  cfg.reg_reduction)
+            rate = dropout_rate_at(dropout_sched, step) if dropout_sched else 0.0
+            logits, gates = phase_forward(model, phase, Tensor(xb), True, rng, rate)
+            loss = total_loss(logits, yb, gates, cfg.lambda_, cfg.reg_reduction)
             assert_all_finite(loss, f"{phase} loss at step {step}")
             opt.zero_grad()
             loss.backward()
@@ -463,21 +458,15 @@ def run_phase(
             losses.append(loss.item())
             step += 1
         train_loss = float(np.mean(losses))
-        eval_acc, mean_gate = evaluate(
-            model, phase, splits.eval_x, splits.eval_y, cfg.batch_size
-        )
-        if phase == "pretrain_backbone":
-            gate_field = 1.0  # gates are forced on in this phase
-        elif phase == "pretrain_gater":
-            gate_field = ""
-        else:
-            gate_field = mean_gate if c else ""
-        last_rate = (
-            dropout_rate_at(dropout_sched, step - 1) if dropout_sched else 0.0
-        )
+        eval_acc, mean_gate, _ = evaluate(model, phase, splits.eval_x,
+                                          splits.eval_y, cfg.batch_size)
+        # gates are forced on while the backbone pretrains
+        gate_field = 1.0 if phase == "pretrain_backbone" else mean_gate
+        last_rate = dropout_rate_at(dropout_sched, step - 1) if dropout_sched else 0.0
         rows.append({
             "epoch": epoch, "phase": phase, "train_loss": train_loss,
-            "eval_acc": eval_acc, "mean_gate_activation": gate_field,
+            "eval_acc": eval_acc,
+            "mean_gate_activation": "" if gate_field is None else gate_field,
             "lr": lr, "dropout_rate": last_rate,
         })
         write_csv(metrics_path, METRIC_COLUMNS, rows)
@@ -488,13 +477,15 @@ def run_phase(
         })
         log.info("%s epoch %d: loss %.4f acc %.4f", phase, epoch, train_loss, eval_acc)
 
+    last = rows[-1]  # so a resumed finished phase reports its stored finals
+    gate = last["mean_gate_activation"]
     return PhaseResult(
         phase=phase,
         checkpoint_path=ckpt_path,
         metrics_path=metrics_path,
         rows=rows,
-        final_eval_acc=eval_acc,
-        final_train_loss=train_loss,
-        final_gate_activation=mean_gate,
+        final_eval_acc=float(last["eval_acc"]),
+        final_train_loss=float(last["train_loss"]),
+        final_gate_activation=float(gate) if phase == "joint" and gate != "" else None,
         model=model,
     )

@@ -17,7 +17,6 @@ from gaternet.analyze import (
     INPUT_DEPENDENT,
     GateLog,
     classify_gates,
-    collect_gate_log,
     export_usage_vectors,
     fired_count_per_sample,
     layer_distribution,
@@ -63,6 +62,11 @@ class TestGateLog:
         ok = crafted_log()
         with pytest.raises(ValueError):  # non-binary
             GateLog(ok.gates * 2, ok.labels, ok.layer_ids, ok.filter_ids)
+        for bad in (0.5, 256.0, -1):  # a uint8 cast would store these as 0
+            gates = ok.gates.astype(np.float64)
+            gates[0, 0] = bad
+            with pytest.raises(ValueError):
+                GateLog(gates, ok.labels, ok.layer_ids, ok.filter_ids)
         with pytest.raises(ValueError):  # label count mismatch
             GateLog(ok.gates, ok.labels[:3], ok.layer_ids, ok.filter_ids)
         with pytest.raises(ValueError):  # gate-id width mismatch
@@ -381,6 +385,7 @@ class TestCollect:
     def test_batched_collection_matches_single_forward(self):
         from gaternet.model import GaterNet, LayerSpec, ModelSpec
         from gaternet.tensor import Tensor
+        from gaternet.train import evaluate
         spec = ModelSpec(
             input_shape=(3, 8, 8), num_classes=3,
             backbone=(LayerSpec("conv", filters=4, gated=True),
@@ -392,12 +397,10 @@ class TestCollect:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((10, 3, 8, 8)).astype(np.float32)
         labels = rng.integers(0, 3, 10).astype(np.int64)
-        log = collect_gate_log(model, x, labels, batch_size=3)
+        _, _, gates = evaluate(model, "joint", x, labels, batch_size=3)
         _, bundle = model.forward(Tensor(x), training=False)
-        assert np.array_equal(log.gates, bundle.g_beta.data.astype(np.uint8))
-        assert np.array_equal(log.labels, labels)
-        assert np.array_equal(log.layer_ids, model.gate_map.layer_ids)
-        assert np.array_equal(log.filter_ids, model.gate_map.filter_ids)
+        assert gates.dtype == np.uint8
+        assert np.array_equal(gates, bundle.g_beta.data.astype(np.uint8))
 
 
 def test_category_codes_are_stable():

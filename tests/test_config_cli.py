@@ -3,13 +3,17 @@ and the command-line interface end to end."""
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gaternet.analyze import GateLog, load_gate_log, save_gate_log
 from gaternet.cli import main
 from gaternet.config import ConfigError, load_config
+from gaternet.data import load_dataset
+from gaternet.model import GaterNet
 from gaternet.persist import load_checkpoint, save_checkpoint
 
 
@@ -42,6 +46,43 @@ def base_config(tmp_path) -> dict:
             },
         },
     }
+
+
+# one key of each converted type in each section, with the type it needs
+TYPED_KEYS = [
+    (("seed",), int),
+    (("out_dir",), str),
+    (("dataset", "train_size"), int),
+    (("dataset", "noise"), float),
+    (("dataset", "mirror"), bool),
+    (("dataset", "mean"), list),
+    (("model", "bottleneck"), int),
+    (("model", "input_shape"), list),
+    (("model", "backbone", 0, "filters"), int),
+    (("model", "backbone", 0, "gated"), bool),
+    (("model", "backbone", 1, "window"), int),
+    (("train", "batch_size"), int),
+    (("train", "momentum"), float),
+    (("train", "reg_reduction"), str),
+    (("train", "phases", "joint", "epochs"), int),
+]
+_NOT_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                        st.lists(st.integers(0, 9), max_size=2))
+WRONG_TYPED = {
+    int: st.one_of(_NOT_NUMBER,
+                   st.floats().filter(lambda v: not v.is_integer())),
+    float: st.one_of(_NOT_NUMBER, st.sampled_from([math.nan, math.inf])),
+    bool: st.one_of(st.none(), st.integers(), st.floats(allow_nan=False),
+                    st.sampled_from(["true", "false", "no"])),
+    str: st.one_of(st.none(), st.booleans(), st.integers(),
+                   st.lists(st.text(max_size=2), max_size=2)),
+    # a list value needs a list of numbers: a bare value, or a list
+    # holding at least one entry of the wrong type, is refused
+    list: st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                    st.lists(st.sampled_from([None, True, "x", 1.5]),
+                             min_size=3, max_size=3)
+                    .filter(lambda v: v != [1.5] * 3)),
+}
 
 
 def write_config(tmp_path, doc, name="run.json") -> str:
@@ -155,11 +196,52 @@ class TestLoadConfig:
             "lr_schedule", [[0, "x"]]),
         lambda d: d["dataset"].__setitem__("train_size", "many"),
         lambda d: d.__setitem__("seed", [1]),
+        lambda d: d["model"]["backbone"][0].__setitem__("gated", "no"),
+        lambda d: d["model"]["backbone"][0].__setitem__("batchnorm", "false"),
+        lambda d: d["dataset"].__setitem__("random_crop", "false"),
+        lambda d: d["train"].__setitem__("batch_size", 1.5),
+        lambda d: d["model"].__setitem__("bottleneck", 2.7),
+        lambda d: d.__setitem__("seed", 0.5),
+        lambda d: d.__setitem__("seed", -1),
+        lambda d: d["model"]["backbone"][0].__setitem__("filters", 4.5),
+        lambda d: d["model"]["backbone"][0].__setitem__("kernel", 2.5),
+        lambda d: d["model"]["backbone"][0].__setitem__("gated", 1),
+        lambda d: d["train"]["phases"]["joint"].__setitem__("epochs", 1.5),
+        lambda d: d["train"]["phases"]["joint"].__setitem__(
+            "lr_schedule", [[0.5, 0.1]]),
+        lambda d: d["dataset"].__setitem__("mean", ["a", "b", "c"]),
+        lambda d: d["dataset"].__setitem__("std", [1.0]),
+        lambda d: d["dataset"].__setitem__("mean", [0.5]),
+        lambda d: d["dataset"].__setitem__("image_size", 16),
+        lambda d: d["model"].__setitem__("input_shape", [1, 8, 8]),
+        lambda d: d["model"].__setitem__("input_shape", [3, 8, 8.5]),
     ])
     def test_bad_hyperparameters_fail_at_load(self, tmp_path, mutate):
         doc = base_config(tmp_path)
         mutate(doc)
         with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("bad", [5, "run.json", ["run.json", 1]])
+    def test_cifar_train_paths_must_be_a_list_of_strings(self, tmp_path, bad):
+        doc = base_config(tmp_path)
+        # the config file itself exists, so only the type is wrong
+        doc["dataset"] = {"kind": "cifar10", "train_paths": bad,
+                          "eval_path": "run.json"}
+        with pytest.raises(ConfigError, match=r"dataset\.train_paths must be"):
+            load_config(write_config(tmp_path, doc))
+
+    @given(st.data())
+    def test_wrong_typed_value_fails_at_load(self, tmp_path_factory, data):
+        path, want = data.draw(st.sampled_from(TYPED_KEYS), label="key")
+        value = data.draw(WRONG_TYPED[want], label="value")
+        tmp_path = tmp_path_factory.mktemp("typed")
+        doc = base_config(tmp_path)
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=str(path[-1])):
             load_config(write_config(tmp_path, doc))
 
     @pytest.mark.parametrize("bad", ["fast", [[0, 0.1], [5]], [0, 0.1]])
@@ -216,6 +298,12 @@ class TestCli:
         log = load_gate_log(gatelog)
         # eval split size x total gated filters
         assert log.gates.shape == (24, 4)
+        cfg = load_config(cfg_path)
+        assert np.array_equal(
+            log.labels, load_dataset(cfg.dataset, cfg.seed).eval_y)
+        gate_map = GaterNet(cfg.model).gate_map
+        assert np.array_equal(log.layer_ids, gate_map.layer_ids)
+        assert np.array_equal(log.filter_ids, gate_map.filter_ids)
 
         an_dir = tmp_path / "analysis"
         assert main(["analyze", "--gatelog", gatelog,
@@ -259,11 +347,57 @@ class TestCli:
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["train", "--config", cfg_path,
                      "--phase", "pretrain-backbone"]) == 0
+        capsys.readouterr()
         rc = main(["eval", "--config", cfg_path,
                    "--ckpt", str(tmp_path / "run" / "pretrain_backbone.ckpt"),
                    "--dump-gates", str(tmp_path / "g.glog")])
         assert rc == 3
-        assert "joint" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "joint" in captured.err
+        assert captured.out == ""  # refused before the eval pass
+
+    def test_dump_gates_without_gated_filters_exits_3(self, tmp_path, capsys):
+        doc = base_config(tmp_path)
+        doc["model"]["backbone"][0]["gated"] = False
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg_path, "--phase", "joint",
+                     "--from-scratch"]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--config", cfg_path,
+                   "--ckpt", str(tmp_path / "run" / "joint.ckpt"),
+                   "--dump-gates", str(tmp_path / "g.glog")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "gated filters" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "g.glog").exists()
+
+    def test_dump_gates_runs_eval_set_once(self, tmp_path, capsys,
+                                          monkeypatch):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg_path, "--phase", "joint",
+                     "--from-scratch"]) == 0
+        calls = []
+        real_forward = GaterNet.forward
+
+        def counting_forward(self, x, *args, **kwargs):
+            calls.append(x.shape[0])
+            return real_forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(GaterNet, "forward", counting_forward)
+        assert main(["eval", "--config", cfg_path,
+                     "--ckpt", str(tmp_path / "run" / "joint.ckpt"),
+                     "--dump-gates", str(tmp_path / "g.glog")]) == 0
+        capsys.readouterr()
+        # 24 eval images in batches of 16: one forward per batch
+        assert calls == [16, 8]
+        assert load_gate_log(tmp_path / "g.glog").gates.shape == (24, 4)
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg_path,
+                     "--phase", "pretrain-backbone", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_out_dir_precedence(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
@@ -322,7 +456,7 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("drop", [
-        "backbone.0.filters", "opt.backbone.0.filters", "step",
+        "backbone.0.filters", "opt.backbone.0.filters", "step", "metrics_rows",
     ])
     def test_resume_refuses_incomplete_checkpoint_exits_3(self, tmp_path,
                                                           capsys, drop):

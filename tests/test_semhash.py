@@ -19,11 +19,29 @@ from gaternet.semhash import (
     hard_gate,
     saturating_sigmoid,
     semhash_forward,
-    semhash_backward,
+    _sat_sigmoid_grad,
 )
 from gaternet.tensor import Tensor, grad_check
 
 LN11 = 2.3978952727983707  # ln(11), the exact clip breakpoint
+
+
+def semhash_backward(upstream, bundle):
+    """Gradient of the selected gates w.r.t. g_pre, independent of branch.
+
+    Both branches route the same surrogate gradient (the saturating
+    sigmoid's derivative at g_noisy), so the branch mask does not appear.
+    Only meaningful for training bundles; eval bundles are rejected.
+    """
+    if bundle.mode != "train":
+        raise ValueError("semhash_backward is only defined for training bundles")
+    upstream = np.asarray(upstream)
+    if upstream.shape != bundle.g_pre.shape:
+        raise ValueError(
+            f"upstream shape {upstream.shape} does not match gates "
+            f"{bundle.g_pre.shape}"
+        )
+    return upstream * _sat_sigmoid_grad(bundle.g_noisy.data)
 
 
 class TestSaturatingSigmoid:

@@ -367,7 +367,19 @@ class TestRunPhase:
         assert again.rows == done.rows
         assert again.final_eval_acc == done.final_eval_acc
         assert again.final_train_loss == done.final_train_loss
+        assert again.final_gate_activation == done.final_gate_activation
         assert done.checkpoint_path.read_bytes() == snapshot
+
+    def test_resume_refuses_rows_that_disagree_with_epochs(self, tmp_path):
+        spec, splits = tiny_spec(), tiny_splits()
+        cfg = tiny_cfg("pretrain_backbone")
+        done = run_phase(spec, cfg, splits, tmp_path)
+        tensors, meta = load_checkpoint(done.checkpoint_path)
+        meta["metrics_rows"] = meta["metrics_rows"][:1]
+        save_checkpoint(done.checkpoint_path, tensors, meta)
+        with pytest.raises(CheckpointError, match="metrics rows"):
+            run_phase(spec, cfg, splits, tmp_path,
+                      resume_ckpt=done.checkpoint_path)
 
     def test_resume_rejects_mismatches(self, tmp_path):
         spec, splits = tiny_spec(), tiny_splits()
