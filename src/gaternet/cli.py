@@ -30,7 +30,7 @@ from gaternet.analyze import (
 )
 from gaternet.config import ConfigError, RunConfig, load_config
 from gaternet.data import DataError, load_dataset
-from gaternet.model import GaterNet
+from gaternet.model import GaterNet, conv_macs
 from gaternet.persist import CheckpointError
 from gaternet.train import PHASES, evaluate, restore, run_phase
 
@@ -126,6 +126,9 @@ def cmd_eval(args) -> int:
     print(f"accuracy: {acc:.6f}")
     if mean_gate is not None:
         print(f"mean_gate_activation: {mean_gate:.6f}")
+        macs_total, macs_off = conv_macs(cfg.model, gates)
+        print(f"conv_macs_total: {macs_total}")
+        print(f"conv_macs_gated_off: {macs_off}")
     if args.dump_gates:
         gate_log = GateLog(gates=gates, labels=splits.eval_y,
                            layer_ids=model.gate_map.layer_ids,

@@ -208,4 +208,9 @@ def load_dataset(desc: DatasetDescriptor, seed: int) -> DatasetSplits:
         )
     train_x, train_y = load_cifar10_binary(desc.train_paths, desc.mean, desc.std)
     eval_x, eval_y = load_cifar10_binary([desc.eval_path], desc.mean, desc.std)
+    for split, paths, y in (("train", desc.train_paths, train_y),
+                            ("eval", [desc.eval_path], eval_y)):
+        if len(y) == 0:
+            raise DataError(
+                f"{split} split has no records: {', '.join(map(str, paths))}")
     return DatasetSplits(train_x, train_y, eval_x, eval_y, desc)

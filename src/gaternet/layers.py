@@ -9,8 +9,11 @@ relies on:
     test oracles can compare exactly instead of within a tolerance;
   * each (sample, output channel) map is computed independently of every
     other one, so computing a channel subset gives bit-identical values to
-    slicing the full output. The gate-masking equivalence checks depend on
-    this.
+    slicing the full output. The model's eval path, which computes only
+    the gated-on (sample, filter) pairs and skips the input channels a
+    previous gate switched off, depends on this: a skipped term is a
+    product with an exact zero, so for finite values it matches the
+    masked path bit for bit.
 
 BLAS is only used in backward passes, where gradients are checked against
 finite differences rather than bitwise.

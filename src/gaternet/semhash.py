@@ -39,10 +39,9 @@ def _sat_sigmoid_grad(x: Array) -> Array:
 
 def saturating_sigmoid(x: Tensor) -> Tensor:
     """clip(1.2 * sigmoid(x) - 0.1, 0, 1); gradient is zero where clipped."""
-    grad_data = _sat_sigmoid_grad(x.data)
 
     def backward(g: Array) -> None:
-        x._accumulate(g * grad_data)
+        x._accumulate(g * _sat_sigmoid_grad(x.data))
 
     return apply_op(_sat_sigmoid_data(x.data), (x,), backward)
 
@@ -54,11 +53,11 @@ def hard_gate(x: Tensor) -> Tensor:
     gates off). The true derivative is zero almost everywhere, so backward
     substitutes the saturating sigmoid's derivative at the same point, the
     straight-through estimate that ties the hard branch to the soft one.
+    It is computed in backward, so eval passes never pay for it.
     """
-    grad_data = _sat_sigmoid_grad(x.data)
 
     def backward(g: Array) -> None:
-        x._accumulate(g * grad_data)
+        x._accumulate(g * _sat_sigmoid_grad(x.data))
 
     return apply_op((x.data > 0).astype(x.dtype), (x,), backward)
 

@@ -42,7 +42,6 @@ from gaternet.model import (
     LayerSpec,
     ModelSpec,
     gated_conv_forward,
-    selective_conv_reference,
 )
 from gaternet.persist import load_checkpoint
 from gaternet.semhash import (
@@ -281,7 +280,7 @@ def test_criterion_01_gradient_suite():
           f"{elapsed:.1f}s")
 
 
-# -- 2. masked path == selective path ------------------------------------------
+# -- 2. masked path == eval skip path -----------------------------------------
 
 
 def _conv_with_bn(seed: int, cout: int, cin: int):
@@ -299,16 +298,29 @@ def _conv_with_bn(seed: int, cout: int, cin: int):
     return p, bn
 
 
-def test_criterion_02_masking_equivalence():
+def _masked(x, p, bn, gates):
+    """relu(batchnorm(conv2d(x))) * gates, every filter computed."""
+    y = relu(batchnorm(conv2d(Tensor(x), p), bn, False))
+    return (y * Tensor(gates).reshape(*gates.shape, 1, 1)).data
+
+
+def _no_dense(*args):
+    raise AssertionError("the eval skip path must not call conv2d")
+
+
+def test_criterion_02_masking_equivalence(monkeypatch):
     t0 = time.monotonic()
+    # gated_conv_forward in eval is the production skip path; with conv2d
+    # unavailable to it, it must compute only the gated-on pairs
+    monkeypatch.setattr(model_mod, "conv2d", _no_dense)
 
     # all 256 gate patterns of an 8-filter layer, one pattern per sample
     patterns = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float32)
     assert patterns.shape == (256, 8) and len(np.unique(patterns, axis=0)) == 256
     x = np.random.default_rng(0).standard_normal((256, 3, 6, 6)).astype(np.float32)
     p, bn = _conv_with_bn(1, 8, 3)
-    masked = gated_conv_forward(Tensor(x), p, bn, Tensor(patterns), False).data
-    skipped = selective_conv_reference(x, p, bn, patterns, False)
+    masked = _masked(x, p, bn, patterns)
+    skipped = gated_conv_forward(Tensor(x), p, bn, Tensor(patterns), False).data
     assert np.array_equal(masked, skipped), "exhaustive 8-filter patterns"
 
     # 100 random patterns on a 32-filter layer
@@ -316,8 +328,8 @@ def test_criterion_02_masking_equivalence():
     gates = (rng.random((100, 32)) < 0.5).astype(np.float32)
     x2 = rng.standard_normal((100, 4, 5, 5)).astype(np.float32)
     p2, bn2 = _conv_with_bn(3, 32, 4)
-    masked2 = gated_conv_forward(Tensor(x2), p2, bn2, Tensor(gates), False).data
-    skipped2 = selective_conv_reference(x2, p2, bn2, gates, False)
+    masked2 = _masked(x2, p2, bn2, gates)
+    skipped2 = gated_conv_forward(Tensor(x2), p2, bn2, Tensor(gates), False).data
     assert np.array_equal(masked2, skipped2), "random 32-filter patterns"
 
     elapsed = time.monotonic() - t0

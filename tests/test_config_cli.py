@@ -13,7 +13,7 @@ from gaternet.analyze import GateLog, load_gate_log, save_gate_log
 from gaternet.cli import main
 from gaternet.config import ConfigError, load_config
 from gaternet.data import load_dataset
-from gaternet.model import GaterNet
+from gaternet.model import GaterNet, conv_macs
 from gaternet.persist import load_checkpoint, save_checkpoint
 
 
@@ -299,6 +299,16 @@ class TestCli:
         # eval split size x total gated filters
         assert log.gates.shape == (24, 4)
         cfg = load_config(cfg_path)
+        lines = stdout.splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("mean_gate_activation:"))
+        total, off = conv_macs(cfg.model, log.gates)
+        assert lines[at + 1 : at + 3] == [f"conv_macs_total: {total}",
+                                          f"conv_macs_gated_off: {off}"]
+        # gater conv 3->2 and backbone conv 3->4, both 3x3 at 8x8, per image;
+        # each off gate switches off its filter's 3 input channels
+        assert total == 24 * 9 * 64 * (3 * 2 + 3 * 4)
+        assert off == 9 * 64 * 3 * int((log.gates == 0).sum())
         assert np.array_equal(
             log.labels, load_dataset(cfg.dataset, cfg.seed).eval_y)
         gate_map = GaterNet(cfg.model).gate_map
@@ -316,6 +326,37 @@ class TestCli:
             assert len(list(csv.DictReader(fh))) == 4
         stdout = capsys.readouterr().out
         assert "always_on:" in stdout and "pca_components:" in stdout
+
+    @pytest.mark.parametrize("empty_split", ["train", "eval"])
+    def test_empty_cifar_split_exits_4(self, tmp_path, capsys, empty_split):
+        (tmp_path / "full.bin").write_bytes(b"\x00" * 3073 * 2)
+        (tmp_path / "empty.bin").write_bytes(b"")
+
+        def cifar_config(name, train, eval_path):
+            doc = base_config(tmp_path)
+            doc["dataset"] = {"kind": "cifar10", "train_paths": [train],
+                              "eval_path": eval_path}
+            doc["model"]["num_classes"] = 10
+            doc["model"]["input_shape"] = [3, 32, 32]
+            doc["model"]["backbone"][-1]["width"] = 10
+            return write_config(tmp_path, doc, name)
+
+        good = cifar_config("good.json", "full.bin", "full.bin")
+        assert main(["train", "--config", good, "--phase", "pretrain-backbone"]) == 0
+        ckpt = str(tmp_path / "run" / "pretrain_backbone.ckpt")
+        bad = cifar_config("bad.json", *(("empty.bin", "full.bin")
+                                         if empty_split == "train"
+                                         else ("full.bin", "empty.bin")))
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="empty dataset file"):
+            for argv in (["train", "--config", bad, "--phase", "joint",
+                          "--from-scratch"],
+                         ["train", "--config", bad, "--phase", "pretrain-backbone"],
+                         ["eval", "--config", bad, "--ckpt", ckpt]):
+                assert main(argv) == 4, argv
+                out, err = capsys.readouterr()
+                assert f"{empty_split} split has no records" in err
+                assert out == ""
 
     def test_joint_without_pretrains_exits_3(self, tmp_path, capsys):
         doc = base_config(tmp_path)

@@ -232,6 +232,18 @@ class TestLoadDataset:
         assert splits.train_y.tolist() == [1, 4]
         assert splits.eval_y.tolist() == [2]
 
+    @pytest.mark.parametrize("empty_split", ["train", "eval"])
+    def test_cifar_empty_split_is_data_error(self, tmp_path, empty_split):
+        full, empty = tmp_path / "full.bin", tmp_path / "empty.bin"
+        full.write_bytes(make_record(3))
+        empty.write_bytes(b"")
+        train, evalf = (empty, full) if empty_split == "train" else (full, empty)
+        desc = DatasetDescriptor(kind="cifar10", train_paths=(str(train),),
+                                 eval_path=str(evalf))
+        with pytest.warns(UserWarning, match="empty"):
+            with pytest.raises(DataError, match=f"{empty_split} split has no records"):
+                load_dataset(desc, seed=0)
+
     def test_descriptor_validation(self):
         with pytest.raises(DataError):
             DatasetDescriptor(kind="imagenet")

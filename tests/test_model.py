@@ -1,20 +1,33 @@
 """Architecture plumbing: specs, shape tracing, the gate-index map,
-initialization, parameter counting, and the equivalence between masked
-and selectively computed gated convolutions."""
+initialization, parameter counting, the equivalence between masked and
+selectively computed gated convolutions, and the conv MAC count."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gaternet.layers import BatchNormParams, Conv2dParams
+import gaternet.model as model_mod
+import gaternet.semhash as semhash_mod
+from gaternet.layers import (
+    BatchNormParams,
+    Conv2dParams,
+    avg_pool2d,
+    batchnorm,
+    conv2d,
+    fully_connected,
+    relu,
+)
 from gaternet.model import (
+    SKIP_MAX_LIVE_FRAC,
     GaterNet,
     LayerSpec,
     ModelSpec,
     build_gate_map,
+    conv_macs,
     gated_conv_forward,
     init_params,
-    selective_conv_reference,
     spec_from_dict,
     spec_to_dict,
     trace_shapes,
@@ -233,18 +246,96 @@ def _conv_setup(cout, seed, cin=3, size=6, batch=4, with_bn=True):
     return x, p, bn
 
 
+def _masked_reference(x, p, bn, gates):
+    """The masked eval path from layers primitives: relu(bn(conv2d(x))) * g."""
+    y = conv2d(Tensor(x), p)
+    if bn is not None:
+        y = batchnorm(y, bn, False)
+    n, c = gates.shape
+    return (relu(y) * Tensor(gates).reshape(n, c, 1, 1)).data
+
+
+def _selective_train_reference(x, p, bn, gates):
+    """Training-mode skip oracle: compute a channel only where a gate is 1.
+
+    Batch statistics need every sample of an enabled channel, so
+    per-sample skipping only applies to the final write. Pure numpy, with
+    conv2d's accumulation order; running stats are read, never written.
+    """
+    gates = np.asarray(gates)
+    if not np.all((gates == 0) | (gates == 1)):
+        raise ValueError("selective path needs binary gates, got non-binary values")
+    n, c_in, hh, ww = x.shape
+    c_out, _, kh, kw = p.filters.shape
+    s, pad = p.stride, p.padding
+    oh = (hh + 2 * pad - kh) // s + 1
+    ow = (ww + 2 * pad - kw) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    wdat = p.filters.data
+    on = gates == 1
+    out = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
+
+    def conv_channel(rows, c):
+        acc = np.zeros((len(rows), oh, ow), dtype=x.dtype)
+        for ic in range(c_in):
+            for ki in range(kh):
+                for kj in range(kw):
+                    acc += wdat[c, ic, ki, kj] * xp[
+                        rows, ic, ki : ki + s * oh : s, kj : kj + s * ow : s
+                    ]
+        if p.bias is not None:
+            acc = acc + p.bias.data[c]
+        return acc
+
+    all_rows = np.arange(n)
+    if bn is None:
+        for c in range(c_out):
+            rows = all_rows[on[:, c]]
+            if rows.size:
+                out[rows, c] = np.maximum(conv_channel(rows, c), 0)
+        return out
+    # Batch statistics see the whole batch, so compute enabled channels
+    # over all samples, with the same reduction geometry as batchnorm.
+    full = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
+    needed = [c for c in range(c_out) if on[:, c].any()]
+    for c in needed:
+        full[:, c] = conv_channel(all_rows, c)
+    mu = full.mean(axis=(0, 2, 3), keepdims=True)
+    diff = full - mu
+    var = (diff * diff).mean(axis=(0, 2, 3), keepdims=True)
+    xhat = diff / np.sqrt(var + bn.eps)
+    y = bn.gamma.data.reshape(1, c_out, 1, 1) * xhat + bn.beta.data.reshape(
+        1, c_out, 1, 1
+    )
+    r = np.maximum(y, 0)
+    for c in needed:
+        rows = all_rows[on[:, c]]
+        out[rows, c] = r[rows, c]
+    return out
+
+
+def _no_dense(*args):
+    raise AssertionError("the eval skip path must not call conv2d")
+
+
 class TestMaskedVsSelective:
     @pytest.mark.parametrize("training,with_bn", [
         (False, True), (False, False), (True, True), (True, False),
     ])
-    def test_masked_equals_skip_path_bitwise(self, training, with_bn):
+    def test_masked_equals_skip_path_bitwise(self, training, with_bn,
+                                             monkeypatch):
         x, p, bn = _conv_setup(8, seed=42, with_bn=with_bn)
         rng = np.random.default_rng(7)
         gates = (rng.random((4, 8)) < 0.5).astype(np.float32)
-        masked = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), training).data
         # fresh running stats: training-mode batchnorm mutates them
         _, _, bn2 = _conv_setup(8, seed=42, with_bn=with_bn)
-        skipped = selective_conv_reference(x, p, bn2, gates, training)
+        if training:
+            masked = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), True).data
+            skipped = _selective_train_reference(x, p, bn2, gates)
+        else:
+            masked = _masked_reference(x, p, bn, gates)
+            monkeypatch.setattr(model_mod, "conv2d", _no_dense)
+            skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), False).data
         assert np.array_equal(masked, skipped)
 
     def test_all_on_equals_ungated_bitwise(self):
@@ -259,7 +350,7 @@ class TestMaskedVsSelective:
     def test_selective_rejects_soft_gates(self):
         x, p, bn = _conv_setup(4, seed=44)
         with pytest.raises(ValueError):
-            selective_conv_reference(x, p, bn, np.full((4, 4), 0.5), False)
+            _selective_train_reference(x, p, bn, np.full((4, 4), 0.5))
 
     def test_gate_shape_validation(self):
         x, p, bn = _conv_setup(4, seed=45)
@@ -269,6 +360,175 @@ class TestMaskedVsSelective:
         with pytest.raises(ValueError):
             gated_conv_forward(Tensor(x), p, bn,
                                Tensor(np.ones((3, 4), np.float32)), False)
+
+    def test_live_shape_validation(self):
+        x, p, bn = _conv_setup(4, seed=46)
+        with pytest.raises(ValueError, match="live shape"):
+            gated_conv_forward(Tensor(x), p, bn,
+                               Tensor(np.ones((4, 4), np.float32)), False,
+                               np.ones((4, 2), np.float32))
+
+    @pytest.mark.parametrize("side", ["skip", "dense"])
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from([0, 1]), with_bn=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_skip_path_matches_masked_reference(self, side, kernel, stride,
+                                                padding, with_bn, seed):
+        # The production eval path against relu(bn(conv2d(x))) * g, on both
+        # sides of the crossover, with an all-on and an all-off gate row and
+        # input channels zeroed the way a previous gated layer leaves them.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 13))
+        c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        size = int(rng.integers(max(kernel - 2 * padding, 1), 8))
+        p_on = 0.4 if side == "skip" else 0.97
+        gates = (rng.random((n, c_out)) < p_on).astype(np.float32)
+        gates[0], gates[1] = 1.0, 0.0
+        live = (rng.random((n, c_in)) < p_on).astype(np.float32)
+        x = rng.standard_normal((n, c_in, size, size)).astype(np.float32)
+        x *= live[:, :, None, None]
+        p = Conv2dParams(
+            filters=Tensor(rng.standard_normal(
+                (c_out, c_in, kernel, kernel)).astype(np.float32)),
+            bias=None if with_bn else Tensor(
+                rng.standard_normal(c_out).astype(np.float32)),
+            stride=stride, padding=padding,
+        )
+        bn = BatchNormParams(
+            gamma=Tensor(rng.uniform(-1.5, 1.5, c_out).astype(np.float32)),
+            beta=Tensor(rng.standard_normal(c_out).astype(np.float32)),
+            running_mean=rng.standard_normal(c_out).astype(np.float32),
+            running_var=rng.uniform(0.5, 2.0, c_out).astype(np.float32),
+        ) if with_bn else None
+        frac = (gates.sum(1) * live.sum(1)).sum() / (n * c_out * c_in)
+        assume((frac <= SKIP_MAX_LIVE_FRAC) == (side == "skip"))
+
+        want = _masked_reference(x, p, bn, gates)
+        with mock.patch.object(model_mod, "conv2d", wraps=conv2d) as dense:
+            got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), False, live)
+        assert dense.call_count == (side == "dense")
+        assert got.data.dtype == want.dtype
+        assert got.data.tobytes() == want.tobytes()
+
+
+def _skip_spec() -> ModelSpec:
+    """Gated convs on both sides of a pool, an ungated conv after a gated
+    one, a 1x1 gated conv and a strided one."""
+    return ModelSpec(
+        input_shape=(3, 8, 8),
+        num_classes=3,
+        backbone=(
+            LayerSpec("conv", filters=6, gated=True),
+            LayerSpec("pool"),
+            LayerSpec("conv", filters=8, gated=True, batchnorm=False),
+            LayerSpec("conv", filters=5),
+            LayerSpec("conv", filters=6, kernel=1, padding=0, gated=True),
+            LayerSpec("conv", filters=4, stride=2, gated=True),
+            LayerSpec("fc", width=3),
+        ),
+        gater=(LayerSpec("conv", filters=4), LayerSpec("pool")),
+        bottleneck=3,
+    )
+
+
+def _half_gated_model(spec, x, seed=0) -> GaterNet:
+    """A model whose head bias is shifted so each gate is on for about half
+    of x (the initial +1 bias leaves nearly every gate on)."""
+    model = GaterNet(spec, seed=seed)
+    _, bundle = model.forward(Tensor(x), training=False)
+    b2 = model.params["head.b2"].data
+    b2 -= np.median(bundle.g_pre.data, axis=0).astype(b2.dtype)
+    return model
+
+
+def _masked_forward(model, x):
+    """Eval logits and gates with every gated conv computed densely and
+    multiplied by its gate, built from layers primitives."""
+    f = model.gater_features(Tensor(x), False)
+    gates = (model.gater_head(f, False).data > 0).astype(np.float32)
+    h = Tensor(x)
+    layers = model.spec.backbone
+    for i, layer in enumerate(layers):
+        name = f"backbone.{i}"
+        if layer.kind == "conv":
+            p = Conv2dParams(model.params[f"{name}.filters"],
+                             model.params.get(f"{name}.bias"),
+                             layer.stride, layer.padding)
+            g = None
+            if layer.gated:
+                lo, hi = model.gate_map.slices[i]
+                g = gates[:, lo:hi]
+            if g is not None:
+                bn = model._bn(f"{name}.bn") if layer.batchnorm else None
+                h = Tensor(_masked_reference(h.data, p, bn, g))
+            else:
+                h = conv2d(h, p)
+                if layer.batchnorm:
+                    h = batchnorm(h, model._bn(f"{name}.bn"), False)
+                h = relu(h)
+        elif layer.kind == "pool":
+            h = avg_pool2d(h, layer.window)
+        else:
+            w = model.params[f"{name}.W"]
+            h = fully_connected(h.reshape(h.shape[0], w.shape[0]), w,
+                                model.params[f"{name}.b"])
+    return h.data, gates
+
+
+def test_eval_forward_equals_masked_forward_bitwise():
+    x = np.random.default_rng(11).standard_normal((32, 3, 8, 8)).astype(np.float32)
+    model = _half_gated_model(_skip_spec(), x)
+    want_logits, want_gates = _masked_forward(model, x)
+    assert 0.3 < want_gates.mean() < 0.7
+    with mock.patch.object(model_mod, "_conv_on_pairs",
+                           wraps=model_mod._conv_on_pairs) as pairs:
+        logits, bundle = model.forward(Tensor(x), training=False)
+    assert pairs.call_count == 4, "every gated conv should skip at ~50% on"
+    assert np.array_equal(bundle.selected.data, want_gates)
+    assert logits.data.tobytes() == want_logits.tobytes()
+
+
+def _brute_force_macs(spec, gates):
+    """Conv MACs by walking every (sample, layer, out, in) triple; a triple
+    is off when its gate is 0 or when the nearest layer before it, skipping
+    pools, is a gated conv whose gate for that input channel is 0."""
+    gate_map = build_gate_map(spec)
+    total = off = 0
+    for layers in (spec.backbone, spec.gater):
+        entries, _ = trace_shapes(layers, spec.input_shape)
+        for i, layer in enumerate(layers):
+            if layer.kind != "conv":
+                continue
+            c_in, h, w = entries[i]
+            oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            per = layer.kernel * layer.kernel * oh * ow
+            prev = i - 1
+            while prev >= 0 and layers[prev].kind == "pool":
+                prev -= 1
+            prev_gated = prev >= 0 and layers[prev].gated
+            for s in range(len(gates)):
+                for o in range(layer.filters):
+                    for ic in range(c_in):
+                        total += per
+                        if not layer.gated:
+                            continue
+                        on = gates[s, gate_map.index_of(i, o)]
+                        live = (not prev_gated
+                                or gates[s, gate_map.index_of(prev, ic)])
+                        if not (on and live):
+                            off += per
+    return total, off
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p_on=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_conv_macs_matches_brute_force(seed, p_on):
+    spec = _skip_spec()
+    rng = np.random.default_rng(seed)
+    gates = (rng.random((3, spec.gated_filter_total)) < p_on).astype(np.uint8)
+    assert conv_macs(spec, gates) == _brute_force_macs(spec, gates)
 
 
 class TestGaterNetForward:
@@ -291,6 +551,20 @@ class TestGaterNetForward:
         l2, b2 = model.forward(x, training=False)
         assert np.array_equal(l1.data, l2.data)
         assert np.array_equal(b1.selected.data, b2.selected.data)
+
+    def test_eval_computes_no_surrogate_gradient(self):
+        model = GaterNet(small_spec(), seed=0)
+        x = Tensor(np.random.default_rng(3).standard_normal(
+            (4, 3, 8, 8)).astype(np.float32))
+        with mock.patch.object(semhash_mod, "_sat_sigmoid_grad",
+                               wraps=semhash_mod._sat_sigmoid_grad) as grad:
+            model.forward(x, training=False)
+            assert grad.call_count == 0
+            logits, bundle = model.forward(x, training=True,
+                                           rng=np.random.default_rng(4))
+            assert grad.call_count == 0
+            (logits.sum() + bundle.selected.sum()).backward()
+            assert grad.call_count == 2
 
     def test_train_needs_rng(self):
         model = GaterNet(small_spec(), seed=0)
