@@ -119,7 +119,8 @@ def cmd_eval(args) -> int:
         )
     splits = load_dataset(cfg.dataset, cfg.seed)
     acc, mean_gate, gates = evaluate(
-        model, phase, splits.eval_x, splits.eval_y, cfg.batch_size
+        model, phase, splits.eval_x, splits.eval_y,
+        cfg.make_phase_config(phase).batch_size,
     )
     print(f"phase: {phase}")
     print(f"samples: {len(splits.eval_x)}")
@@ -140,12 +141,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # every flag is checked before the first write, so a refused run leaves
+    # --out as it was
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     gate_log = load_gate_log(args.gatelog)
     n, c = gate_log.num_samples, gate_log.num_gates
     if n == 0 or c == 0:
         raise CheckpointError(
             f"{args.gatelog}: nothing to analyze ({n} samples x {c} gates)"
         )
+    pca_k = args.pca_k if args.pca_k is not None else min(16, n, c)
+    if not 1 <= pca_k <= min(n, c):
+        raise ConfigError(f"--pca-k must be in [1, {min(n, c)}] for {n} samples "
+                          f"x {c} gates, got {pca_k}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -156,7 +165,6 @@ def cmd_analyze(args) -> int:
     write_histogram_csv(out / "on_count_histogram.csv", on_report.histogram)
     fired = fired_count_per_sample(gate_log, bins=args.bins)
     write_histogram_csv(out / "fired_count_histogram.csv", fired.histogram)
-    pca_k = args.pca_k if args.pca_k is not None else min(16, n, c)
     result = export_usage_vectors(gate_log, pca_k, out / "usage_vectors.csv")
 
     print(f"samples: {n}")

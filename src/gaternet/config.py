@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from gaternet.data import DataError, DatasetDescriptor
@@ -164,12 +164,6 @@ def _parse_dataset(raw: dict, base_dir: Path) -> DatasetDescriptor:
 
 
 @dataclass(frozen=True)
-class PhaseSettings:
-    epochs: int
-    lr_schedule: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a training or evaluation run needs."""
 
@@ -177,14 +171,7 @@ class RunConfig:
     out_dir: str
     dataset: DatasetDescriptor
     model: ModelSpec
-    phases: dict[str, PhaseSettings]
-    batch_size: int
-    momentum: float
-    weight_decay: float
-    lambda_: float
-    reg_reduction: str
-    dropout_start: float
-    dropout_end: float
+    phases: dict[str, TrainConfig]
 
     def __post_init__(self):
         # checked here so a --seed override is held to it too
@@ -192,25 +179,11 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def make_phase_config(self, phase: str) -> TrainConfig:
+        """The phase's TrainConfig under this config's seed, which a --seed
+        override may have replaced since load."""
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}, expected one of {PHASES}")
-        settings = self.phases[phase]
-        try:
-            return TrainConfig(
-                phase=phase,
-                epochs=settings.epochs,
-                batch_size=self.batch_size,
-                lr_schedule=settings.lr_schedule,
-                momentum=self.momentum,
-                weight_decay=self.weight_decay,
-                lambda_=self.lambda_,
-                seed=self.seed,
-                dropout_start=self.dropout_start,
-                dropout_end=self.dropout_end,
-                reg_reduction=self.reg_reduction,
-            )
-        except ValueError as e:
-            raise ConfigError(f"train.phases.{phase}: {e}") from e
+        return replace(self.phases[phase], seed=self.seed)
 
 
 def _parse_schedule(raw, where: str) -> tuple[tuple[int, float], ...]:
@@ -224,26 +197,15 @@ def _parse_schedule(raw, where: str) -> tuple[tuple[int, float], ...]:
         raise ConfigError(f"{where}: epochs and rates must be numbers: {raw}") from e
 
 
-def _parse_train(raw: dict) -> dict:
+def _parse_train(raw: dict, seed: int) -> dict[str, TrainConfig]:
+    """One TrainConfig per phase: the shared train keys, the phase's epochs
+    and lr_schedule, and the config seed."""
     sec = _Section(raw, "train")
     phases_raw = _require_dict(sec.take("phases"), "train.phases")
     unknown = sorted(set(phases_raw) - set(PHASES))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in train.phases")
-    phases = {}
-    for name in PHASES:
-        if name not in phases_raw:
-            raise ConfigError(f"train.phases is missing required key {name!r}")
-        psec = _Section(phases_raw[name], f"train.phases.{name}")
-        phases[name] = PhaseSettings(
-            epochs=psec.take("epochs", want=int),
-            lr_schedule=_parse_schedule(
-                psec.take("lr_schedule"), f"train.phases.{name}.lr_schedule"
-            ),
-        )
-        psec.finish()
-    out = {
-        "phases": phases,
+    shared = {
         "batch_size": sec.take("batch_size", want=int),
         "momentum": sec.take("momentum", 0.9, float),
         "weight_decay": sec.take("weight_decay", 0.0, float),
@@ -253,7 +215,22 @@ def _parse_train(raw: dict) -> dict:
         "dropout_end": sec.take("dropout_end", 0.05, float),
     }
     sec.finish()
-    return out
+    phases = {}
+    for name in PHASES:
+        if name not in phases_raw:
+            raise ConfigError(f"train.phases is missing required key {name!r}")
+        psec = _Section(phases_raw[name], f"train.phases.{name}")
+        epochs = psec.take("epochs", want=int)
+        schedule = _parse_schedule(
+            psec.take("lr_schedule"), f"train.phases.{name}.lr_schedule"
+        )
+        psec.finish()
+        try:
+            phases[name] = TrainConfig(phase=name, epochs=epochs,
+                                       lr_schedule=schedule, seed=seed, **shared)
+        except ValueError as e:
+            raise ConfigError(f"train.phases.{name}: {e}") from e
+    return phases
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -272,7 +249,7 @@ def load_config(path: str | Path) -> RunConfig:
         _require_dict(sec.take("dataset"), "dataset"), path.parent
     )
     model = _parse_model(_require_dict(sec.take("model"), "model"))
-    train = _parse_train(_require_dict(sec.take("train"), "train"))
+    phases = _parse_train(_require_dict(sec.take("train"), "train"), seed)
     sec.finish()
     if model.num_classes != dataset.num_classes:
         raise ConfigError(
@@ -282,8 +259,5 @@ def load_config(path: str | Path) -> RunConfig:
     if model.input_shape != dataset.image_shape:
         raise ConfigError(f"model.input_shape = {list(model.input_shape)} does not "
                           f"match the dataset's {list(dataset.image_shape)} images")
-    cfg = RunConfig(seed=seed, out_dir=out_dir, dataset=dataset, model=model,
-                    **train)
-    for phase in PHASES:
-        cfg.make_phase_config(phase)  # fail fast on bad hyperparameters
-    return cfg
+    return RunConfig(seed=seed, out_dir=out_dir, dataset=dataset, model=model,
+                     phases=phases)

@@ -89,12 +89,14 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
-def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """2-D convolution (cross-correlation) over [N, C, H, W] input."""
-    if x.ndim != 4:
-        raise ValueError(f"conv2d input must be 4-D, got shape {x.shape}")
-    n, c_in, h, w = x.shape
-    c_out, c_in_f, kh, kw = p.filters.shape
+def conv_output_hw(shape: tuple, p: Conv2dParams) -> tuple[int, int]:
+    """Output (height, width) of p over an input of this shape; ValueError
+    unless the input is [N, C, H, W] with the filters' C and the output is
+    not empty."""
+    if len(shape) != 4:
+        raise ValueError(f"conv2d input must be 4-D, got shape {shape}")
+    _, c_in, h, w = shape
+    _, c_in_f, kh, kw = p.filters.shape
     if c_in != c_in_f:
         raise ValueError(
             f"conv2d channel mismatch: input has {c_in} channels, "
@@ -108,6 +110,15 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
             f"conv2d output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {s}, padding {pad}"
         )
+    return oh, ow
+
+
+def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
+    """2-D convolution (cross-correlation) over [N, C, H, W] input."""
+    oh, ow = conv_output_hw(x.shape, p)
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = p.filters.shape
+    s, pad = p.stride, p.padding
 
     xp = x.data
     if pad:

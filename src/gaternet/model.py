@@ -30,6 +30,7 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
+    conv_output_hw,
     fully_connected,
     global_avg_pool,
     relu,
@@ -440,11 +441,10 @@ def _conv_on_pairs(
     so each computed map is bit-identical to the masked path's, and each
     skipped one is the +0.0 the gate multiply gives for finite values.
     """
-    n, c_in, h, w = x.shape
+    oh, ow = conv_output_hw(x.shape, p)
+    n, c_in = x.shape[:2]
     c_out, _, kh, kw = p.filters.shape
     s, pad = p.stride, p.padding
-    oh = (h + 2 * pad - kh) // s + 1
-    ow = (w + 2 * pad - kw) // s + 1
     out = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
     ns, os_ = np.nonzero(gates)
     if ns.size == 0:

@@ -2,8 +2,10 @@
 and the command-line interface end to end."""
 
 import csv
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,21 @@ from gaternet.cli import main
 from gaternet.config import ConfigError, load_config
 from gaternet.data import load_dataset
 from gaternet.model import GaterNet, conv_macs
-from gaternet.persist import load_checkpoint, save_checkpoint
+from gaternet.persist import dict_hash, load_checkpoint, save_checkpoint
+from gaternet.train import PHASES, TrainConfig
+
+SYNTHETIC_SMALL = (Path(__file__).resolve().parent.parent / "configs"
+                   / "synthetic_small.json")
+# train_config_hash of each synthetic_small phase; checkpoints carry it, so
+# a change here stops every saved run of this config from resuming
+SYNTHETIC_SMALL_HASHES = {
+    "pretrain_backbone":
+        "5a8d003dc8003af93c89431a38da2a847f35bc7ce52033bdb66b2955b8cbe4c4",
+    "pretrain_gater":
+        "fa2e2fbe9439b9b3e7d7eec4c7ce417591083535c9fde834c592f4074e4c9a9f",
+    "joint":
+        "431100665211921983a639a1a9dfba1ec75cb7845770a6ec9d1d4bd81409d5a3",
+}
 
 
 def base_config(tmp_path) -> dict:
@@ -95,17 +111,17 @@ class TestLoadConfig:
     def test_valid_document(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
         assert cfg.seed == 0
-        assert cfg.batch_size == 16
-        assert cfg.lambda_ == 0.1      # default
-        assert cfg.momentum == 0.9     # default
-        assert cfg.weight_decay == 0.0001
+        tc = cfg.make_phase_config("joint")
+        assert tc.batch_size == 16
+        assert tc.lambda_ == 0.1      # default
+        assert tc.momentum == 0.9     # default
+        assert tc.weight_decay == 0.0001
         assert cfg.dataset.kind == "synthetic"
         assert cfg.model.bottleneck == 2
         assert cfg.model.backbone[0].gated
         assert cfg.phases["joint"].epochs == 2
         assert cfg.phases["joint"].lr_schedule == ((0, 0.02),)
-        tc = cfg.make_phase_config("joint")
-        assert tc.phase == "joint" and tc.lambda_ == 0.1
+        assert tc.phase == "joint"
 
     @pytest.mark.parametrize("mutate,where", [
         (lambda d: d.__setitem__("colour", 1), "config"),
@@ -250,6 +266,31 @@ class TestLoadConfig:
         doc["train"]["phases"]["joint"]["lr_schedule"] = bad
         with pytest.raises(ConfigError, match="pairs"):
             load_config(write_config(tmp_path, doc))
+
+    def test_synthetic_small_phase_configs_are_pinned(self):
+        doc = json.loads(SYNTHETIC_SMALL.read_text())
+        train = doc["train"]
+        cfg = load_config(SYNTHETIC_SMALL)
+        for phase in PHASES:
+            block = train["phases"][phase]
+            want = TrainConfig(
+                phase=phase,
+                epochs=block["epochs"],
+                batch_size=train["batch_size"],
+                lr_schedule=tuple(map(tuple, block["lr_schedule"])),
+                momentum=train["momentum"],
+                weight_decay=train["weight_decay"],
+                lambda_=train["lambda"],
+                seed=doc["seed"],
+                dropout_start=train["dropout_start"],
+                dropout_end=train["dropout_end"],
+                reg_reduction="mean",  # the default; the file leaves it out
+            )
+            got = cfg.make_phase_config(phase)
+            assert got == want, phase
+            assert dict_hash(got.to_dict()) == SYNTHETIC_SMALL_HASHES[phase]
+        reseeded = dataclasses.replace(cfg, seed=5)
+        assert [reseeded.make_phase_config(p).seed for p in PHASES] == [5] * 3
 
     def test_unknown_phase_request(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
@@ -542,6 +583,27 @@ class TestCli:
         assert main(["analyze", "--gatelog", str(tmp_path / "empty.glog"),
                      "--out", str(tmp_path / "an")]) == 3
         assert "nothing to analyze" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--bins", "0"], ["--pca-k", "100"], ["--pca-k", "0"],
+    ], ids=["bins-0", "pca-k-100", "pca-k-0"])
+    def test_analyze_bad_flag_exits_2_before_writing(self, tmp_path, capsys,
+                                                     flags):
+        rng = np.random.default_rng(0)
+        log = GateLog(gates=(rng.random((10, 6)) < 0.5).astype(np.uint8),
+                      labels=np.zeros(10), layer_ids=np.zeros(6),
+                      filter_ids=np.arange(6))
+        save_gate_log(tmp_path / "g.glog", log)
+        out = tmp_path / "an"
+        out.mkdir()
+        (out / "taxonomy.csv").write_text("stale")
+        assert main(["analyze", "--gatelog", str(tmp_path / "g.glog"),
+                     "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {flags[0]} must be")
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["taxonomy.csv"]
+        assert (out / "taxonomy.csv").read_text() == "stale"
 
     def test_eval_spec_mismatch_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))

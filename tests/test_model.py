@@ -368,6 +368,28 @@ class TestMaskedVsSelective:
                                Tensor(np.ones((4, 4), np.float32)), False,
                                np.ones((4, 2), np.float32))
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape,message", [
+        ((2, 2, 5, 5), "conv2d channel mismatch: input has 2 channels, "
+                       "filters expect 3"),
+        ((2, 3, 5), r"conv2d input must be 4-D, got shape \(2, 3, 5\)"),
+        ((2, 3, 1, 1), "conv2d output would be empty: input 1x1, kernel 3x3, "
+                       "stride 1, padding 0"),
+    ], ids=["channels", "3-D", "kernel-too-large"])
+    def test_bad_input_fails_alike_on_both_paths(self, training, shape,
+                                                 message, monkeypatch):
+        # sparse binary gates, so eval takes the skip path, which must check
+        # its input as conv2d does on the training path
+        _, p, bn = _conv_setup(4, seed=47)
+        p.padding = 0
+        x = np.ones(shape, np.float32)
+        gates = np.zeros((2, 4), np.float32)
+        gates[0, 0] = gates[1, 1] = 1.0
+        if not training:
+            monkeypatch.setattr(model_mod, "conv2d", _no_dense)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gated_conv_forward(Tensor(x), p, bn, Tensor(gates), training)
+
     @pytest.mark.parametrize("side", ["skip", "dense"])
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
