@@ -8,14 +8,13 @@ SGD. Includes a three-phase training pipeline, an L1 sparsity regularizer
 that only steers the gater, and analytics over logged gate activity.
 """
 
-from gaternet.tensor import Tensor, grad_check
+from gaternet.tensor import Tensor
 from gaternet.model import GaterNet, LayerSpec, ModelSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tensor",
-    "grad_check",
     "GaterNet",
     "LayerSpec",
     "ModelSpec",

@@ -88,8 +88,8 @@ def save_gate_log(path: str | Path, log: GateLog) -> None:
 
 def load_gate_log(path: str | Path) -> GateLog:
     path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"gate log not found: {path}")
+    if not path.is_file():
+        raise CheckpointError(f"gate log file not found: {path}")
     raw = path.read_bytes()
     if raw[:4] != GATELOG_MAGIC:
         raise CheckpointError(f"{path}: not a gate log (bad magic {raw[:4]!r})")

@@ -239,8 +239,8 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        raw = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     sec = _Section(raw, "config")
     seed = sec.take("seed", 0, int)

@@ -237,17 +237,6 @@ def spec_from_dict(d: dict) -> ModelSpec:
     )
 
 
-@dataclass(frozen=True)
-class ParamCountReport:
-    backbone: int
-    gater: int
-    head: int
-    probe: int
-    total: int
-    head_weight_count: int
-    head_single_layer_weight_count: int
-
-
 def init_params(
     spec: ModelSpec,
     rng: np.random.Generator,
@@ -600,7 +589,6 @@ class GaterNet:
         training: bool,
         rng: np.random.Generator | None = None,
         dropout_rate: float = 0.0,
-        force_branch: str | None = None,
     ) -> tuple[Tensor, GateBundle]:
         """Full gated pass; returns logits and the gate bundle.
 
@@ -616,7 +604,7 @@ class GaterNet:
             return self._run_stack("backbone", self.spec.backbone, x, training), bundle
         f = self.gater_features(x, training)
         g_pre = self.gater_head(f, training)
-        bundle = semhash_forward(g_pre, mode, rng, force_branch)
+        bundle = semhash_forward(g_pre, mode, rng)
         selected = bundle.selected
         if training and dropout_rate > 0.0:
             selected = gate_dropout(selected, dropout_rate, rng)
@@ -632,29 +620,3 @@ class GaterNet:
             k: v for k, v in self.params.items()
             if any(k.startswith(p + ".") or k == p for p in prefixes)
         }
-
-    def param_count(self) -> ParamCountReport:
-        def count(prefix: str) -> int:
-            return sum(
-                t.data.size for k, t in self.params.items()
-                if k.startswith(prefix + ".")
-            )
-
-        backbone, gater, head, probe = (
-            count("backbone"), count("gater"), count("head"), count("probe")
-        )
-        # Head weights without biases and batchnorm, (h + c) * b, against
-        # the h * c a direct h -> c layer would cost.
-        head_w = head_single = 0
-        if self.spec.gated_filter_total > 0:
-            (h, b), (_, c) = self.params["head.W1"].shape, self.params["head.W2"].shape
-            head_w, head_single = (h + c) * b, h * c
-        return ParamCountReport(
-            backbone=backbone,
-            gater=gater,
-            head=head,
-            probe=probe,
-            total=backbone + gater + head,
-            head_weight_count=head_w,
-            head_single_layer_weight_count=head_single,
-        )

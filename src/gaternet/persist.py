@@ -95,8 +95,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
+    if not path.is_file():
+        raise CheckpointError(f"checkpoint file not found: {path}")
     blob = path.read_bytes()
     view = memoryview(blob)
     off = 0
@@ -152,6 +152,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             arr = np.frombuffer(take(payload_len), dtype=dtype).reshape(shape)
         except ValueError as e:  # more than 64 dims, or a dim past intp
             raise CheckpointError(f"{path}: tensor {name}: bad shape {shape}") from e
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} appears twice")
         tensors[name] = arr.copy()
     if off != len(view):
         raise CheckpointError(f"{path}: {len(view) - off} trailing bytes")

@@ -84,21 +84,15 @@ def semhash_forward(
     g_pre: Tensor,
     mode: str,
     rng: np.random.Generator | None = None,
-    force_branch: str | None = None,
 ) -> GateBundle:
     """Discretize gate scores [N, c] into a GateBundle.
 
     Training needs an rng for the noise and the per-sample branch coin.
-    force_branch ("alpha" or "beta") pins every sample to one branch; it
-    exists for tests that need a smooth path (finite differences) or a
-    hard path in isolation.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if g_pre.ndim != 2:
         raise ValueError(f"g_pre must be [N, c], got shape {g_pre.shape}")
-    if force_branch not in (None, "alpha", "beta"):
-        raise ValueError(f"force_branch must be alpha/beta/None, got {force_branch!r}")
     n = g_pre.shape[0]
 
     if mode == "eval":
@@ -120,12 +114,7 @@ def semhash_forward(
     g_alpha = saturating_sigmoid(g_noisy)
     g_beta = hard_gate(g_noisy)
 
-    if force_branch == "alpha":
-        use_beta = np.zeros(n, dtype=bool)
-    elif force_branch == "beta":
-        use_beta = np.ones(n, dtype=bool)
-    else:
-        use_beta = rng.random(n) < 0.5
+    use_beta = rng.random(n) < 0.5
     mask = Tensor(use_beta[:, None].astype(g_pre.dtype))
     selected = g_beta * mask + g_alpha * (1.0 - mask)
     return GateBundle(

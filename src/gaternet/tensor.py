@@ -312,47 +312,3 @@ def assert_all_finite(x, where: str = "tensor") -> None:
     if not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values in {where}")
 
-
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-3,
-    exclude: Array | None = None,
-) -> float:
-    """Max relative error between backward() and central differences.
-
-    f must map a Tensor to a scalar Tensor and be deterministic; it is run
-    twice and rejected if the outputs differ. Relative error per coordinate
-    is |analytic - fd| / max(1, |fd|). Coordinates where exclude is True
-    are skipped (the caller's kink policy: stay away from relu and
-    saturating-sigmoid breakpoints, where one-sided derivatives disagree).
-
-    For tight tolerances pass x in float64; float32 forward noise swamps
-    central differences near their optimum.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    leaf = Tensor(x.data.copy(), requires_grad=True)
-    y1 = f(leaf)
-    y2 = f(Tensor(x.data.copy(), requires_grad=True))
-    if not np.array_equal(y1.data, y2.data):
-        raise ValueError("f is not deterministic: two runs disagree")
-    if y1.data.size != 1:
-        raise ValueError(f"f must return a scalar, got shape {y1.shape}")
-    y1.backward()
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-    flat = x.data.reshape(-1)
-    excl = None if exclude is None else np.asarray(exclude).reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        if excl is not None and excl[i]:
-            continue
-        bump = np.zeros_like(flat)
-        bump[i] = eps
-        plus = f(Tensor((flat + bump).reshape(x.shape))).item()
-        minus = f(Tensor((flat - bump).reshape(x.shape))).item()
-        fd = (plus - minus) / (2.0 * eps)
-        err = abs(float(analytic.reshape(-1)[i]) - fd) / max(1.0, abs(fd))
-        worst = max(worst, err)
-    return worst

@@ -1,10 +1,9 @@
-"""Loss, SGD, gradient-routing checks, and the three-phase pipeline.
+"""Loss, SGD, and the three-phase pipeline.
 
 The full objective is cross entropy plus lambda * mean_batch(||g||_1) / c
 over the selected gates. The penalty's graph only touches gater-side
 parameters (the gater stack and its head), so the backbone receives no
-gradient from it; gradient_routing_check verifies that both symbolically
-(graph reachability) and numerically.
+gradient from it.
 
 Phases: pretrain_backbone trains the backbone alone with every gate
 effectively 1; pretrain_gater trains the gater stack under a temporary
@@ -155,72 +154,6 @@ def total_loss(
             f"{logits.shape[0]}"
         )
     return ce + l1_gate_penalty(selected_gates, lambda_, reduction)
-
-
-@dataclass
-class RoutingReport:
-    """What the sparsity penalty's gradient actually reaches."""
-
-    backbone_reached: list[str]
-    max_backbone_grad: float
-    head_w2_grad_nonzero: bool
-    gater_reached: list[str]
-
-
-def _ancestor_leaves(node: Tensor) -> set[int]:
-    seen: set[int] = set()
-    stack = [node]
-    leaves: set[int] = set()
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if not t._parents:
-            leaves.add(id(t))
-        stack.extend(t._parents)
-    return leaves
-
-
-def gradient_routing_check(
-    model: GaterNet, x: Array, labels, lambda_: float = 0.1, seed: int = 0
-) -> RoutingReport:
-    """Prove the gate penalty cannot steer the backbone.
-
-    Symbolic: the penalty node's ancestor set contains no backbone
-    parameter. Numeric: backward on the penalty alone leaves every
-    backbone gradient at exactly zero (None counts as zero).
-    """
-    rng = np.random.default_rng(seed)
-    _, bundle = model.forward(Tensor(x), training=True, rng=rng)
-    penalty = l1_gate_penalty(bundle.selected, lambda_)
-    leaves = _ancestor_leaves(penalty)
-
-    backbone_reached = [
-        name for name, t in model.params.items()
-        if name.startswith("backbone.") and id(t) in leaves
-    ]
-    gater_reached = [
-        name for name, t in model.params.items()
-        if (name.startswith("gater.") or name.startswith("head.")) and id(t) in leaves
-    ]
-    for t in model.params.values():
-        t.zero_grad()
-    penalty.backward()
-    max_backbone = 0.0
-    for name, t in model.params.items():
-        if name.startswith("backbone.") and t.grad is not None:
-            max_backbone = max(max_backbone, float(np.abs(t.grad).max()))
-    w2 = model.params.get("head.W2")
-    w2_nonzero = bool(w2 is not None and w2.grad is not None and np.any(w2.grad != 0))
-    for t in model.params.values():
-        t.zero_grad()
-    return RoutingReport(
-        backbone_reached=backbone_reached,
-        max_backbone_grad=max_backbone,
-        head_w2_grad_nonzero=w2_nonzero,
-        gater_reached=gater_reached,
-    )
 
 
 def sgd_step(
@@ -413,12 +346,21 @@ def run_phase(
                 f"{resume_ckpt}: phase mismatch (checkpoint {meta.get('phase')}, "
                 f"requested {phase})"
             )
-        for key in ("epochs_done", "step", "metrics_rows"):
+        for key, kind in (("epochs_done", int), ("step", int), ("metrics_rows", list)):
             if key not in meta:
                 raise CheckpointError(f"{resume_ckpt}: metadata lacks {key!r}")
-        start_epoch = int(meta["epochs_done"])
-        step = int(meta["step"])
-        rows = list(meta["metrics_rows"])
+            if type(meta[key]) is not kind:  # not isinstance: bool is an int
+                raise CheckpointError(f"{resume_ckpt}: metadata {key!r} is "
+                                      f"{meta[key]!r}; want {kind.__name__}")
+        start_epoch = meta["epochs_done"]
+        step = meta["step"]
+        rows = meta["metrics_rows"]
+        for row in rows:
+            if not isinstance(row, dict) or set(row) != set(METRIC_COLUMNS):
+                raise CheckpointError(
+                    f"{resume_ckpt}: metadata 'metrics_rows' holds {row!r}, not "
+                    f"an object with keys {', '.join(METRIC_COLUMNS)}"
+                )
         if len(rows) != start_epoch:
             raise CheckpointError(
                 f"{resume_ckpt}: {len(rows)} metrics rows for {start_epoch} epochs"

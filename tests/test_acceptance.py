@@ -51,12 +51,19 @@ from gaternet.semhash import (
     saturating_sigmoid,
     semhash_forward,
 )
-from gaternet.tensor import Tensor, grad_check, sqrt
+from gaternet.tensor import Tensor, sqrt
 from gaternet.train import (
     TrainConfig,
-    gradient_routing_check,
     run_phase,
     total_loss,
+)
+from oracles import (
+    PinnedBranchRng,
+    grad_check,
+    gradient_routing_check,
+    masked_reference,
+    no_dense,
+    param_count,
 )
 
 SATURATION = 2.3978952727983707  # saturating-sigmoid breakpoint, ln(11)
@@ -206,8 +213,7 @@ def _composite_fd_worst(model, name, x, labels, seed, n_coords=5,
             semhash_mod.saturating_sigmoid = recording_sat
         try:
             logits, bundle = model.forward(
-                Tensor(x), training=True, rng=np.random.default_rng(seed),
-                force_branch="alpha",
+                Tensor(x), training=True, rng=PinnedBranchRng(seed, "alpha"),
             )
             return total_loss(logits, labels, bundle.selected, 0.1), trace
         finally:
@@ -298,28 +304,18 @@ def _conv_with_bn(seed: int, cout: int, cin: int):
     return p, bn
 
 
-def _masked(x, p, bn, gates):
-    """relu(batchnorm(conv2d(x))) * gates, every filter computed."""
-    y = relu(batchnorm(conv2d(Tensor(x), p), bn, False))
-    return (y * Tensor(gates).reshape(*gates.shape, 1, 1)).data
-
-
-def _no_dense(*args):
-    raise AssertionError("the eval skip path must not call conv2d")
-
-
 def test_criterion_02_masking_equivalence(monkeypatch):
     t0 = time.monotonic()
     # gated_conv_forward in eval is the production skip path; with conv2d
     # unavailable to it, it must compute only the gated-on pairs
-    monkeypatch.setattr(model_mod, "conv2d", _no_dense)
+    monkeypatch.setattr(model_mod, "conv2d", no_dense)
 
     # all 256 gate patterns of an 8-filter layer, one pattern per sample
     patterns = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float32)
     assert patterns.shape == (256, 8) and len(np.unique(patterns, axis=0)) == 256
     x = np.random.default_rng(0).standard_normal((256, 3, 6, 6)).astype(np.float32)
     p, bn = _conv_with_bn(1, 8, 3)
-    masked = _masked(x, p, bn, patterns)
+    masked = masked_reference(x, p, bn, patterns)
     skipped = gated_conv_forward(Tensor(x), p, bn, Tensor(patterns), False).data
     assert np.array_equal(masked, skipped), "exhaustive 8-filter patterns"
 
@@ -328,7 +324,7 @@ def test_criterion_02_masking_equivalence(monkeypatch):
     gates = (rng.random((100, 32)) < 0.5).astype(np.float32)
     x2 = rng.standard_normal((100, 4, 5, 5)).astype(np.float32)
     p2, bn2 = _conv_with_bn(3, 32, 4)
-    masked2 = _masked(x2, p2, bn2, gates)
+    masked2 = masked_reference(x2, p2, bn2, gates)
     skipped2 = gated_conv_forward(Tensor(x2), p2, bn2, Tensor(gates), False).data
     assert np.array_equal(masked2, skipped2), "random 32-filter patterns"
 
@@ -366,8 +362,7 @@ def test_criterion_03_semhash_contracts():
     for branch in ("alpha", "beta"):
         leaf = Tensor(np.random.default_rng(4).standard_normal(
             (64, 8)).astype(np.float32), requires_grad=True)
-        out = semhash_forward(leaf, "train", np.random.default_rng(5),
-                              force_branch=branch)
+        out = semhash_forward(leaf, "train", PinnedBranchRng(5, branch))
         (out.selected * _mix(9, (64, 8))).sum().backward()
         grads[branch] = leaf.grad.copy()
     assert np.array_equal(grads["alpha"], grads["beta"]), \
@@ -425,7 +420,7 @@ def test_criterion_05_parameter_count():
         gater=(LayerSpec("conv", filters=64),),
         bottleneck=8,
     )
-    report = GaterNet(spec, seed=0).param_count()
+    report = param_count(GaterNet(spec, seed=0))
     assert report.head_weight_count == 58_112, report.head_weight_count
     assert report.head_single_layer_weight_count == 460_800
     print("criterion 5 PASS: head weights 58,112 vs single-layer 460,800 "

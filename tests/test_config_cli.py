@@ -425,6 +425,41 @@ class TestCli:
                      "--out", str(tmp_path / "an")]) == 3
         capsys.readouterr()
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["eval", "--config", str(path), "--ckpt", "x.ckpt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "utf-8" in err
+
+    @pytest.mark.parametrize("flag", [
+        "--ckpt", "--gatelog", "--resume", "--backbone-ckpt", "--gater-ckpt",
+    ])
+    def test_directory_as_input_file_exits_3(self, tmp_path, capsys, flag):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        other = str(tmp_path / "absent.ckpt")
+        if flag == "--gater-ckpt":  # the backbone is restored first
+            assert main(["train", "--config", cfg_path,
+                         "--phase", "pretrain-backbone"]) == 0
+            other = str(tmp_path / "run" / "pretrain_backbone.ckpt")
+        argv = {
+            "--ckpt": ["eval", "--config", cfg_path, "--ckpt", str(folder)],
+            "--gatelog": ["analyze", "--gatelog", str(folder),
+                          "--out", str(tmp_path / "an")],
+            "--resume": ["train", "--config", cfg_path, "--phase", "joint",
+                         "--resume", str(folder)],
+            "--backbone-ckpt": ["train", "--config", cfg_path, "--phase", "joint",
+                                "--backbone-ckpt", str(folder),
+                                "--gater-ckpt", other],
+            "--gater-ckpt": ["train", "--config", cfg_path, "--phase", "joint",
+                             "--backbone-ckpt", other, "--gater-ckpt", str(folder)],
+        }[flag]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and "folder" in err
+
     def test_dump_gates_rejects_pretrain_checkpoint(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["train", "--config", cfg_path,
@@ -537,11 +572,19 @@ class TestCli:
         assert ckpt.read_bytes() == before
         capsys.readouterr()
 
-    @pytest.mark.parametrize("drop", [
+    @pytest.mark.parametrize("damage", [
         "backbone.0.filters", "opt.backbone.0.filters", "step", "metrics_rows",
+        pytest.param({"epochs_done": "abc"}, id="epochs_done-str"),
+        pytest.param({"epochs_done": 1.0}, id="epochs_done-float"),
+        pytest.param({"step": None}, id="step-null"),
+        pytest.param({"metrics_rows": [5]}, id="metrics_rows-int-row"),
+        pytest.param({"metrics_rows": "x"}, id="metrics_rows-str"),
+        pytest.param({"metrics_rows": [{"epoch": 0}]}, id="metrics_rows-short-row"),
     ])
     def test_resume_refuses_incomplete_checkpoint_exits_3(self, tmp_path,
-                                                          capsys, drop):
+                                                          capsys, damage):
+        # a name is dropped from the tensors and the metadata; a dict
+        # overwrites metadata keys with values of the wrong type or shape
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         out = tmp_path / "resume"
         assert main(["train", "--config", cfg_path,
@@ -549,14 +592,20 @@ class TestCli:
                      "--out-dir", str(out)]) == 0
         ckpt = out / "pretrain_backbone.ckpt"
         tensors, meta = load_checkpoint(ckpt)
-        tensors.pop(drop, None)
-        meta.pop(drop, None)
+        if isinstance(damage, dict):
+            meta.update(damage)
+            (key,) = damage
+        else:
+            tensors.pop(damage, None)
+            meta.pop(damage, None)
+            key = damage
         save_checkpoint(ckpt, tensors, meta)
         capsys.readouterr()
         assert main(["train", "--config", cfg_path,
                      "--phase", "pretrain-backbone",
                      "--out-dir", str(out), "--resume", str(ckpt)]) == 3
-        assert drop in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and key in err
 
     @pytest.mark.parametrize("edit", [
         lambda a: a[:1],

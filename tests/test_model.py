@@ -34,6 +34,7 @@ from gaternet.model import (
     validate_spec,
 )
 from gaternet.tensor import Tensor
+from oracles import masked_reference, no_dense, param_count
 
 
 def small_spec(gated=True, gater=True) -> ModelSpec:
@@ -199,7 +200,7 @@ class TestInitParams:
 class TestParamCount:
     def test_hand_computed_small_spec(self):
         model = GaterNet(small_spec(), seed=0)
-        report = model.param_count()
+        report = param_count(model)
         # backbone: conv 6*3*3*3 + bn 2*6, conv 8*6*3*3 + bn 2*8,
         # conv 4*8*3*3 + bn 2*4, fc 16*3 + 3
         backbone = (162 + 12) + (432 + 16) + (288 + 8) + (48 + 3)
@@ -218,13 +219,13 @@ class TestParamCount:
     def test_bottleneck_formula(self):
         spec = small_spec()
         h, c, b = spec.feature_size, spec.gated_filter_total, spec.bottleneck
-        report = GaterNet(spec, seed=0).param_count()
+        report = param_count(GaterNet(spec, seed=0))
         assert report.head_weight_count == (h + c) * b
         assert report.head_single_layer_weight_count == h * c
 
     def test_probe_excluded_from_total(self):
         model = GaterNet(small_spec(), seed=0, include_probe=True)
-        report = model.param_count()
+        report = param_count(model)
         assert report.probe == 5 * 3 + 3
         assert report.total == report.backbone + report.gater + report.head
 
@@ -244,15 +245,6 @@ def _conv_setup(cout, seed, cin=3, size=6, batch=4, with_bn=True):
         running_var=rng.uniform(0.5, 2.0, cout).astype(np.float32),
     ) if with_bn else None
     return x, p, bn
-
-
-def _masked_reference(x, p, bn, gates):
-    """The masked eval path from layers primitives: relu(bn(conv2d(x))) * g."""
-    y = conv2d(Tensor(x), p)
-    if bn is not None:
-        y = batchnorm(y, bn, False)
-    n, c = gates.shape
-    return (relu(y) * Tensor(gates).reshape(n, c, 1, 1)).data
 
 
 def _selective_train_reference(x, p, bn, gates):
@@ -314,10 +306,6 @@ def _selective_train_reference(x, p, bn, gates):
     return out
 
 
-def _no_dense(*args):
-    raise AssertionError("the eval skip path must not call conv2d")
-
-
 class TestMaskedVsSelective:
     @pytest.mark.parametrize("training,with_bn", [
         (False, True), (False, False), (True, True), (True, False),
@@ -333,8 +321,8 @@ class TestMaskedVsSelective:
             masked = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), True).data
             skipped = _selective_train_reference(x, p, bn2, gates)
         else:
-            masked = _masked_reference(x, p, bn, gates)
-            monkeypatch.setattr(model_mod, "conv2d", _no_dense)
+            masked = masked_reference(x, p, bn, gates)
+            monkeypatch.setattr(model_mod, "conv2d", no_dense)
             skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), False).data
         assert np.array_equal(masked, skipped)
 
@@ -386,7 +374,7 @@ class TestMaskedVsSelective:
         gates = np.zeros((2, 4), np.float32)
         gates[0, 0] = gates[1, 1] = 1.0
         if not training:
-            monkeypatch.setattr(model_mod, "conv2d", _no_dense)
+            monkeypatch.setattr(model_mod, "conv2d", no_dense)
         with pytest.raises(ValueError, match=f"^{message}$"):
             gated_conv_forward(Tensor(x), p, bn, Tensor(gates), training)
 
@@ -426,7 +414,7 @@ class TestMaskedVsSelective:
         frac = (gates.sum(1) * live.sum(1)).sum() / (n * c_out * c_in)
         assume((frac <= SKIP_MAX_LIVE_FRAC) == (side == "skip"))
 
-        want = _masked_reference(x, p, bn, gates)
+        want = masked_reference(x, p, bn, gates)
         with mock.patch.object(model_mod, "conv2d", wraps=conv2d) as dense:
             got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), False, live)
         assert dense.call_count == (side == "dense")
@@ -483,7 +471,7 @@ def _masked_forward(model, x):
                 g = gates[:, lo:hi]
             if g is not None:
                 bn = model._bn(f"{name}.bn") if layer.batchnorm else None
-                h = Tensor(_masked_reference(h.data, p, bn, g))
+                h = Tensor(masked_reference(h.data, p, bn, g))
             else:
                 h = conv2d(h, p)
                 if layer.batchnorm:

@@ -109,13 +109,15 @@ class TestCorruption:
             load_checkpoint(tmp_path / "pad.ckpt")
 
 
-def crafted_blob(meta=b"{}", tag=b"<f4", shape=(2,), payload=bytes(8)) -> bytes:
-    """A one-tensor checkpoint named "x", built field by field."""
+def crafted_blob(meta=b"{}", tag=b"<f4", shape=(2,), payload=bytes(8),
+                 copies=1) -> bytes:
+    """A checkpoint holding `copies` tensors all named "x", built field by field."""
+    entry = (struct.pack("<H", 1) + b"x"
+             + struct.pack("<B", len(tag)) + tag
+             + struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
+             + struct.pack("<Q", len(payload)) + payload)
     return (b"GNCP" + struct.pack("<IQ", 1, len(meta)) + meta
-            + struct.pack("<IH", 1, 1) + b"x"
-            + struct.pack("<B", len(tag)) + tag
-            + struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
-            + struct.pack("<Q", len(payload)) + payload)
+            + struct.pack("<I", copies) + entry * copies)
 
 
 class TestMalformedFields:
@@ -135,6 +137,7 @@ class TestMalformedFields:
         ({"payload": bytes(7)}, "payload"),
         ({"payload": bytes(12)}, "payload"),
         ({"shape": (1,) * 70, "payload": bytes(4)}, "shape"),
+        ({"copies": 2}, "tensor x appears twice"),
     ])
     def test_raises_checkpoint_error(self, tmp_path, fields, match):
         (tmp_path / "bad.ckpt").write_bytes(crafted_blob(**fields))

@@ -21,7 +21,8 @@ from gaternet.semhash import (
     semhash_forward,
     _sat_sigmoid_grad,
 )
-from gaternet.tensor import Tensor, grad_check
+from gaternet.tensor import Tensor
+from oracles import PinnedBranchRng, grad_check
 
 LN11 = 2.3978952727983707  # ln(11), the exact clip breakpoint
 
@@ -150,20 +151,15 @@ class TestSemhashForwardTrain:
         frac = bundle.branch_mask.mean()
         assert abs(frac - 0.5) <= 0.02
 
-    def test_force_branch(self):
+    def test_pinned_branch(self):
         g_pre = Tensor(np.random.default_rng(5).standard_normal((8, 4)))
-        ba = semhash_forward(g_pre, "train", rng=np.random.default_rng(6),
-                             force_branch="alpha")
-        bb = semhash_forward(g_pre, "train", rng=np.random.default_rng(6),
-                             force_branch="beta")
+        ba = semhash_forward(g_pre, "train", rng=PinnedBranchRng(6, "alpha"))
+        bb = semhash_forward(g_pre, "train", rng=PinnedBranchRng(6, "beta"))
         assert not ba.branch_mask.any()
         assert bb.branch_mask.all()
         assert np.array_equal(ba.g_noisy.data, bb.g_noisy.data)  # same noise
         assert np.array_equal(ba.selected.data, ba.g_alpha.data)
         assert np.array_equal(bb.selected.data, bb.g_beta.data)
-        with pytest.raises(ValueError):
-            semhash_forward(g_pre, "train", rng=np.random.default_rng(6),
-                            force_branch="gamma")
 
     def test_beta_is_strict_indicator_of_noisy(self):
         g_pre = Tensor(np.random.default_rng(7).standard_normal((32, 6)))
@@ -181,9 +177,9 @@ class TestSemhashForwardTrain:
 class TestStraightThrough:
     def _grad_via_autodiff(self, g_pre_data, seed, force=None):
         g_pre = Tensor(g_pre_data.copy(), requires_grad=True)
-        bundle = semhash_forward(g_pre, "train",
-                                 rng=np.random.default_rng(seed),
-                                 force_branch=force)
+        rng = (np.random.default_rng(seed) if force is None
+               else PinnedBranchRng(seed, force))
+        bundle = semhash_forward(g_pre, "train", rng=rng)
         bundle.selected.sum().backward()
         return g_pre.grad, bundle
 

@@ -19,7 +19,6 @@ from gaternet.train import (
     PHASES,
     SGD,
     TrainConfig,
-    gradient_routing_check,
     l1_gate_penalty,
     lr_at,
     run_phase,
@@ -28,6 +27,7 @@ from gaternet.train import (
     _epoch_rng,
     restore,
 )
+from oracles import gradient_routing_check
 
 
 def tiny_spec() -> ModelSpec:
