@@ -29,7 +29,7 @@ from gaternet.analyze import (
     write_taxonomy_csv,
 )
 from gaternet.config import ConfigError, RunConfig, load_config
-from gaternet.data import DataError, load_dataset
+from gaternet.data import DataError, load_dataset, load_eval_split
 from gaternet.model import GaterNet, conv_macs
 from gaternet.persist import CheckpointError
 from gaternet.train import PHASES, evaluate, restore, run_phase
@@ -117,13 +117,12 @@ def cmd_eval(args) -> int:
             f"filters; this one is from {phase} with "
             f"{cfg.model.gated_filter_total} gated filters"
         )
-    splits = load_dataset(cfg.dataset, cfg.seed)
+    eval_x, eval_y = load_eval_split(cfg.dataset, cfg.seed)
     acc, mean_gate, gates = evaluate(
-        model, phase, splits.eval_x, splits.eval_y,
-        cfg.make_phase_config(phase).batch_size,
+        model, phase, eval_x, eval_y, cfg.make_phase_config(phase).batch_size,
     )
     print(f"phase: {phase}")
-    print(f"samples: {len(splits.eval_x)}")
+    print(f"samples: {len(eval_x)}")
     print(f"accuracy: {acc:.6f}")
     if mean_gate is not None:
         print(f"mean_gate_activation: {mean_gate:.6f}")
@@ -131,7 +130,7 @@ def cmd_eval(args) -> int:
         print(f"conv_macs_total: {macs_total}")
         print(f"conv_macs_gated_off: {macs_off}")
     if args.dump_gates:
-        gate_log = GateLog(gates=gates, labels=splits.eval_y,
+        gate_log = GateLog(gates=gates, labels=eval_y,
                            layer_ids=model.gate_map.layer_ids,
                            filter_ids=model.gate_map.filter_ids)
         save_gate_log(args.dump_gates, gate_log)

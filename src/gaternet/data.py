@@ -206,11 +206,21 @@ def load_dataset(desc: DatasetDescriptor, seed: int) -> DatasetSplits:
             eval_x=x[desc.train_size :], eval_y=y[desc.train_size :],
             descriptor=desc,
         )
-    train_x, train_y = load_cifar10_binary(desc.train_paths, desc.mean, desc.std)
-    eval_x, eval_y = load_cifar10_binary([desc.eval_path], desc.mean, desc.std)
-    for split, paths, y in (("train", desc.train_paths, train_y),
-                            ("eval", [desc.eval_path], eval_y)):
-        if len(y) == 0:
-            raise DataError(
-                f"{split} split has no records: {', '.join(map(str, paths))}")
-    return DatasetSplits(train_x, train_y, eval_x, eval_y, desc)
+    train_x, train_y = _cifar_split("train", desc.train_paths, desc)
+    return DatasetSplits(train_x, train_y, *load_eval_split(desc, seed), desc)
+
+
+def load_eval_split(desc: DatasetDescriptor, seed: int) -> tuple[Array, Array]:
+    """load_dataset's eval images and labels; cifar10 decodes no train file.
+    Synthetic eval images follow the train images in one seeded stream."""
+    if desc.kind == "synthetic":
+        splits = load_dataset(desc, seed)
+        return splits.eval_x, splits.eval_y
+    return _cifar_split("eval", [desc.eval_path], desc)
+
+
+def _cifar_split(split: str, paths, desc: DatasetDescriptor) -> tuple[Array, Array]:
+    x, y = load_cifar10_binary(paths, desc.mean, desc.std)
+    if len(y) == 0:
+        raise DataError(f"{split} split has no records: {', '.join(map(str, paths))}")
+    return x, y

@@ -89,6 +89,11 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
+def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    """Output length of a conv along one spatial dim (< 1 means empty)."""
+    return (size + 2 * padding - kernel) // stride + 1
+
+
 def conv_output_hw(shape: tuple, p: Conv2dParams) -> tuple[int, int]:
     """Output (height, width) of p over an input of this shape; ValueError
     unless the input is [N, C, H, W] with the filters' C and the output is
@@ -103,8 +108,7 @@ def conv_output_hw(shape: tuple, p: Conv2dParams) -> tuple[int, int]:
             f"filters expect {c_in_f}"
         )
     s, pad = p.stride, p.padding
-    oh = (h + 2 * pad - kh) // s + 1
-    ow = (w + 2 * pad - kw) // s + 1
+    oh, ow = conv_out_size(h, kh, s, pad), conv_out_size(w, kw, s, pad)
     if oh < 1 or ow < 1:
         raise ValueError(
             f"conv2d output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
@@ -222,10 +226,10 @@ def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0); the backward mask is built in backward, so eval skips it."""
 
     def backward(g: Array) -> None:
-        x._accumulate(g * mask)
+        x._accumulate(g * (x.data > 0))
 
     return apply_op(np.maximum(x.data, 0), (x,), backward)
 

@@ -7,11 +7,12 @@ average pooling). The gater's pooled features go through a bottleneck head
 gated backbone filters; those scores are binarized (see semhash) and each
 gated conv's post-activation channels are multiplied by their gate.
 
-In eval the gates are binary, so a gated conv skips the work the gate
-multiply would zero: it computes only the (sample, filter) pairs whose
+An eval forward runs under tensor.no_grad and records no graph. Its gates
+are binary, so a gated conv computes only the (sample, filter) pairs whose
 gate is 1, each over the input channels the previous gated layer left on
-(gated_conv_forward, _conv_on_pairs). The result equals the masked path
-bit for bit for finite values; conv_macs counts the multiply-adds saved.
+(_conv_on_pairs), then batchnorm, relu and the gate multiply as in
+training. The result equals the masked path bit for bit for finite values;
+conv_macs counts the multiply-adds saved.
 
 The bottleneck keeps the head at (h + c) * b weights instead of the h * c
 a single FC layer would need.
@@ -19,17 +20,19 @@ a single FC layer would need.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from gaternet.tensor import Array, Tensor
+from gaternet.tensor import Array, Tensor, no_grad
 from gaternet.layers import (
     BatchNormParams,
     Conv2dParams,
     avg_pool2d,
     batchnorm,
     conv2d,
+    conv_out_size,
     conv_output_hw,
     fully_connected,
     global_avg_pool,
@@ -178,8 +181,8 @@ def trace_shapes(layers: tuple[LayerSpec, ...], input_shape, num_classes=None):
             if len(shape) != 3:
                 raise ValueError(f"layer {i}: conv after flatten is not supported")
             c, h, w = shape
-            oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            oh = conv_out_size(h, layer.kernel, layer.stride, layer.padding)
+            ow = conv_out_size(w, layer.kernel, layer.stride, layer.padding)
             if oh < 1 or ow < 1:
                 raise ValueError(
                     f"layer {i}: conv kernel {layer.kernel} does not fit {h}x{w}"
@@ -309,15 +312,6 @@ def init_params(
     return params, buffers
 
 
-# The eval skip path runs only when the live (sample, out, in) triples are
-# at most this share of the dense count; near full density the dense path
-# is faster. Measured over the six synthetic_small backbone convs at batch
-# 64 (one BLAS thread, 2 vCPUs), pair path time / dense path time: 1.09
-# with every gate on, 1.00 at 90% of gates on over 90% live inputs (81% of
-# the triples), 0.75 at 75%/75% and 0.31 at 50%/50%.
-SKIP_MAX_LIVE_FRAC = 0.75
-
-
 def gated_conv_forward(
     x: Tensor,
     p: Conv2dParams,
@@ -335,12 +329,12 @@ def gated_conv_forward(
 
     live is [N, in_channels], 0 where the previous gated layer switched an
     input channel off (its maps are all zero), or None when every input
-    channel is live. In eval with binary gates, when the live (sample, out,
-    in) triples are at most SKIP_MAX_LIVE_FRAC of the dense count, only the
-    on (sample, filter) pairs are computed, over their live input channels,
-    and the result carries no autodiff graph; it equals the masked path bit
-    for bit for finite values (see _conv_on_pairs).
+    channel is live. In eval with binary gates the conv is _conv_on_pairs,
+    which computes only the on (sample, filter) pairs over their live input
+    channels and records no graph (eval runs under tensor.no_grad); for
+    finite values the result equals the masked path bit for bit.
     """
+    pairs = False
     if gates is not None:
         n, ch = gates.shape
         if ch != p.out_channels:
@@ -355,11 +349,8 @@ def gated_conv_forward(
                 f"({n}, {p.in_channels})"
             )
         g = gates.data
-        if (not training and np.all((g == 0) | (g == 1))
-                and _live_triples(g, live, p.in_channels)
-                <= SKIP_MAX_LIVE_FRAC * g.size * p.in_channels):
-            return Tensor(_conv_on_pairs(x.data, p, bn, g, live))
-    y = conv2d(x, p)
+        pairs = not training and np.all((g == 0) | (g == 1))
+    y = Tensor(_conv_on_pairs(x.data, p, g, live)) if pairs else conv2d(x, p)
     if bn is not None:
         y = batchnorm(y, bn, training)
     y = relu(y)
@@ -374,19 +365,13 @@ def live_after(layer: LayerSpec, gates: Array | None,
     return live if layer.kind == "pool" else gates
 
 
-def _live_triples(gates: Array, live: Array | None, c_in: int) -> int:
-    """(sample, out, in) triples whose gate is on and whose input is live."""
-    live_in = c_in if live is None else np.count_nonzero(live, axis=1)
-    return int((np.count_nonzero(gates, axis=1) * live_in).sum())
-
-
 def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
     """Conv MACs of a dense gated forward over len(gates) samples (gater and
     backbone), and how many of them gating switches off.
 
     gates is the [N, c] binary eval gate matrix. A backbone (sample, out,
     in) triple is off when its gate is 0 or its input channel is not live
-    (live_after), the rule the eval skip path follows; each triple costs
+    (live_after), the triples _conv_on_pairs skips; each triple costs
     kernel^2 x output-map MACs.
     """
     n = len(gates)
@@ -399,36 +384,31 @@ def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
             g = None
             if layer.kind == "conv":
                 c_in, h, w = entries[i]
-                oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-                ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+                oh = conv_out_size(h, layer.kernel, layer.stride, layer.padding)
+                ow = conv_out_size(w, layer.kernel, layer.stride, layer.padding)
                 triple = layer.kernel * layer.kernel * oh * ow
                 dense = n * layer.filters * c_in
                 total += dense * triple
                 if layer.gated:
                     lo, hi = gate_map.slices[i]
                     g = gates[:, lo:hi]
-                    off += (dense - _live_triples(g, live, c_in)) * triple
+                    live_in = c_in if live is None else np.count_nonzero(live, axis=1)
+                    on = int((np.count_nonzero(g, axis=1) * live_in).sum())
+                    off += (dense - on) * triple
             live = live_after(layer, g, live)
     return total, off
 
 
-def _conv_on_pairs(
-    x: Array,
-    p: Conv2dParams,
-    bn: BatchNormParams | None,
-    gates: Array,
-    live: Array | None,
-) -> Array:
-    """Eval conv -> (batchnorm) -> relu for the (sample, filter) pairs whose
-    binary gate is 1; every other map is +0.0.
+def _conv_on_pairs(x: Array, p: Conv2dParams, gates: Array,
+                   live: Array | None) -> Array:
+    """conv2d's output for the (sample, filter) pairs whose binary gate is
+    1, and the bias alone (+0.0 without one) for every other pair.
 
     Each pair adds the (ic, ki, kj) terms of conv2d in conv2d's order, but
     only for input channels live for its sample. A skipped term is
     w * (+-0.0) = +-0.0, and an accumulator that starts at +0.0 never turns
-    -0.0, so skipping it changes no bit. Bias, eval batchnorm and relu
-    repeat the element-wise ops of conv2d, layers.batchnorm and layers.relu,
-    so each computed map is bit-identical to the masked path's, and each
-    skipped one is the +0.0 the gate multiply gives for finite values.
+    -0.0, so skipping it changes no bit. The bias is added as conv2d adds
+    it, so each computed map is bit-identical to conv2d's.
     """
     oh, ow = conv_output_hw(x.shape, p)
     n, c_in = x.shape[:2]
@@ -436,8 +416,6 @@ def _conv_on_pairs(
     s, pad = p.stride, p.padding
     out = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
     ns, os_ = np.nonzero(gates)
-    if ns.size == 0:
-        return out
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     wdat = p.filters.data
     acc = np.zeros((ns.size, oh, ow), dtype=x.dtype)
@@ -464,14 +442,9 @@ def _conv_on_pairs(
                 part += tmp
         if rows is not None:
             acc[rows] = part
+    out[ns, os_] = acc
     if p.bias is not None:
-        acc += p.bias.data[os_, None, None]
-    if bn is not None:
-        rm = bn.running_mean.astype(x.dtype, copy=False)
-        denom = np.sqrt(bn.running_var.astype(x.dtype, copy=False) + bn.eps)
-        acc = (acc - rm[os_, None, None]) / denom[os_, None, None]
-        acc = bn.gamma.data[os_, None, None] * acc + bn.beta.data[os_, None, None]
-    out[ns, os_] = np.maximum(acc, 0)
+        out += p.bias.data.reshape(1, c_out, 1, 1)
     return out
 
 
@@ -595,20 +568,22 @@ class GaterNet:
         A spec with no gated layers degrades to the plain backbone (the
         bundle is empty with width 0). dropout_rate only applies in
         training mode, after branch selection, so binary gates stay binary.
+        An eval pass runs under no_grad and records no graph.
         """
         mode = "train" if training else "eval"
         n = x.shape[0]
-        if self.spec.gated_filter_total == 0:
-            empty = Tensor(np.zeros((n, 0), dtype=x.dtype))
-            bundle = semhash_forward(empty, mode, rng)
-            return self._run_stack("backbone", self.spec.backbone, x, training), bundle
-        f = self.gater_features(x, training)
-        g_pre = self.gater_head(f, training)
-        bundle = semhash_forward(g_pre, mode, rng)
-        selected = bundle.selected
-        if training and dropout_rate > 0.0:
-            selected = gate_dropout(selected, dropout_rate, rng)
-        logits = self._run_stack("backbone", self.spec.backbone, x, training, selected)
+        with nullcontext() if training else no_grad():
+            if self.spec.gated_filter_total == 0:
+                empty = Tensor(np.zeros((n, 0), dtype=x.dtype))
+                bundle = semhash_forward(empty, mode, rng)
+                return self._run_stack("backbone", self.spec.backbone, x, training), bundle
+            f = self.gater_features(x, training)
+            g_pre = self.gater_head(f, training)
+            bundle = semhash_forward(g_pre, mode, rng)
+            selected = bundle.selected
+            if training and dropout_rate > 0.0:
+                selected = gate_dropout(selected, dropout_rate, rng)
+            logits = self._run_stack("backbone", self.spec.backbone, x, training, selected)
         return logits, bundle
 
     # -- bookkeeping ----------------------------------------------------------

@@ -13,10 +13,15 @@ up front with both shapes in the message.
 Forward passes are pure and deterministic: the same inputs produce
 bit-identical outputs. Reading shared tensors from multiple threads is
 safe; mutation (optimizer steps, gradient accumulation) must be exclusive.
+
+Ops inside a no_grad() block record no graph; eval passes run there. The
+switch is per thread, so a training thread keeps recording meanwhile.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable
 
 import numpy as np
@@ -283,15 +288,29 @@ def _normalize_axes(axis, ndim: int) -> tuple | None:
     return tuple(ax % ndim for ax in axis)
 
 
+_grad_off = threading.local()
+
+
+@contextmanager
+def no_grad():
+    """Ops in this thread record no graph until the block exits."""
+    prev, _grad_off.on = getattr(_grad_off, "on", False), True
+    try:
+        yield
+    finally:
+        _grad_off.on = prev
+
+
 def apply_op(
     data: Array,
     parents: Iterable[Tensor],
     backward_fn: Callable[[Array], None],
 ) -> Tensor:
-    """Wrap an op result, attaching graph edges only if a parent needs grad."""
+    """Wrap an op result, attaching graph edges only if a parent needs grad
+    and this thread is not inside no_grad()."""
     parents = tuple(parents)
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if not getattr(_grad_off, "on", False) and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

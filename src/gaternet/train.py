@@ -31,7 +31,7 @@ from gaternet.persist import (
     write_csv,
 )
 from gaternet.semhash import GateDropoutSchedule, dropout_rate_at
-from gaternet.tensor import Array, Tensor, assert_all_finite
+from gaternet.tensor import Array, Tensor, assert_all_finite, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -236,15 +236,17 @@ def phase_forward(model: GaterNet, phase: str, x: Tensor, training: bool,
 def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
              batch_size: int) -> tuple[float, float | None, Array | None]:
     """Eval-mode accuracy; in joint also the uint8 [N, c] eval gates and
-    their mean as an exact count ratio (None without gated filters)."""
+    their mean as an exact count ratio (None without gated filters). Runs
+    under no_grad, so no phase records a graph."""
     correct = 0
     rows = []
-    for lo in range(0, len(x), batch_size):
-        logits, gates = phase_forward(model, phase, Tensor(x[lo : lo + batch_size]),
-                                      training=False)
-        correct += int((logits.data.argmax(axis=1) == y[lo : lo + batch_size]).sum())
-        if gates is not None:
-            rows.append(gates.data.astype(np.uint8))
+    with no_grad():
+        for lo in range(0, len(x), batch_size):
+            xb, yb = Tensor(x[lo : lo + batch_size]), y[lo : lo + batch_size]
+            logits, gates = phase_forward(model, phase, xb, training=False)
+            correct += int((logits.data.argmax(axis=1) == yb).sum())
+            if gates is not None:
+                rows.append(gates.data.astype(np.uint8))
     acc = correct / len(x)
     if phase != "joint":
         return acc, None, None
@@ -355,11 +357,18 @@ def run_phase(
         start_epoch = meta["epochs_done"]
         step = meta["step"]
         rows = meta["metrics_rows"]
-        for row in rows:
-            if not isinstance(row, dict) or set(row) != set(METRIC_COLUMNS):
+        for i, row in enumerate(rows):
+            # as written below: JSON numbers (never bools) after epoch and
+            # phase, but for a blank mean_gate_activation
+            if not (isinstance(row, dict) and set(row) == set(METRIC_COLUMNS)
+                    and row["epoch"] == i and type(row["epoch"]) is int
+                    and row["phase"] == phase
+                    and all(type(row[k]) in (int, float) for k in METRIC_COLUMNS[2:]
+                            if (k, row[k]) != ("mean_gate_activation", ""))):
                 raise CheckpointError(
                     f"{resume_ckpt}: metadata 'metrics_rows' holds {row!r}, not "
-                    f"an object with keys {', '.join(METRIC_COLUMNS)}"
+                    f"the {phase} row of epoch {i} with keys "
+                    f"{', '.join(METRIC_COLUMNS)}"
                 )
         if len(rows) != start_epoch:
             raise CheckpointError(

@@ -500,6 +500,7 @@ def sweep(tmp_path_factory):
     return {"rows": rows, "elapsed": time.monotonic() - t0}
 
 
+@pytest.mark.slow
 def test_criterion_06_sparsity_trend(sweep):
     means = []
     for lam in SWEEP_LAMBDAS:
@@ -517,6 +518,7 @@ def test_criterion_06_sparsity_trend(sweep):
           f"{sweep['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_gated_vs_ungated(sweep):
     gated = [r["acc"] for r in sweep["rows"] if r["lambda"] == 0.1]
     baseline = [r["baseline_acc"] for r in sweep["rows"] if r["lambda"] == 0.1]

@@ -42,6 +42,8 @@ def test_workload_runs_one_checked_op(name, tmp_path):
     assert set(tracer.TIME_METRICS) | set(tracer.COUNT_METRICS) <= set(metrics)
     assert all(math.isfinite(v) for v in metrics.values())
     assert traced.spans, "the tracer recorded no span"
+    if name == "eval-gated":
+        assert metrics["tensor.graph_nodes"] == 0, "eval recorded a graph"
 
 
 @pytest.mark.parametrize("module,attr", [

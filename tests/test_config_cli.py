@@ -394,6 +394,11 @@ class TestCli:
                           "--from-scratch"],
                          ["train", "--config", bad, "--phase", "pretrain-backbone"],
                          ["eval", "--config", bad, "--ckpt", ckpt]):
+                if argv[0] == "eval" and empty_split == "train":
+                    # eval decodes only the eval split
+                    assert main(argv) == 0, argv
+                    assert "accuracy:" in capsys.readouterr().out
+                    continue
                 assert main(argv) == 4, argv
                 out, err = capsys.readouterr()
                 assert f"{empty_split} split has no records" in err
@@ -580,6 +585,10 @@ class TestCli:
         pytest.param({"metrics_rows": [5]}, id="metrics_rows-int-row"),
         pytest.param({"metrics_rows": "x"}, id="metrics_rows-str"),
         pytest.param({"metrics_rows": [{"epoch": 0}]}, id="metrics_rows-short-row"),
+        pytest.param({"metrics_rows": [{
+            "epoch": 0, "phase": "pretrain_backbone", "train_loss": 1.0,
+            "eval_acc": "x", "mean_gate_activation": 1.0, "lr": 0.1,
+            "dropout_rate": 0.0}]}, id="metrics_rows-str-value"),
     ])
     def test_resume_refuses_incomplete_checkpoint_exits_3(self, tmp_path,
                                                           capsys, damage):

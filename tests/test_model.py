@@ -20,7 +20,6 @@ from gaternet.layers import (
     relu,
 )
 from gaternet.model import (
-    SKIP_MAX_LIVE_FRAC,
     GaterNet,
     LayerSpec,
     ModelSpec,
@@ -385,9 +384,10 @@ class TestMaskedVsSelective:
            seed=st.integers(0, 2**32 - 1))
     def test_skip_path_matches_masked_reference(self, side, kernel, stride,
                                                 padding, with_bn, seed):
-        # The production eval path against relu(bn(conv2d(x))) * g, on both
-        # sides of the crossover, with an all-on and an all-off gate row and
-        # input channels zeroed the way a previous gated layer leaves them.
+        # The production eval path against relu(bn(conv2d(x))) * g, with
+        # sparse and near-dense gates (live triples below and above 3/4),
+        # an all-on and an all-off gate row, and input channels zeroed the
+        # way a previous gated layer leaves them. Both take the pair kernel.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 13))
         c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 7))
@@ -412,12 +412,12 @@ class TestMaskedVsSelective:
             running_var=rng.uniform(0.5, 2.0, c_out).astype(np.float32),
         ) if with_bn else None
         frac = (gates.sum(1) * live.sum(1)).sum() / (n * c_out * c_in)
-        assume((frac <= SKIP_MAX_LIVE_FRAC) == (side == "skip"))
+        assume((frac <= 3 / 4) == (side == "skip"))
 
         want = masked_reference(x, p, bn, gates)
         with mock.patch.object(model_mod, "conv2d", wraps=conv2d) as dense:
             got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), False, live)
-        assert dense.call_count == (side == "dense")
+        assert dense.call_count == 0
         assert got.data.dtype == want.dtype
         assert got.data.tobytes() == want.tobytes()
 
@@ -575,6 +575,18 @@ class TestGaterNetForward:
             assert grad.call_count == 0
             (logits.sum() + bundle.selected.sum()).backward()
             assert grad.call_count == 2
+
+    def test_eval_records_no_graph_training_does(self):
+        model = GaterNet(small_spec(), seed=0)
+        x = Tensor(np.random.default_rng(5).standard_normal(
+            (4, 3, 8, 8)).astype(np.float32))
+        logits, bundle = model.forward(x, training=False)
+        for out in (logits, bundle.selected):
+            assert not out.requires_grad and out._parents == ()
+        logits, bundle = model.forward(x, training=True,
+                                       rng=np.random.default_rng(6))
+        for out in (logits, bundle.selected):
+            assert out.requires_grad and out._parents
 
     def test_train_needs_rng(self):
         model = GaterNet(small_spec(), seed=0)

@@ -1,12 +1,14 @@
 """Autodiff core: forward semantics, gradients vs finite differences,
 broadcasting rules, and the self-checks inside grad_check."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaternet.tensor import Tensor, apply_op, assert_all_finite, sqrt
+from gaternet.tensor import Tensor, apply_op, assert_all_finite, no_grad, sqrt
 from oracles import grad_check
 
 
@@ -191,6 +193,48 @@ class TestGradCheck:
             ).sum()
 
         assert grad_check(f, x, exclude=np.array([False, True, False])) < 1e-6
+
+
+class TestNoGrad:
+    def test_records_no_graph_inside_and_resumes_after(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with no_grad():
+            y = (w * 3.0).sum()
+        assert not y.requires_grad and y._parents == ()
+        z = (w * 3.0).sum()
+        assert z.requires_grad and z._parents
+        z.backward()
+        assert np.array_equal(w.grad, [3.0, 3.0])
+
+    def test_restored_after_exception_and_nesting(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (w * 2.0).requires_grad
+                raise RuntimeError("inside")
+        assert (w * 2.0).requires_grad
+
+    def test_per_thread(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        entered, checked = threading.Event(), threading.Event()
+        seen = {}
+
+        def evaluator():
+            with no_grad():
+                entered.set()
+                checked.wait(timeout=10)
+                seen["eval"] = (w * 2.0).requires_grad
+
+        t = threading.Thread(target=evaluator)
+        t.start()
+        assert entered.wait(timeout=10)
+        seen["train"] = (w * 2.0).requires_grad
+        checked.set()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == {"train": True, "eval": False}
 
 
 class TestHelpers:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaternet.train as train_mod
 from gaternet.data import DatasetDescriptor, load_dataset
 from gaternet.layers import softmax_cross_entropy
 from gaternet.model import GaterNet, LayerSpec, ModelSpec
@@ -25,6 +26,7 @@ from gaternet.train import (
     sgd_step,
     total_loss,
     _epoch_rng,
+    evaluate,
     restore,
 )
 from oracles import gradient_routing_check
@@ -268,6 +270,25 @@ class TestEpochRng:
                                    (3, "joint", 6)]:
             other = _epoch_rng(seed, phase, epoch).standard_normal(4)
             assert not np.array_equal(base, other)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_evaluate_records_no_graph(phase, monkeypatch):
+    model = GaterNet(tiny_spec(), seed=0, include_probe=True)
+    outputs = []
+    forward = train_mod.phase_forward
+
+    def recording_forward(*args, **kwargs):
+        logits, gates = forward(*args, **kwargs)
+        outputs.extend(t for t in (logits, gates) if t is not None)
+        return logits, gates
+
+    monkeypatch.setattr(train_mod, "phase_forward", recording_forward)
+    splits = tiny_splits()
+    evaluate(model, phase, splits.eval_x, splits.eval_y, 16)
+    assert len(outputs) == (4 if phase == "joint" else 2)
+    for out in outputs:
+        assert not out.requires_grad and out._parents == ()
 
 
 class TestRunPhase:
