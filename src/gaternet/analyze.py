@@ -14,20 +14,25 @@ exactly binary and deterministic.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from gaternet.persist import CheckpointError, atomic_write_bytes, write_csv
+from gaternet.persist import (
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+    write_csv,
+)
 from gaternet.tensor import Array
 
-GATELOG_MAGIC = b"GLOG"
-GATELOG_VERSION = 1
 CATEGORIES = ("always_on", "always_off", "input_dependent")
 ALWAYS_ON, ALWAYS_OFF, INPUT_DEPENDENT = range(3)
+# (name, dtype, rank) of each tensor in a gate log file
+_GATE_LOG_TENSORS = (("gates", np.uint8, 2), ("labels", np.int64, 1),
+                     ("layer_ids", np.int64, 1), ("filter_ids", np.int64, 1))
 
 
 @dataclass(frozen=True)
@@ -73,55 +78,38 @@ class GateLog:
 
 
 def save_gate_log(path: str | Path, log: GateLog) -> None:
-    """Packed binary log: header, addresses, labels, then one bit per gate."""
-    n, c = log.gates.shape
-    parts = [
-        GATELOG_MAGIC,
-        struct.pack("<IIII", GATELOG_VERSION, n, c, 0),
-        log.layer_ids.astype("<i8").tobytes(),
-        log.filter_ids.astype("<i8").tobytes(),
-        log.labels.astype("<i8").tobytes(),
-        np.packbits(log.gates, axis=1).tobytes(),
-    ]
-    atomic_write_bytes(path, b"".join(parts))
+    """A checkpoint container of kind gate_log: one bit per gate, packed
+    MSB-first along each row, plus labels and the gate addresses."""
+    save_checkpoint(path, {
+        "gates": np.packbits(log.gates, axis=1),
+        "labels": log.labels,
+        "layer_ids": log.layer_ids,
+        "filter_ids": log.filter_ids,
+    }, {"kind": "gate_log"})
 
 
 def load_gate_log(path: str | Path) -> GateLog:
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"gate log file not found: {path}")
-    raw = path.read_bytes()
-    if raw[:4] != GATELOG_MAGIC:
-        raise CheckpointError(f"{path}: not a gate log (bad magic {raw[:4]!r})")
-    if len(raw) < 20:
-        raise CheckpointError(f"{path}: truncated gate log header ({len(raw)} bytes)")
-    version, n, c, _ = struct.unpack_from("<IIII", raw, 4)
-    if version != GATELOG_VERSION:
-        raise CheckpointError(f"{path}: unsupported gate log version {version}")
-    off = 4 + 16
-    row_bytes = -(-c // 8)
-    need = off + 8 * c + 8 * c + 8 * n + n * row_bytes
-    if len(raw) != need:
+    tensors, meta = load_checkpoint(path)
+    if meta.get("kind") != "gate_log":
+        raise CheckpointError(f"{path}: not a gate log (kind {meta.get('kind')!r})")
+    for name, dtype, ndim in _GATE_LOG_TENSORS:
+        arr = tensors.get(name)
+        if arr is None or arr.dtype != dtype or arr.ndim != ndim:
+            raise CheckpointError(
+                f"{path}: gate log needs tensor {name} as {ndim}-D {dtype}, got "
+                + ("none" if arr is None else f"{arr.ndim}-D {arr.dtype}")
+            )
+    packed, c = tensors["gates"], len(tensors["layer_ids"])
+    if packed.shape[1] != -(-c // 8):
         raise CheckpointError(
-            f"{path}: expected {need} bytes for {n} samples x {c} gates, "
-            f"got {len(raw)}"
+            f"{path}: packed gate rows are {packed.shape[1]} bytes wide; "
+            f"{c} gates need {-(-c // 8)}"
         )
-
-    def take(count, dtype):
-        nonlocal off
-        out = np.frombuffer(raw, dtype=dtype, count=count, offset=off).copy()
-        off += count * np.dtype(dtype).itemsize
-        return out
-
-    layer_ids = take(c, "<i8")
-    filter_ids = take(c, "<i8")
-    labels = take(n, "<i8")
-    packed = take(n * row_bytes, np.uint8).reshape(n, row_bytes)
-    gates = np.unpackbits(packed, axis=1)[:, :c]
     try:
-        return GateLog(gates=gates, labels=labels, layer_ids=layer_ids,
-                       filter_ids=filter_ids)
-    except ValueError as e:  # duplicate (layer, filter) addresses
+        return GateLog(gates=np.unpackbits(packed, axis=1, count=c),
+                       labels=tensors["labels"], layer_ids=tensors["layer_ids"],
+                       filter_ids=tensors["filter_ids"])
+    except ValueError as e:  # mismatched lengths or duplicate addresses
         raise CheckpointError(f"{path}: {e}") from e
 
 

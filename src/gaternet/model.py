@@ -137,18 +137,6 @@ class GateIndexMap:
     def total(self) -> int:
         return len(self.layer_ids)
 
-    def pair_of(self, gate_index: int) -> tuple[int, int]:
-        return int(self.layer_ids[gate_index]), int(self.filter_ids[gate_index])
-
-    def index_of(self, layer_id: int, filter_id: int) -> int:
-        lo, hi = self.slices[layer_id]
-        if not 0 <= filter_id < hi - lo:
-            raise ValueError(
-                f"filter {filter_id} out of range for layer {layer_id} "
-                f"({hi - lo} gated filters)"
-            )
-        return lo + filter_id
-
 
 def build_gate_map(spec: ModelSpec) -> GateIndexMap:
     layer_ids: list[int] = []
@@ -243,7 +231,6 @@ def spec_from_dict(d: dict) -> ModelSpec:
 def init_params(
     spec: ModelSpec,
     rng: np.random.Generator,
-    dtype=np.float32,
     include_probe: bool = False,
 ) -> tuple[dict[str, Tensor], dict[str, Array]]:
     """Allocate every trainable tensor and batchnorm buffer.
@@ -258,19 +245,20 @@ def init_params(
 
     def normal(shape, std):
         return Tensor(
-            rng.standard_normal(shape, dtype=dtype) * dtype(std), requires_grad=True
+            rng.standard_normal(shape, dtype=np.float32) * np.float32(std),
+            requires_grad=True,
         )
 
     def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
     def add_bn(prefix: str, channels: int):
         params[f"{prefix}.gamma"] = Tensor(
-            np.ones(channels, dtype=dtype), requires_grad=True
+            np.ones(channels, dtype=np.float32), requires_grad=True
         )
         params[f"{prefix}.beta"] = zeros(channels)
-        buffers[f"{prefix}.running_mean"] = np.zeros(channels, dtype=dtype)
-        buffers[f"{prefix}.running_var"] = np.ones(channels, dtype=dtype)
+        buffers[f"{prefix}.running_mean"] = np.zeros(channels, dtype=np.float32)
+        buffers[f"{prefix}.running_var"] = np.ones(channels, dtype=np.float32)
 
     def add_stack(prefix: str, layers, input_shape, final_is_classifier: bool):
         entries, _ = trace_shapes(layers, input_shape)
@@ -303,7 +291,7 @@ def init_params(
         params["head.b1"] = zeros(b)
         add_bn("head.bn", b)
         params["head.W2"] = normal((b, c), 1.0 / np.sqrt(b))
-        params["head.b2"] = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
+        params["head.b2"] = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
     if include_probe:
         if h < 1:
             raise ValueError("probe needs a gater with at least one conv")
@@ -463,15 +451,13 @@ class GaterNet:
         self,
         spec: ModelSpec,
         seed: int = 0,
-        dtype=np.float32,
         include_probe: bool = False,
     ):
         validate_spec(spec)
         self.spec = spec
-        self.dtype = np.dtype(dtype).type
         self.gate_map = build_gate_map(spec)
         rng = np.random.default_rng(seed)
-        self.params, self.buffers = init_params(spec, rng, self.dtype, include_probe)
+        self.params, self.buffers = init_params(spec, rng, include_probe)
         self.probe = None
         if include_probe:
             self.probe = (self.params["probe.W"], self.params["probe.b"])

@@ -1,6 +1,7 @@
-"""Atomic file writes and the named-tensor checkpoint container.
+"""Atomic file writes and the named-tensor container that holds both
+training checkpoints and gate logs.
 
-A checkpoint is a single binary file: magic, version, a canonical-JSON
+A container is a single binary file: magic, version, a canonical-JSON
 metadata block, then each array as (name, dtype tag, shape, little-endian
 payload). Serialization is exact, so save -> load -> forward reproduces
 outputs bit for bit. All writes in this package go through a temp file in

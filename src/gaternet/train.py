@@ -333,6 +333,7 @@ def run_phase(
     trained = model.trainable(_TRAINED_PREFIXES[phase])
     opt = SGD(trained, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
+    steps_per_epoch = max(1, -(-len(splits.train_x) // cfg.batch_size))
     start_epoch = 0
     step = 0
     rows: list[dict] = []
@@ -374,8 +375,12 @@ def run_phase(
             raise CheckpointError(
                 f"{resume_ckpt}: {len(rows)} metrics rows for {start_epoch} epochs"
             )
+        if step != start_epoch * steps_per_epoch:
+            raise CheckpointError(
+                f"{resume_ckpt}: step {step} after {start_epoch} epochs; want "
+                f"{start_epoch * steps_per_epoch} ({steps_per_epoch} per epoch)"
+            )
 
-    steps_per_epoch = max(1, -(-len(splits.train_x) // cfg.batch_size))
     # Steps are numbered 0..E*S-1, so a span of E*S-1 puts the ramp's exact
     # end_rate on the run's final optimizer step.
     dropout_sched = GateDropoutSchedule(

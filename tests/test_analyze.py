@@ -28,7 +28,7 @@ from gaternet.analyze import (
     write_layer_distribution_csv,
     write_taxonomy_csv,
 )
-from gaternet.persist import CheckpointError
+from gaternet.persist import CheckpointError, load_checkpoint, save_checkpoint
 
 
 def random_log(seed: int, n: int = 12, c: int = 13, p: float = 0.5) -> GateLog:
@@ -123,8 +123,26 @@ class TestGateLog:
 
         header_only = tmp_path / "header.glog"
         header_only.write_bytes(raw[:12])
-        with pytest.raises(CheckpointError, match="header"):
+        with pytest.raises(CheckpointError, match="truncated"):
             load_gate_log(header_only)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t, m: m.update(kind="checkpoint"), "not a gate log"),
+        (lambda t, m: t.pop("filter_ids"), "filter_ids"),
+        (lambda t, m: t.update(labels=t["labels"].astype(np.float64)), "labels"),
+        (lambda t, m: t.update(gates=np.pad(t["gates"], ((0, 0), (0, 1)))),
+         "wide"),
+        (lambda t, m: t.update(gates=t["gates"][:, :0]), "wide"),
+    ], ids=["other-kind", "missing-tensor", "float64-labels", "packed-too-wide",
+            "packed-too-narrow"])
+    def test_malformed_container_is_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "gates.glog"
+        save_gate_log(path, crafted_log())
+        tensors, meta = load_checkpoint(path)
+        edit(tensors, meta)
+        save_checkpoint(path, tensors, meta)
+        with pytest.raises(CheckpointError, match=match):
+            load_gate_log(path)
 
     @settings(max_examples=300, deadline=None)
     @given(cut=st.integers(0, 10**6),

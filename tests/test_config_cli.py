@@ -430,6 +430,39 @@ class TestCli:
                      "--out", str(tmp_path / "an")]) == 3
         capsys.readouterr()
 
+    def test_training_checkpoint_as_gatelog_exits_3(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg_path,
+                     "--phase", "pretrain-backbone"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--gatelog",
+                     str(tmp_path / "run" / "pretrain_backbone.ckpt"),
+                     "--out", str(tmp_path / "an")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and "not a gate log" in err
+        assert not (tmp_path / "an").exists()
+
+    def test_gatelog_as_checkpoint_exits_3(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        log = GateLog(gates=np.ones((2, 4), dtype=np.uint8), labels=np.zeros(2),
+                      layer_ids=np.zeros(4), filter_ids=np.arange(4))
+        save_gate_log(tmp_path / "g.glog", log)
+        assert main(["eval", "--config", cfg_path,
+                     "--ckpt", str(tmp_path / "g.glog")]) == 3
+        assert capsys.readouterr().err.startswith("checkpoint error:")
+
+    def test_glog_from_earlier_version_exits_3(self, tmp_path, capsys):
+        # the former format: b"GLOG", four little-endian u32 header fields
+        # (version 1, samples, gates, 0), the int64 arrays, packed gate bits
+        path = tmp_path / "old.glog"
+        path.write_bytes(b"GLOG" + np.array([1, 1, 2, 0], "<u4").tobytes()
+                         + np.array([0, 0, 0, 1, 0], "<i8").tobytes() + b"\xc0")
+        assert main(["analyze", "--gatelog", str(path),
+                     "--out", str(tmp_path / "an")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and "bad magic" in err
+        assert not (tmp_path / "an").exists()
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -589,6 +622,8 @@ class TestCli:
             "epoch": 0, "phase": "pretrain_backbone", "train_loss": 1.0,
             "eval_acc": "x", "mean_gate_activation": 1.0, "lr": 0.1,
             "dropout_rate": 0.0}]}, id="metrics_rows-str-value"),
+        pytest.param({"step": -3}, id="step-negative"),
+        pytest.param({"step": 1000000}, id="step-past-epochs"),
     ])
     def test_resume_refuses_incomplete_checkpoint_exits_3(self, tmp_path,
                                                           capsys, damage):

@@ -140,11 +140,7 @@ class TestGateMap:
         assert list(gmap.layer_ids) == [2] * 8 + [3] * 4
         assert list(gmap.filter_ids) == list(range(8)) + list(range(4))
         assert gmap.slices == {2: (0, 8), 3: (8, 12)}
-        assert gmap.pair_of(9) == (3, 1)
-        assert gmap.index_of(3, 1) == 9
-        assert gmap.index_of(2, 7) == 7
-        with pytest.raises(ValueError):
-            gmap.index_of(3, 4)
+        assert (gmap.layer_ids[9], gmap.filter_ids[9]) == (3, 1)
 
     def test_ungated_spec_is_empty(self):
         gmap = build_gate_map(small_spec(gated=False))
@@ -524,9 +520,9 @@ def _brute_force_macs(spec, gates):
                         total += per
                         if not layer.gated:
                             continue
-                        on = gates[s, gate_map.index_of(i, o)]
+                        on = gates[s, gate_map.slices[i][0] + o]
                         live = (not prev_gated
-                                or gates[s, gate_map.index_of(prev, ic)])
+                                or gates[s, gate_map.slices[prev][0] + ic])
                         if not (on and live):
                             off += per
     return total, off
@@ -677,5 +673,6 @@ def test_gate_map_total_matches_spec(layers):
     assert gmap.total == spec.gated_filter_total
     assert len(gmap.layer_ids) == len(gmap.filter_ids) == gmap.total
     for j in range(gmap.total):
-        layer, filt = gmap.pair_of(j)
-        assert gmap.index_of(layer, filt) == j
+        layer, filt = int(gmap.layer_ids[j]), int(gmap.filter_ids[j])
+        lo, hi = gmap.slices[layer]
+        assert 0 <= filt < hi - lo and lo + filt == j
