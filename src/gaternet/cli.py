@@ -30,9 +30,9 @@ from gaternet.analyze import (
 )
 from gaternet.config import ConfigError, RunConfig, load_config
 from gaternet.data import DataError, load_dataset, load_eval_split
-from gaternet.model import GaterNet, conv_macs
+from gaternet.model import conv_macs
 from gaternet.persist import CheckpointError
-from gaternet.train import PHASES, evaluate, restore, run_phase
+from gaternet.train import PHASES, evaluate, load_model, run_phase
 
 log = logging.getLogger(__name__)
 
@@ -55,47 +55,15 @@ def _effective_config(args) -> RunConfig:
     return cfg
 
 
-def _load_model_for_eval(cfg: RunConfig, ckpt_path: str) -> tuple[GaterNet, str]:
-    # Only a pretrain_gater checkpoint holds the probe head, and only its
-    # metadata names the phase, so that phase is restored a second time
-    # into a model built with a probe.
-    model = GaterNet(cfg.model, seed=cfg.seed)
-    phase = restore(model, ckpt_path).get("phase")
-    if phase == "pretrain_gater":
-        model = GaterNet(cfg.model, seed=cfg.seed, include_probe=True)
-        restore(model, ckpt_path)
-    elif phase not in PHASES:
-        raise CheckpointError(f"{ckpt_path}: unknown phase {phase!r} in metadata")
-    return model, phase
-
-
 def cmd_train(args) -> int:
     cfg = _effective_config(args)
     out_dir = _resolve_out_dir(args.out_dir, cfg)
     phase = _PHASE_FLAG[args.phase]
     splits = load_dataset(cfg.dataset, cfg.seed)
 
-    backbone_ckpt = args.backbone_ckpt
-    gater_ckpt = args.gater_ckpt
-    if phase == "joint" and not args.from_scratch and args.resume is None:
-        if backbone_ckpt is None:
-            candidate = out_dir / "pretrain_backbone.ckpt"
-            backbone_ckpt = str(candidate) if candidate.is_file() else None
-        if gater_ckpt is None:
-            candidate = out_dir / "pretrain_gater.ckpt"
-            gater_ckpt = str(candidate) if candidate.is_file() else None
-        if backbone_ckpt is None or gater_ckpt is None:
-            raise CheckpointError(
-                "joint training initializes from the two pretraining "
-                "checkpoints; none were given and none were found in "
-                f"{out_dir}. Run the pretrain-backbone and pretrain-gater "
-                "phases first, pass --backbone-ckpt/--gater-ckpt, or use "
-                "--from-scratch."
-            )
-
     result = run_phase(
         cfg.model, cfg.make_phase_config(phase), splits, out_dir,
-        backbone_ckpt=backbone_ckpt, gater_ckpt=gater_ckpt,
+        backbone_ckpt=args.backbone_ckpt, gater_ckpt=args.gater_ckpt,
         resume_ckpt=args.resume, from_scratch=args.from_scratch,
     )
     print(f"phase: {phase}")
@@ -110,7 +78,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _effective_config(args)
-    model, phase = _load_model_for_eval(cfg, args.ckpt)
+    model, phase = load_model(cfg.model, args.ckpt)
     if args.dump_gates and (phase != "joint" or not cfg.model.gated_filter_total):
         raise CheckpointError(
             f"--dump-gates needs a joint-phase checkpoint of a model with gated "

@@ -7,9 +7,9 @@ average pooling). The gater's pooled features go through a bottleneck head
 gated backbone filters; those scores are binarized (see semhash) and each
 gated conv's post-activation channels are multiplied by their gate.
 
-An eval forward runs under tensor.no_grad and records no graph. Its gates
-are binary, so a gated conv computes only the (sample, filter) pairs whose
-gate is 1, each over the input channels the previous gated layer left on
+An eval forward runs under tensor.no_grad and records no graph. A gated
+conv computes only the (sample, filter) pairs whose gate is nonzero, each
+over the input channels the previous gated layer left on
 (_conv_on_pairs), then batchnorm, relu and the gate multiply as in
 training. The result equals the masked path bit for bit for finite values;
 conv_macs counts the multiply-adds saved.
@@ -199,12 +199,9 @@ def trace_shapes(layers: tuple[LayerSpec, ...], input_shape, num_classes=None):
 
 def validate_spec(spec: ModelSpec) -> None:
     trace_shapes(spec.backbone, spec.input_shape, spec.num_classes)
-    if spec.gated_filter_total > 0:
-        if spec.feature_size < 1:
-            raise ValueError("gated layers need a gater with at least one conv")
-        trace_shapes(spec.gater, spec.input_shape)
-    elif spec.gater:
-        trace_shapes(spec.gater, spec.input_shape)
+    if spec.gated_filter_total > 0 and spec.feature_size < 1:
+        raise ValueError("gated layers need a gater with at least one conv")
+    trace_shapes(spec.gater, spec.input_shape)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
@@ -317,12 +314,12 @@ def gated_conv_forward(
 
     live is [N, in_channels], 0 where the previous gated layer switched an
     input channel off (its maps are all zero), or None when every input
-    channel is live. In eval with binary gates the conv is _conv_on_pairs,
-    which computes only the on (sample, filter) pairs over their live input
-    channels and records no graph (eval runs under tensor.no_grad); for
-    finite values the result equals the masked path bit for bit.
+    channel is live. Every gated eval conv is _conv_on_pairs, which computes
+    only the (sample, filter) pairs with a nonzero gate over their live
+    input channels and records no graph (eval runs under tensor.no_grad).
+    Off pairs end up multiplied by exactly 0, so for finite values the
+    result equals the masked path bit for bit, binary gates or not.
     """
-    pairs = False
     if gates is not None:
         n, ch = gates.shape
         if ch != p.out_channels:
@@ -336,9 +333,10 @@ def gated_conv_forward(
                 f"live shape {live.shape} does not match (batch, in_channels) "
                 f"({n}, {p.in_channels})"
             )
-        g = gates.data
-        pairs = not training and np.all((g == 0) | (g == 1))
-    y = Tensor(_conv_on_pairs(x.data, p, g, live)) if pairs else conv2d(x, p)
+    if gates is None or training:
+        y = conv2d(x, p)
+    else:
+        y = Tensor(_conv_on_pairs(x.data, p, gates.data, live))
     if bn is not None:
         y = batchnorm(y, bn, training)
     y = relu(y)
@@ -389,8 +387,8 @@ def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
 
 def _conv_on_pairs(x: Array, p: Conv2dParams, gates: Array,
                    live: Array | None) -> Array:
-    """conv2d's output for the (sample, filter) pairs whose binary gate is
-    1, and the bias alone (+0.0 without one) for every other pair.
+    """conv2d's output for the (sample, filter) pairs whose gate is
+    nonzero, and the bias alone (+0.0 without one) for every other pair.
 
     Each pair adds the (ic, ki, kj) terms of conv2d in conv2d's order, but
     only for input channels live for its sample. A skipped term is

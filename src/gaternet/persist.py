@@ -97,7 +97,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     if not path.is_file():
-        raise CheckpointError(f"checkpoint file not found: {path}")
+        raise CheckpointError(f"{path}: file not found")
     blob = path.read_bytes()
     view = memoryview(blob)
     off = 0
@@ -105,16 +105,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(view):
-            raise CheckpointError(f"truncated checkpoint {path} at byte {off}")
+            raise CheckpointError(f"{path}: truncated at byte {off}")
         chunk = view[off : off + n]
         off += n
         return chunk
 
     if bytes(take(4)) != MAGIC:
-        raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+        raise CheckpointError(f"{path}: not a {MAGIC.decode()} container (bad magic)")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: unsupported container version {version}")
     (meta_len,) = struct.unpack("<Q", take(8))
     try:
         meta = json.loads(bytes(take(meta_len)).decode("utf-8"))

@@ -255,29 +255,41 @@ def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
     return acc, mean_gate, gates
 
 
+def _state(model: GaterNet, opt: SGD | None = None) -> dict[str, Array]:
+    """A checkpoint's name -> array map: every parameter and buffer, plus
+    opt's velocities under opt.* when opt is given."""
+    state = {k: t.data for k, t in model.params.items()} | model.buffers
+    if opt is not None:
+        state |= {f"opt.{k}": v for k, v in opt.velocity.items()}
+    return state
+
+
 def restore(model: GaterNet, ckpt_path: str | Path,
             prefixes: tuple[str, ...] | None = None,
             opt: SGD | None = None) -> dict:
     """Copy checkpoint tensors into the model, in place; returns the metadata.
 
-    Targets every parameter and buffer under prefixes (all of them when
-    prefixes is None), plus opt's velocities when opt is given. Each target
-    must be present in the checkpoint with its exact shape and dtype;
-    tensors the checkpoint holds beyond the targets are ignored.
+    Refuses a container that is not a training checkpoint (meta format 1
+    and a known phase) or was saved for another model spec. Targets the
+    names of _state(model, opt) under prefixes (all of them when prefixes
+    is None; opt.* names are under "opt"). Each target must be present in
+    the checkpoint with its exact shape and dtype; tensors the checkpoint
+    holds beyond the targets are ignored.
     """
     tensors, meta = load_checkpoint(ckpt_path)
+    if meta.get("format") != 1 or meta.get("phase") not in PHASES:
+        kind = f" ({meta['kind']})" if "kind" in meta else ""
+        raise CheckpointError(f"{ckpt_path} is not a training checkpoint{kind}")
     spec_hash = dict_hash(spec_to_dict(model.spec))
     if meta.get("spec_hash") != spec_hash:
         raise CheckpointError(
             f"{ckpt_path}: model spec hash mismatch "
             f"(checkpoint {meta.get('spec_hash')}, current {spec_hash})"
         )
-    targets = {k: t.data for k, t in model.params.items()} | model.buffers
+    targets = _state(model, opt)
     if prefixes is not None:
         targets = {k: v for k, v in targets.items()
                    if any(k.startswith(p + ".") for p in prefixes)}
-    if opt is not None:
-        targets.update({f"opt.{k}": v for k, v in opt.velocity.items()})
     for name, dst in targets.items():
         src = tensors.get(name)
         if src is None:
@@ -291,11 +303,22 @@ def restore(model: GaterNet, ckpt_path: str | Path,
     return meta
 
 
+def load_model(spec: ModelSpec, ckpt_path: str | Path) -> tuple[GaterNet, str]:
+    """The model a training checkpoint holds, and the phase that wrote it.
+    Every tensor is restored, so the init seed does not show."""
+    # Only a pretrain_gater checkpoint holds the probe head, and only its
+    # metadata names the phase, so that phase is restored a second time
+    # into a model built with a probe.
+    model = GaterNet(spec)
+    phase = restore(model, ckpt_path)["phase"]
+    if phase == "pretrain_gater":
+        model = GaterNet(spec, include_probe=True)
+        restore(model, ckpt_path)
+    return model, phase
+
+
 def _save_state(path: Path, model: GaterNet, opt: SGD, meta: dict) -> None:
-    tensors: dict[str, Array] = {k: t.data for k, t in model.params.items()}
-    tensors.update({k: v for k, v in model.buffers.items()})
-    tensors.update({f"opt.{k}": v for k, v in opt.velocity.items()})
-    save_checkpoint(path, tensors, meta)
+    save_checkpoint(path, _state(model, opt), meta)
 
 
 def run_phase(
@@ -315,17 +338,23 @@ def run_phase(
     resumed with resume_ckpt.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     phase = cfg.phase
     spec_hash = dict_hash(spec_to_dict(spec))
     cfg_hash = dict_hash(cfg.to_dict())
 
     model = GaterNet(spec, seed=cfg.seed, include_probe=(phase == "pretrain_gater"))
     if phase == "joint" and not from_scratch and resume_ckpt is None:
+        if backbone_ckpt is None and (out_dir / "pretrain_backbone.ckpt").is_file():
+            backbone_ckpt = out_dir / "pretrain_backbone.ckpt"
+        if gater_ckpt is None and (out_dir / "pretrain_gater.ckpt").is_file():
+            gater_ckpt = out_dir / "pretrain_gater.ckpt"
         if backbone_ckpt is None or gater_ckpt is None:
-            raise ValueError(
-                "joint phase needs --backbone-ckpt and --gater-ckpt (or the "
-                "default pretrain checkpoints), or --from-scratch to skip them"
+            raise CheckpointError(
+                "joint training initializes from the two pretraining "
+                "checkpoints; none were given and none were found in "
+                f"{out_dir}. Run the pretrain-backbone and pretrain-gater "
+                "phases first, pass --backbone-ckpt/--gater-ckpt, or use "
+                "--from-scratch."
             )
         restore(model, backbone_ckpt, ("backbone",))
         restore(model, gater_ckpt, ("gater",))
@@ -388,6 +417,7 @@ def run_phase(
         max(1, cfg.epochs * steps_per_epoch - 1),
     ) if phase == "joint" else None
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{phase}.ckpt"
     metrics_path = out_dir / f"metrics_{phase}.csv"
     desc = splits.descriptor

@@ -409,7 +409,10 @@ class TestCli:
         doc["out_dir"] = str(tmp_path / "fresh")
         cfg_path = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg_path, "--phase", "joint"]) == 3
-        assert "pretrain" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:")
+        assert "pretrain" in err and "--from-scratch" in err
+        assert not (tmp_path / "fresh").exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         doc = base_config(tmp_path)
@@ -442,14 +445,36 @@ class TestCli:
         assert err.startswith("checkpoint error:") and "not a gate log" in err
         assert not (tmp_path / "an").exists()
 
-    def test_gatelog_as_checkpoint_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [
+        "--ckpt", "--resume", "--backbone-ckpt", "--gater-ckpt",
+    ])
+    def test_gatelog_as_checkpoint_exits_3(self, tmp_path, capsys, flag):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         log = GateLog(gates=np.ones((2, 4), dtype=np.uint8), labels=np.zeros(2),
                       layer_ids=np.zeros(4), filter_ids=np.arange(4))
-        save_gate_log(tmp_path / "g.glog", log)
-        assert main(["eval", "--config", cfg_path,
-                     "--ckpt", str(tmp_path / "g.glog")]) == 3
-        assert capsys.readouterr().err.startswith("checkpoint error:")
+        glog = str(tmp_path / "g.glog")
+        save_gate_log(glog, log)
+        other = str(tmp_path / "absent.ckpt")
+        if flag == "--gater-ckpt":  # the backbone is restored first
+            assert main(["train", "--config", cfg_path,
+                         "--phase", "pretrain-backbone"]) == 0
+            other = str(tmp_path / "run" / "pretrain_backbone.ckpt")
+        joint = ["train", "--config", cfg_path, "--phase", "joint"]
+        argv = {
+            "--ckpt": ["eval", "--config", cfg_path, "--ckpt", glog],
+            "--resume": [*joint, "--resume", glog],
+            "--backbone-ckpt": [*joint, "--backbone-ckpt", glog,
+                                "--gater-ckpt", other],
+            "--gater-ckpt": [*joint, "--backbone-ckpt", other,
+                             "--gater-ckpt", glog],
+        }[flag]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:")
+        assert "not a training checkpoint" in err and "gate_log" in err
+        if flag != "--gater-ckpt":  # a refused run creates no out dir
+            assert not (tmp_path / "run").exists()
 
     def test_glog_from_earlier_version_exits_3(self, tmp_path, capsys):
         # the former format: b"GLOG", four little-endian u32 header fields

@@ -377,13 +377,15 @@ class TestMaskedVsSelective:
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
            padding=st.sampled_from([0, 1]), with_bn=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
+           soft=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_skip_path_matches_masked_reference(self, side, kernel, stride,
-                                                padding, with_bn, seed):
+                                                padding, with_bn, soft, seed):
         # The production eval path against relu(bn(conv2d(x))) * g, with
         # sparse and near-dense gates (live triples below and above 3/4),
         # an all-on and an all-off gate row, and input channels zeroed the
-        # way a previous gated layer leaves them. Both take the pair kernel.
+        # way a previous gated layer leaves them. Both take the pair kernel,
+        # and so do soft gates and soft live channels: on values drawn
+        # from {0.25, 0.5, 1}.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 13))
         c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 7))
@@ -392,6 +394,9 @@ class TestMaskedVsSelective:
         gates = (rng.random((n, c_out)) < p_on).astype(np.float32)
         gates[0], gates[1] = 1.0, 0.0
         live = (rng.random((n, c_in)) < p_on).astype(np.float32)
+        if soft:
+            gates *= rng.choice(np.float32([0.25, 0.5, 1.0]), gates.shape)
+            live *= rng.choice(np.float32([0.25, 0.5, 1.0]), live.shape)
         x = rng.standard_normal((n, c_in, size, size)).astype(np.float32)
         x *= live[:, :, None, None]
         p = Conv2dParams(
@@ -407,7 +412,8 @@ class TestMaskedVsSelective:
             running_mean=rng.standard_normal(c_out).astype(np.float32),
             running_var=rng.uniform(0.5, 2.0, c_out).astype(np.float32),
         ) if with_bn else None
-        frac = (gates.sum(1) * live.sum(1)).sum() / (n * c_out * c_in)
+        frac = (np.count_nonzero(gates, 1) * np.count_nonzero(live, 1)).sum() / (
+            n * c_out * c_in)
         assume((frac <= 3 / 4) == (side == "skip"))
 
         want = masked_reference(x, p, bn, gates)

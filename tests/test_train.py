@@ -326,8 +326,22 @@ class TestRunPhase:
         assert res.final_gate_activation == res.rows[-1]["mean_gate_activation"]
 
     def test_joint_requires_pretrained_weights(self, tmp_path):
-        with pytest.raises(ValueError, match="from-scratch"):
+        with pytest.raises(CheckpointError, match="from-scratch"):
             run_phase(tiny_spec(), tiny_cfg("joint"), tiny_splits(), tmp_path)
+
+    def test_joint_finds_pretrained_checkpoints_in_out_dir(self, tmp_path):
+        spec, splits = tiny_spec(), tiny_splits()
+        for phase in ("pretrain_backbone", "pretrain_gater"):
+            run_phase(spec, tiny_cfg(phase, epochs=1), splits, tmp_path / "found")
+        given = run_phase(
+            spec, tiny_cfg("joint", epochs=1), splits, tmp_path / "given",
+            backbone_ckpt=tmp_path / "found" / "pretrain_backbone.ckpt",
+            gater_ckpt=tmp_path / "found" / "pretrain_gater.ckpt",
+        )
+        found = run_phase(spec, tiny_cfg("joint", epochs=1), splits,
+                          tmp_path / "found")
+        assert (found.checkpoint_path.read_bytes()
+                == given.checkpoint_path.read_bytes())
 
     def test_metrics_csv_schema(self, tmp_path):
         import csv
