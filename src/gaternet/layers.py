@@ -1,22 +1,26 @@
 """CNN building blocks: conv2d, batchnorm, activations, pooling, FC, loss.
 
-conv2d accumulates kernel positions in a fixed sequential order (vectorized
-over batch, output channel and spatial dims). Two consequences this package
-relies on:
+Two convolution kernels compute the same function:
 
-  * a naive scalar-loop convolution that adds terms in the same
-    (in_channel, ki, kj) order produces bit-identical float32 results, so
-    test oracles can compare exactly instead of within a tolerance;
-  * each (sample, output channel) map is computed independently of every
-    other one, so computing a channel subset gives bit-identical values to
-    slicing the full output. The model's eval path, which computes only
-    the gated-on (sample, filter) pairs and skips the input channels a
-    previous gate switched off, depends on this: a skipped term is a
-    product with an exact zero, so for finite values it matches the
-    masked path bit for bit.
+  * conv2d accumulates kernel positions in a fixed sequential order
+    (vectorized over batch, output channel and spatial dims). A naive
+    scalar-loop convolution that adds terms in the same (in_channel, ki,
+    kj) order produces bit-identical float32 results, and each (sample,
+    output channel) map is computed independently of every other one, so
+    computing a channel subset gives bit-identical values to slicing the
+    full output. Eval depends on this: the model's gated eval convs compute
+    only the gated-on (sample, filter) pairs over the live input channels
+    in this same order (a skipped term is a product with an exact zero),
+    and its ungated eval convs are conv2d itself, so eval outputs equal
+    the masked computation bit for bit, and tests can compare exactly.
+  * conv2d_gemm is one im2col GEMM, several times faster, whose sums run
+    in BLAS order: it equals conv2d within float32 rounding, not bit for
+    bit. Training convs use it, since training is checked against finite
+    differences and reruns, never against the loop.
 
-BLAS is only used in backward passes, where gradients are checked against
-finite differences rather than bitwise.
+Both share one backward, whose gradients are BLAS GEMMs over the same
+im2col patches (_extract_patches) and are checked against finite
+differences.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from gaternet.tensor import Array, Tensor, apply_op, sqrt, _stable_sigmoid
 
@@ -144,42 +147,76 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
                 out += tmp
     if p.bias is not None:
         out += p.bias.data.reshape(1, c_out, 1, 1)
+    return apply_op(out, _conv_parents(x, p), _conv_backward(x, p, oh, ow))
 
-    parents = (x, p.filters) if p.bias is None else (x, p.filters, p.bias)
+
+def conv2d_gemm(x: Tensor, p: Conv2dParams) -> Tensor:
+    """conv2d as filters @ im2col patches, then bias; equal to conv2d within
+    float32 rounding (see module docstring). The patches are dropped before
+    returning, and backward builds them again."""
+    oh, ow = conv_output_hw(x.shape, p)
+    n = x.shape[0]
+    c_out, _, kh, kw = p.filters.shape
+    patches = _extract_patches(x.data, kh, kw, p.stride, p.padding, oh, ow)
+    flat = p.filters.data.reshape(c_out, -1) @ patches
+    del patches
+    out = flat.reshape(c_out, n, oh, ow).transpose(1, 0, 2, 3).copy()
+    if p.bias is not None:
+        out += p.bias.data.reshape(1, c_out, 1, 1)
+    return apply_op(out, _conv_parents(x, p), _conv_backward(x, p, oh, ow))
+
+
+def _conv_parents(x: Tensor, p: Conv2dParams) -> tuple[Tensor, ...]:
+    return (x, p.filters) if p.bias is None else (x, p.filters, p.bias)
+
+
+def _conv_backward(x: Tensor, p: Conv2dParams, oh: int, ow: int):
+    """The backward closure of conv2d and conv2d_gemm: both gradients are
+    GEMMs against the [C*kh*kw, N*oh*ow] patch layout."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = p.filters.shape
+    s, pad = p.stride, p.padding
+    wdat = p.filters.data
 
     def backward(g: Array) -> None:
-        g_flat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
+        g_flat = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
         if p.filters.requires_grad:
-            dw = g_flat.T @ patches
-            p.filters._accumulate(dw.reshape(c_out, c_in, kh, kw))
+            patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
+            p.filters._accumulate((g_flat @ patches.T).reshape(c_out, c_in, kh, kw))
+            del patches
         if x.requires_grad:
-            dpatch = (g_flat @ wdat.reshape(c_out, -1)).reshape(
-                n, oh, ow, c_in, kh, kw
+            dpatch = (wdat.reshape(c_out, -1).T @ g_flat).reshape(
+                c_in, kh, kw, n, oh, ow
             )
-            dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+            dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
             for ki in range(kh):
                 for kj in range(kw):
                     dxp[:, :, ki : ki + s * oh : s, kj : kj + s * ow : s] += (
-                        dpatch[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                        dpatch[:, ki, kj]
                     )
-            x._accumulate(
-                dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-            )
+            x._accumulate(dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3))
         if p.bias is not None and p.bias.requires_grad:
             p.bias._accumulate(g.sum(axis=(0, 2, 3)))
 
-    return apply_op(out, parents, backward)
+    return backward
 
 
 def _extract_patches(
     x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int
 ) -> Array:
-    """im2col: [N, C, H, W] -> [N*oh*ow, C*kh*kw], minor order (c, ki, kj)."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    v = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return v.transpose(0, 2, 3, 1, 4, 5).reshape(-1, x.shape[1] * kh * kw)
+    """im2col: [N, C, H, W] -> [C*kh*kw, N*oh*ow], rows in (c, ki, kj) order
+    and columns in (n, i, j) order, one strided slice copy per kernel
+    offset out of a padded [C, N, H, W] copy of x."""
+    n, c, h, w = x.shape
+    xt = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xt[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, ki, kj] = xt[
+                :, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride
+            ]
+    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
 def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:

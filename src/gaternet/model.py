@@ -12,7 +12,8 @@ conv computes only the (sample, filter) pairs whose gate is nonzero, each
 over the input channels the previous gated layer left on
 (_conv_on_pairs), then batchnorm, relu and the gate multiply as in
 training. The result equals the masked path bit for bit for finite values;
-conv_macs counts the multiply-adds saved.
+conv_macs counts the multiply-adds saved. A training forward runs every
+conv, gated or not, as one im2col GEMM (layers.conv2d_gemm).
 
 The bottleneck keeps the head at (h + c) * b weights instead of the h * c
 a single FC layer would need.
@@ -32,6 +33,7 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
+    conv2d_gemm,
     conv_out_size,
     conv_output_hw,
     fully_connected,
@@ -314,10 +316,16 @@ def gated_conv_forward(
 
     live is [N, in_channels], 0 where the previous gated layer switched an
     input channel off (its maps are all zero), or None when every input
-    channel is live. Every gated eval conv is _conv_on_pairs, which computes
-    only the (sample, filter) pairs with a nonzero gate over their live
-    input channels and records no graph (eval runs under tensor.no_grad).
-    Off pairs end up multiplied by exactly 0, so for finite values the
+    channel is live.
+
+    The conv kernel depends on the mode (see layers' module docstring):
+    every training conv is conv2d_gemm, equal to the loop within float32
+    rounding, whose gated-off channels are still exactly 0 after the gate
+    multiply. Every ungated eval conv is the bit-exact loop conv2d, and
+    every gated eval conv is _conv_on_pairs, which computes only the
+    (sample, filter) pairs with a nonzero gate over their live input
+    channels and records no graph (eval runs under tensor.no_grad). Off
+    pairs end up multiplied by exactly 0, so for finite values the eval
     result equals the masked path bit for bit, binary gates or not.
     """
     if gates is not None:
@@ -333,7 +341,9 @@ def gated_conv_forward(
                 f"live shape {live.shape} does not match (batch, in_channels) "
                 f"({n}, {p.in_channels})"
             )
-    if gates is None or training:
+    if training:
+        y = conv2d_gemm(x, p)
+    elif gates is None:
         y = conv2d(x, p)
     else:
         y = Tensor(_conv_on_pairs(x.data, p, gates.data, live))

@@ -348,13 +348,17 @@ def run_phase(
             backbone_ckpt = out_dir / "pretrain_backbone.ckpt"
         if gater_ckpt is None and (out_dir / "pretrain_gater.ckpt").is_file():
             gater_ckpt = out_dir / "pretrain_gater.ckpt"
-        if backbone_ckpt is None or gater_ckpt is None:
+        missing = [
+            f"--{flag}-ckpt / pretrain_{flag}.ckpt"
+            for flag, ckpt in (("backbone", backbone_ckpt), ("gater", gater_ckpt))
+            if ckpt is None
+        ]
+        if missing:
             raise CheckpointError(
                 "joint training initializes from the two pretraining "
-                "checkpoints; none were given and none were found in "
-                f"{out_dir}. Run the pretrain-backbone and pretrain-gater "
-                "phases first, pass --backbone-ckpt/--gater-ckpt, or use "
-                "--from-scratch."
+                f"checkpoints; missing (neither given nor found in {out_dir}): "
+                f"{', '.join(missing)}. Run the pretraining phases first, pass "
+                "--backbone-ckpt/--gater-ckpt, or use --from-scratch."
             )
         restore(model, backbone_ckpt, ("backbone",))
         restore(model, gater_ckpt, ("gater",))

@@ -31,6 +31,7 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
+    conv2d_gemm,
     fully_connected,
     global_avg_pool,
     relu,
@@ -110,6 +111,14 @@ def _op_cases(seed: int):
         p = Conv2dParams(filters=w_conv, bias=None, stride=1, padding=1)
         return (conv2d(x, p) * conv_mix).sum()
 
+    def gemm_of_w(w):
+        p = Conv2dParams(filters=w, bias=None, stride=1, padding=1)
+        return (conv2d_gemm(x_conv, p) * conv_mix).sum()
+
+    def gemm_of_x(x):
+        p = Conv2dParams(filters=w_conv, bias=None, stride=1, padding=1)
+        return (conv2d_gemm(x, p) * conv_mix).sum()
+
     bn_gamma = Tensor(f32(4) * 0.2 + 1.0)
     bn_beta = Tensor(f32(4) * 0.2)
     bn_x = Tensor(f32(3, 4, 2, 2))
@@ -139,6 +148,8 @@ def _op_cases(seed: int):
     return [
         ("conv2d/weights", conv_of_w, w_conv, None),
         ("conv2d/input", conv_of_x, x_conv, None),
+        ("conv2d_gemm/weights", gemm_of_w, w_conv, None),
+        ("conv2d_gemm/input", gemm_of_x, x_conv, None),
         ("batchnorm/input",
          lambda t: (batchnorm(t, bn_params(bn_gamma, bn_beta), True)
                     * bn_mix).sum(), bn_x, None),

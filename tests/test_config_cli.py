@@ -414,6 +414,26 @@ class TestCli:
         assert "pretrain" in err and "--from-scratch" in err
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("given", ["backbone", "gater"])
+    def test_joint_names_only_the_missing_pretrain(self, tmp_path, capsys, given):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        phase = f"pretrain-{given}"
+        assert main(["train", "--config", cfg_path, "--phase", phase]) == 0
+        ckpt = str(tmp_path / "run" / f"pretrain_{given}.ckpt")
+        doc = base_config(tmp_path)
+        doc["out_dir"] = str(tmp_path / "fresh")
+        fresh = write_config(tmp_path, doc, "fresh.json")
+        capsys.readouterr()
+        assert main(["train", "--config", fresh, "--phase", "joint",
+                     f"--{given}-ckpt", ckpt]) == 3
+        err = capsys.readouterr().err
+        other = "gater" if given == "backbone" else "backbone"
+        assert err.startswith("checkpoint error:")
+        assert (f"missing (neither given nor found in {tmp_path / 'fresh'}): "
+                f"--{other}-ckpt / pretrain_{other}.ckpt.") in err
+        assert f"pretrain_{given}.ckpt" not in err
+        assert not (tmp_path / "fresh").exists()
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         doc = base_config(tmp_path)
         doc["typo"] = 1

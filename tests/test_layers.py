@@ -4,13 +4,15 @@ The conv oracle is a scalar six-loop accumulating in the same
 (in_channel, kernel_row, kernel_col) order the implementation commits to,
 so equality is asserted bit-for-bit, not within tolerance. Value-level
 cross-checks against scipy run in float64 as a second, structurally
-unrelated route.
+unrelated route. The training kernel conv2d_gemm sums in BLAS order, so
+it is checked against conv2d within float32 rounding.
 """
 
 import numpy as np
 import pytest
 import scipy.signal
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from gaternet.layers import (
     BatchNormParams,
@@ -18,6 +20,7 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
+    conv2d_gemm,
     fully_connected,
     global_avg_pool,
     relu,
@@ -151,6 +154,53 @@ class TestConv2d:
             p.filters) < 1e-6
         assert grad_check(
             lambda t: conv2d(x, Conv2dParams(p.filters, t, 2, 1)).sum(),
+            p.bias) < 1e-6
+
+
+class TestConv2dGemm:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from([0, 1]), bias=st.booleans(),
+           n=st.integers(1, 6), c_in=st.integers(1, 6), c_out=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_within_rounding(self, kernel, stride, padding, bias,
+                                          n, c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(max(kernel - 2 * padding, 1), 10, size=2)
+        x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+        p = _conv_params(c_out, c_in, kernel, seed=seed, stride=stride,
+                         padding=padding, bias=bias)
+        got = conv2d_gemm(Tensor(x), p).data
+        want = conv2d(Tensor(x), p).data
+        assert got.shape == want.shape
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_same_input_gives_identical_bits(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 5, 9, 9)).astype(np.float32)
+        mix = Tensor(rng.standard_normal((8, 6, 5, 5)).astype(np.float32))
+        runs = []
+        for _ in range(2):
+            p = _conv_params(6, 5, 3, seed=13, stride=2)
+            xt = Tensor(x.copy(), requires_grad=True)
+            y = conv2d_gemm(xt, p)
+            (y * mix).sum().backward()
+            runs.append([a.tobytes() for a in (y.data, xt.grad, p.filters.grad,
+                                               p.bias.grad)])
+        assert runs[0] == runs[1]
+
+    def test_gradients(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        p = _conv_params(4, 3, 3, seed=15, stride=2, dtype=np.float64)
+        assert grad_check(
+            lambda t: (conv2d_gemm(t, p) * conv2d_gemm(t, p)).sum(), x) < 1e-6
+        assert grad_check(
+            lambda t: (conv2d_gemm(x, Conv2dParams(t, p.bias, 2, 1)) * 3.0).sum(),
+            p.filters) < 1e-6
+        assert grad_check(
+            lambda t: conv2d_gemm(x, Conv2dParams(p.filters, t, 2, 1)).sum(),
             p.bias) < 1e-6
 
 

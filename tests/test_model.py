@@ -16,6 +16,7 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
+    conv2d_gemm,
     fully_connected,
     relu,
 )
@@ -302,24 +303,33 @@ def _selective_train_reference(x, p, bn, gates):
 
 
 class TestMaskedVsSelective:
-    @pytest.mark.parametrize("training,with_bn", [
-        (False, True), (False, False), (True, True), (True, False),
-    ])
+    # Eval only: training convs are the GEMM kernel, which matches the
+    # loop-order reference within float32 rounding (next test), not bitwise.
+    @pytest.mark.parametrize("training,with_bn", [(False, True), (False, False)])
     def test_masked_equals_skip_path_bitwise(self, training, with_bn,
                                              monkeypatch):
         x, p, bn = _conv_setup(8, seed=42, with_bn=with_bn)
         rng = np.random.default_rng(7)
         gates = (rng.random((4, 8)) < 0.5).astype(np.float32)
-        # fresh running stats: training-mode batchnorm mutates them
         _, _, bn2 = _conv_setup(8, seed=42, with_bn=with_bn)
-        if training:
-            masked = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), True).data
-            skipped = _selective_train_reference(x, p, bn2, gates)
-        else:
-            masked = masked_reference(x, p, bn, gates)
-            monkeypatch.setattr(model_mod, "conv2d", no_dense)
-            skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), False).data
+        masked = masked_reference(x, p, bn, gates)
+        monkeypatch.setattr(model_mod, "conv2d", no_dense)
+        skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), training).data
         assert np.array_equal(masked, skipped)
+
+    @pytest.mark.parametrize("with_bn", [True, False])
+    def test_training_matches_skip_reference(self, with_bn):
+        # Gated-off channels are exactly 0; gated-on ones match the
+        # loop-order reference within float32 rounding.
+        for seed in range(20):
+            x, p, bn = _conv_setup(8, seed=100 + seed, with_bn=with_bn)
+            gates = (np.random.default_rng(seed).random((4, 8)) < 0.5).astype(
+                np.float32)
+            want = _selective_train_reference(x, p, bn, gates)
+            got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), True).data
+            off = np.broadcast_to(gates[:, :, None, None] == 0, got.shape)
+            assert np.all(got[off] == 0)
+            np.testing.assert_allclose(got[~off], want[~off], rtol=1e-5, atol=1e-5)
 
     def test_all_on_equals_ungated_bitwise(self):
         x, p, bn = _conv_setup(8, seed=43)
@@ -499,6 +509,23 @@ def test_eval_forward_equals_masked_forward_bitwise():
     assert pairs.call_count == 4, "every gated conv should skip at ~50% on"
     assert np.array_equal(bundle.selected.data, want_gates)
     assert logits.data.tobytes() == want_logits.tobytes()
+
+
+def test_conv_kernel_follows_mode():
+    # training: every conv (gater, gated and ungated backbone) is the GEMM;
+    # eval: ungated convs are the loop, gated ones the pair kernel
+    x = np.random.default_rng(12).standard_normal((8, 3, 8, 8)).astype(np.float32)
+    model = _half_gated_model(_skip_spec(), x)
+    with mock.patch.object(model_mod, "conv2d", wraps=conv2d) as loop, \
+            mock.patch.object(model_mod, "conv2d_gemm", wraps=conv2d_gemm) as gemm, \
+            mock.patch.object(model_mod, "_conv_on_pairs",
+                              wraps=model_mod._conv_on_pairs) as pairs:
+        logits, _ = model.forward(Tensor(x), training=True,
+                                  rng=np.random.default_rng(0))
+        logits.sum().backward()
+        assert (loop.call_count, gemm.call_count, pairs.call_count) == (0, 6, 0)
+        model.forward(Tensor(x), training=False)
+        assert (loop.call_count, gemm.call_count, pairs.call_count) == (2, 6, 4)
 
 
 def _brute_force_macs(spec, gates):
