@@ -7,13 +7,11 @@ average pooling). The gater's pooled features go through a bottleneck head
 gated backbone filters; those scores are binarized (see semhash) and each
 gated conv's post-activation channels are multiplied by their gate.
 
-An eval forward runs under tensor.no_grad and records no graph. A gated
-conv computes only the (sample, filter) pairs whose gate is nonzero, each
-over the input channels the previous gated layer left on
-(_conv_on_pairs), then batchnorm, relu and the gate multiply as in
-training. The result equals the masked path bit for bit for finite values;
-conv_macs counts the multiply-adds saved. A training forward runs every
-conv, gated or not, as one im2col GEMM (layers.conv2d_gemm).
+Every conv, gated or not, in training and in eval, is one im2col GEMM
+(layers.conv2d); a gated conv then multiplies each post-relu channel by
+its gate, so gating picks filters and saves no FLOPs. conv_macs counts
+the multiply-adds that gating multiplies by zero. An eval forward runs
+under tensor.no_grad and records no graph.
 
 The bottleneck keeps the head at (h + c) * b weights instead of the h * c
 a single FC layer would need.
@@ -33,9 +31,7 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
-    conv2d_gemm,
     conv_out_size,
-    conv_output_hw,
     fully_connected,
     global_avg_pool,
     relu,
@@ -305,28 +301,15 @@ def gated_conv_forward(
     bn: BatchNormParams | None,
     gates: Tensor | None,
     training: bool,
-    live: Array | None = None,
 ) -> Tensor:
     """conv -> (batchnorm) -> relu, then per-channel gate multiply.
 
     gates is [N, out_channels], or None for an ungated conv; binary gates
     switch channels fully on or off, soft gates (the training-time alpha
-    branch) scale them. An all-on gate row reproduces the ungated layer bit
-    for bit because multiplying by 1.0 is exact.
-
-    live is [N, in_channels], 0 where the previous gated layer switched an
-    input channel off (its maps are all zero), or None when every input
-    channel is live.
-
-    The conv kernel depends on the mode (see layers' module docstring):
-    every training conv is conv2d_gemm, equal to the loop within float32
-    rounding, whose gated-off channels are still exactly 0 after the gate
-    multiply. Every ungated eval conv is the bit-exact loop conv2d, and
-    every gated eval conv is _conv_on_pairs, which computes only the
-    (sample, filter) pairs with a nonzero gate over their live input
-    channels and records no graph (eval runs under tensor.no_grad). Off
-    pairs end up multiplied by exactly 0, so for finite values the eval
-    result equals the masked path bit for bit, binary gates or not.
+    branch) scale them. The conv is conv2d in both modes, so the result is
+    relu(bn(conv2d(x))) * gates bit for bit, a gated-off channel is
+    exactly 0, and an all-on gate row reproduces the ungated layer bit for
+    bit because multiplying by 1.0 is exact.
     """
     if gates is not None:
         n, ch = gates.shape
@@ -336,17 +319,7 @@ def gated_conv_forward(
             )
         if x.shape[0] != n:
             raise ValueError(f"gate batch {n} does not match input batch {x.shape[0]}")
-        if live is not None and live.shape != (n, p.in_channels):
-            raise ValueError(
-                f"live shape {live.shape} does not match (batch, in_channels) "
-                f"({n}, {p.in_channels})"
-            )
-    if training:
-        y = conv2d_gemm(x, p)
-    elif gates is None:
-        y = conv2d(x, p)
-    else:
-        y = Tensor(_conv_on_pairs(x.data, p, gates.data, live))
+    y = conv2d(x, p)
     if bn is not None:
         y = batchnorm(y, bn, training)
     y = relu(y)
@@ -362,13 +335,14 @@ def live_after(layer: LayerSpec, gates: Array | None,
 
 
 def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
-    """Conv MACs of a dense gated forward over len(gates) samples (gater and
-    backbone), and how many of them gating switches off.
+    """Conv MACs of a gated forward over len(gates) samples (gater and
+    backbone), and how many of them gating multiplies by zero.
 
     gates is the [N, c] binary eval gate matrix. A backbone (sample, out,
     in) triple is off when its gate is 0 or its input channel is not live
-    (live_after), the triples _conv_on_pairs skips; each triple costs
-    kernel^2 x output-map MACs.
+    (live_after); each triple costs kernel^2 x output-map MACs. Every conv
+    still computes its off triples, so the second number is a count, not
+    a measured saving.
     """
     n = len(gates)
     gate_map = build_gate_map(spec)
@@ -393,55 +367,6 @@ def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
                     off += (dense - on) * triple
             live = live_after(layer, g, live)
     return total, off
-
-
-def _conv_on_pairs(x: Array, p: Conv2dParams, gates: Array,
-                   live: Array | None) -> Array:
-    """conv2d's output for the (sample, filter) pairs whose gate is
-    nonzero, and the bias alone (+0.0 without one) for every other pair.
-
-    Each pair adds the (ic, ki, kj) terms of conv2d in conv2d's order, but
-    only for input channels live for its sample. A skipped term is
-    w * (+-0.0) = +-0.0, and an accumulator that starts at +0.0 never turns
-    -0.0, so skipping it changes no bit. The bias is added as conv2d adds
-    it, so each computed map is bit-identical to conv2d's.
-    """
-    oh, ow = conv_output_hw(x.shape, p)
-    n, c_in = x.shape[:2]
-    c_out, _, kh, kw = p.filters.shape
-    s, pad = p.stride, p.padding
-    out = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
-    ns, os_ = np.nonzero(gates)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    wdat = p.filters.data
-    acc = np.zeros((ns.size, oh, ow), dtype=x.dtype)
-    for ic in range(c_in):
-        rows = None
-        if live is not None:
-            rows = np.flatnonzero(live[ns, ic])
-            if rows.size == 0:
-                continue
-            if rows.size == ns.size:
-                rows = None
-        samples, filters, part = (ns, os_, acc) if rows is None else (
-            ns[rows], os_[rows], acc[rows])
-        maps = np.take(xp[:, ic], samples, axis=0)
-        wts = wdat[filters, ic]
-        tmp = np.empty_like(part)
-        for ki in range(kh):
-            for kj in range(kw):
-                np.multiply(
-                    wts[:, ki, kj, None, None],
-                    maps[:, ki : ki + s * oh : s, kj : kj + s * ow : s],
-                    out=tmp,
-                )
-                part += tmp
-        if rows is not None:
-            acc[rows] = part
-    out[ns, os_] = acc
-    if p.bias is not None:
-        out += p.bias.data.reshape(1, c_out, 1, 1)
-    return out
 
 
 class GaterNet:
@@ -491,15 +416,11 @@ class GaterNet:
         """Walk one stack, reading each layer's parameters by name.
 
         selected holds every gate of the backbone ([N, c]); gated convs take
-        their slice of it, and without it they run ungated. Each gated conv
-        also gets the gates of the previous gated layer as its live input
-        channels (see live_after).
+        their slice of it, and without it they run ungated.
         """
         h = x
-        live = None
         for i, layer in enumerate(layers):
             name = f"{prefix}.{i}"
-            gates = None
             if layer.kind == "conv":
                 conv = Conv2dParams(
                     filters=self.params[f"{name}.filters"],
@@ -508,10 +429,11 @@ class GaterNet:
                     padding=layer.padding,
                 )
                 bn = self._bn(f"{name}.bn") if layer.batchnorm else None
+                gates = None
                 if layer.gated and selected is not None:
                     lo, hi = self.gate_map.slices[i]
                     gates = selected[:, lo:hi]
-                h = gated_conv_forward(h, conv, bn, gates, training, live)
+                h = gated_conv_forward(h, conv, bn, gates, training)
             elif layer.kind == "pool":
                 h = avg_pool2d(h, layer.window)
             else:
@@ -521,7 +443,6 @@ class GaterNet:
                 h = fully_connected(h, w, self.params[f"{name}.b"])
                 if i < len(layers) - 1:
                     h = relu(h)
-            live = live_after(layer, None if gates is None else gates.data, live)
         return h
 
     def gater_features(self, x: Tensor, training: bool) -> Tensor:

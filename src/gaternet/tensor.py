@@ -196,17 +196,6 @@ class Tensor:
 
         return apply_op(a.data / b.data, (a, b), backward)
 
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        a = self
-
-        def backward(g: Array) -> None:
-            a._accumulate(-g)
-
-        return apply_op(-a.data, (a,), backward)
-
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             other = self._lift(other)

@@ -2,8 +2,9 @@
 
 A finite-difference gradient checker, the gradient-routing proof for the
 sparsity penalty, the parameter count behind the bottleneck-head claim,
-the masked eval conv from layers primitives, and an rng stand-in that
-pins every training sample to one discretizer branch.
+the exact loop convolution that layers.conv2d is checked against, the
+masked gated conv from layers primitives, and an rng stand-in that pins
+every training sample to one discretizer branch.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from gaternet.layers import batchnorm, conv2d, relu
+from gaternet.layers import Conv2dParams, batchnorm, conv2d, conv_output_hw, relu
 from gaternet.model import GaterNet
 from gaternet.tensor import Array, Tensor
 from gaternet.train import l1_gate_penalty
@@ -192,14 +193,40 @@ class PinnedBranchRng:
         return np.full(size, self._coin)
 
 
+def loop_conv2d(x: Array, p: Conv2dParams) -> Array:
+    """The exact reference convolution over [N, C, H, W] input: for each
+    (ic, ki, kj) in that order, one product with every output position,
+    added to the accumulator, then the bias. A scalar loop adding terms in
+    the same order gives the same float32 bits, and each (sample, output
+    channel) map is computed independently of every other one."""
+    oh, ow = conv_output_hw(x.shape, p)
+    n, c_in = x.shape[:2]
+    c_out, _, kh, kw = p.filters.shape
+    s, pad = p.stride, p.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    wdat = p.filters.data
+    out = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
+    tmp = np.empty_like(out)
+    for ic in range(c_in):
+        for ki in range(kh):
+            for kj in range(kw):
+                window = xp[:, ic, ki : ki + s * oh : s, kj : kj + s * ow : s]
+                np.multiply(
+                    wdat[:, ic, ki, kj].reshape(1, c_out, 1, 1),
+                    window[:, None, :, :],
+                    out=tmp,
+                )
+                out += tmp
+    if p.bias is not None:
+        out += p.bias.data.reshape(1, c_out, 1, 1)
+    return out
+
+
 def masked_reference(x, p, bn, gates):
-    """The masked eval path from layers primitives: relu(bn(conv2d(x))) * g."""
+    """The masked gated conv from layers primitives, in eval mode:
+    relu(bn(conv2d(x))) * g."""
     y = conv2d(Tensor(x), p)
     if bn is not None:
         y = batchnorm(y, bn, False)
     n, c = gates.shape
     return (relu(y) * Tensor(gates).reshape(n, c, 1, 1)).data
-
-
-def no_dense(*args):
-    raise AssertionError("the eval skip path must not call conv2d")

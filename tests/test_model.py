@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gaternet.model as model_mod
 import gaternet.semhash as semhash_mod
@@ -16,7 +16,6 @@ from gaternet.layers import (
     avg_pool2d,
     batchnorm,
     conv2d,
-    conv2d_gemm,
     fully_connected,
     relu,
 )
@@ -34,7 +33,7 @@ from gaternet.model import (
     validate_spec,
 )
 from gaternet.tensor import Tensor
-from oracles import masked_reference, no_dense, param_count
+from oracles import masked_reference, param_count
 
 
 def small_spec(gated=True, gater=True) -> ModelSpec:
@@ -303,17 +302,15 @@ def _selective_train_reference(x, p, bn, gates):
 
 
 class TestMaskedVsSelective:
-    # Eval only: training convs are the GEMM kernel, which matches the
-    # loop-order reference within float32 rounding (next test), not bitwise.
+    # Eval only: masked_reference is eval-mode batchnorm; the training path
+    # is checked against the loop-order reference in the next test.
     @pytest.mark.parametrize("training,with_bn", [(False, True), (False, False)])
-    def test_masked_equals_skip_path_bitwise(self, training, with_bn,
-                                             monkeypatch):
+    def test_masked_equals_skip_path_bitwise(self, training, with_bn):
         x, p, bn = _conv_setup(8, seed=42, with_bn=with_bn)
         rng = np.random.default_rng(7)
         gates = (rng.random((4, 8)) < 0.5).astype(np.float32)
         _, _, bn2 = _conv_setup(8, seed=42, with_bn=with_bn)
         masked = masked_reference(x, p, bn, gates)
-        monkeypatch.setattr(model_mod, "conv2d", no_dense)
         skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), training).data
         assert np.array_equal(masked, skipped)
 
@@ -354,13 +351,6 @@ class TestMaskedVsSelective:
             gated_conv_forward(Tensor(x), p, bn,
                                Tensor(np.ones((3, 4), np.float32)), False)
 
-    def test_live_shape_validation(self):
-        x, p, bn = _conv_setup(4, seed=46)
-        with pytest.raises(ValueError, match="live shape"):
-            gated_conv_forward(Tensor(x), p, bn,
-                               Tensor(np.ones((4, 4), np.float32)), False,
-                               np.ones((4, 2), np.float32))
-
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape,message", [
         ((2, 2, 5, 5), "conv2d channel mismatch: input has 2 channels, "
@@ -370,16 +360,12 @@ class TestMaskedVsSelective:
                        "stride 1, padding 0"),
     ], ids=["channels", "3-D", "kernel-too-large"])
     def test_bad_input_fails_alike_on_both_paths(self, training, shape,
-                                                 message, monkeypatch):
-        # sparse binary gates, so eval takes the skip path, which must check
-        # its input as conv2d does on the training path
+                                                 message):
         _, p, bn = _conv_setup(4, seed=47)
         p.padding = 0
         x = np.ones(shape, np.float32)
         gates = np.zeros((2, 4), np.float32)
         gates[0, 0] = gates[1, 1] = 1.0
-        if not training:
-            monkeypatch.setattr(model_mod, "conv2d", no_dense)
         with pytest.raises(ValueError, match=f"^{message}$"):
             gated_conv_forward(Tensor(x), p, bn, Tensor(gates), training)
 
@@ -391,11 +377,10 @@ class TestMaskedVsSelective:
     def test_skip_path_matches_masked_reference(self, side, kernel, stride,
                                                 padding, with_bn, soft, seed):
         # The production eval path against relu(bn(conv2d(x))) * g, with
-        # sparse and near-dense gates (live triples below and above 3/4),
-        # an all-on and an all-off gate row, and input channels zeroed the
-        # way a previous gated layer leaves them. Both take the pair kernel,
-        # and so do soft gates and soft live channels: on values drawn
-        # from {0.25, 0.5, 1}.
+        # sparse ("skip") and near-dense ("dense") gates, an all-on and an all-off gate row,
+        # input channels zeroed the way a previous gated layer leaves them,
+        # and soft gates and soft live channels: on values drawn from
+        # {0.25, 0.5, 1}.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 13))
         c_in, c_out = int(rng.integers(1, 6)), int(rng.integers(1, 7))
@@ -422,14 +407,8 @@ class TestMaskedVsSelective:
             running_mean=rng.standard_normal(c_out).astype(np.float32),
             running_var=rng.uniform(0.5, 2.0, c_out).astype(np.float32),
         ) if with_bn else None
-        frac = (np.count_nonzero(gates, 1) * np.count_nonzero(live, 1)).sum() / (
-            n * c_out * c_in)
-        assume((frac <= 3 / 4) == (side == "skip"))
-
         want = masked_reference(x, p, bn, gates)
-        with mock.patch.object(model_mod, "conv2d", wraps=conv2d) as dense:
-            got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), False, live)
-        assert dense.call_count == 0
+        got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), False)
         assert got.data.dtype == want.dtype
         assert got.data.tobytes() == want.tobytes()
 
@@ -503,29 +482,22 @@ def test_eval_forward_equals_masked_forward_bitwise():
     model = _half_gated_model(_skip_spec(), x)
     want_logits, want_gates = _masked_forward(model, x)
     assert 0.3 < want_gates.mean() < 0.7
-    with mock.patch.object(model_mod, "_conv_on_pairs",
-                           wraps=model_mod._conv_on_pairs) as pairs:
-        logits, bundle = model.forward(Tensor(x), training=False)
-    assert pairs.call_count == 4, "every gated conv should skip at ~50% on"
+    logits, bundle = model.forward(Tensor(x), training=False)
     assert np.array_equal(bundle.selected.data, want_gates)
     assert logits.data.tobytes() == want_logits.tobytes()
 
 
 def test_conv_kernel_follows_mode():
-    # training: every conv (gater, gated and ungated backbone) is the GEMM;
-    # eval: ungated convs are the loop, gated ones the pair kernel
+    # every conv (gater, gated and ungated backbone) is conv2d in both modes
     x = np.random.default_rng(12).standard_normal((8, 3, 8, 8)).astype(np.float32)
     model = _half_gated_model(_skip_spec(), x)
-    with mock.patch.object(model_mod, "conv2d", wraps=conv2d) as loop, \
-            mock.patch.object(model_mod, "conv2d_gemm", wraps=conv2d_gemm) as gemm, \
-            mock.patch.object(model_mod, "_conv_on_pairs",
-                              wraps=model_mod._conv_on_pairs) as pairs:
+    with mock.patch.object(model_mod, "conv2d", wraps=conv2d) as conv:
         logits, _ = model.forward(Tensor(x), training=True,
                                   rng=np.random.default_rng(0))
         logits.sum().backward()
-        assert (loop.call_count, gemm.call_count, pairs.call_count) == (0, 6, 0)
+        assert conv.call_count == 6
         model.forward(Tensor(x), training=False)
-        assert (loop.call_count, gemm.call_count, pairs.call_count) == (2, 6, 4)
+        assert conv.call_count == 12
 
 
 def _brute_force_macs(spec, gates):
