@@ -48,6 +48,22 @@ def _resolve_out_dir(flag: str | None, cfg: RunConfig) -> Path:
     return Path(cfg.out_dir)
 
 
+def _out_path(path: str | Path, what: str, want_dir: bool) -> Path:
+    """path, once nothing on it blocks a write: where it exists it is a
+    directory exactly when want_dir, and its nearest existing ancestor is a
+    directory. Checked before any work, so a bad path costs no run."""
+    path = Path(path)
+    if path.exists():
+        if path.is_dir() != want_dir:
+            raise ConfigError(f"{what} {path} "
+                              f"{'is not' if want_dir else 'is'} a directory")
+        return path
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise ConfigError(f"{what} {path}: {parent} is not a directory")
+    return path
+
+
 def _effective_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -57,7 +73,8 @@ def _effective_config(args) -> RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _effective_config(args)
-    out_dir = _resolve_out_dir(args.out_dir, cfg)
+    out_dir = _out_path(_resolve_out_dir(args.out_dir, cfg), "output directory",
+                        want_dir=True)
     phase = _PHASE_FLAG[args.phase]
     splits = load_dataset(cfg.dataset, cfg.seed)
 
@@ -78,6 +95,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _effective_config(args)
+    if args.dump_gates:
+        _out_path(args.dump_gates, "--dump-gates", want_dir=False)
     model, phase = load_model(cfg.model, args.ckpt)
     if args.dump_gates and (phase != "joint" or not cfg.model.gated_filter_total):
         raise CheckpointError(
@@ -112,6 +131,7 @@ def cmd_analyze(args) -> int:
     # --out as it was
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    out = _out_path(args.out, "--out", want_dir=True)
     gate_log = load_gate_log(args.gatelog)
     n, c = gate_log.num_samples, gate_log.num_gates
     if n == 0 or c == 0:
@@ -122,7 +142,6 @@ def cmd_analyze(args) -> int:
     if not 1 <= pca_k <= min(n, c):
         raise ConfigError(f"--pca-k must be in [1, {min(n, c)}] for {n} samples "
                           f"x {c} gates, got {pca_k}")
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     tax = classify_gates(gate_log)

@@ -72,6 +72,12 @@ class _Section:
                 f"{self.where}.{key} must be {name}, got {value!r}"
             ) from e
 
+    def given(self, fields: dict) -> dict:
+        """{key: value} for each key of fields the section holds, checked as
+        type fields[key]; an absent key is left to the dataclass default."""
+        return {key: self.take(key, want=want)
+                for key, want in fields.items() if key in self.raw}
+
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self.taken)
         if unknown:
@@ -90,9 +96,7 @@ def _parse_layer(raw: dict, where: str) -> LayerSpec:
     }.get(kind)
     if fields is None:
         raise ConfigError(f"{where}: unknown layer kind {kind!r}")
-    for name, want in fields.items():
-        if name in sec.raw:
-            kwargs[name] = sec.take(name, want=want)
+    kwargs.update(sec.given(fields))
     sec.finish()
     try:
         return LayerSpec(**kwargs)
@@ -128,20 +132,15 @@ def _parse_model(raw: dict) -> ModelSpec:
 def _parse_dataset(raw: dict, base_dir: Path) -> DatasetDescriptor:
     sec = _Section(raw, "dataset")
     kind = sec.take("kind", want=str)
-    common = {
-        "mean": sec.take("mean", [0.0, 0.0, 0.0], [float]),
-        "std": sec.take("std", [1.0, 1.0, 1.0], [float]),
-        "random_crop": sec.take("random_crop", False, bool),
-        "mirror": sec.take("mirror", False, bool),
-    }
+    common = sec.given({"mean": [float], "std": [float], "random_crop": bool,
+                        "mirror": bool})
     if kind == "synthetic":
         desc = dict(
             kind=kind,
             num_classes=sec.take("num_classes", want=int),
             train_size=sec.take("train_size", want=int),
             eval_size=sec.take("eval_size", want=int),
-            image_size=sec.take("image_size", 16, int),
-            noise=sec.take("noise", 0.25, float),
+            **sec.given({"image_size": int, "noise": float}),
             **common,
         )
     elif kind == "cifar10":
@@ -207,13 +206,11 @@ def _parse_train(raw: dict, seed: int) -> dict[str, TrainConfig]:
         raise ConfigError(f"unknown key {unknown[0]!r} in train.phases")
     shared = {
         "batch_size": sec.take("batch_size", want=int),
-        "momentum": sec.take("momentum", 0.9, float),
-        "weight_decay": sec.take("weight_decay", 0.0, float),
-        "lambda_": sec.take("lambda", 0.1, float),
-        "reg_reduction": sec.take("reg_reduction", "mean", str),
-        "dropout_start": sec.take("dropout_start", 0.0, float),
-        "dropout_end": sec.take("dropout_end", 0.05, float),
+        **sec.given({"momentum": float, "weight_decay": float, "lambda": float,
+                     "dropout_start": float, "dropout_end": float}),
     }
+    if "lambda" in shared:  # a Python keyword, so the field is lambda_
+        shared["lambda_"] = shared.pop("lambda")
     sec.finish()
     phases = {}
     for name in PHASES:

@@ -40,29 +40,28 @@ class Conv2dParams:
         return self.filters.shape[0]
 
 
+# batchnorm's running-average momentum and its variance epsilon
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormParams:
     """Per-channel scale and shift plus running statistics.
 
     gamma and beta are trainable; running_mean and running_var are plain
-    arrays updated in place by an exponential moving average with the given
-    momentum (running <- momentum * running + (1 - momentum) * batch).
-    Batch variance is the biased (1/m) estimate, both for normalization and
-    for the running average.
+    arrays updated in place by an exponential moving average with momentum
+    BN_MOMENTUM (running <- m * running + (1 - m) * batch). Batch variance
+    is the biased (1/m) estimate, both for normalization and for the
+    running average.
     """
 
     gamma: Tensor
     beta: Tensor
     running_mean: Array
     running_var: Array
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         n = self.gamma.shape[0]
         for name, v in (("beta", self.beta.data), ("running_mean", self.running_mean),
                         ("running_var", self.running_var)):
@@ -198,17 +197,17 @@ def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
         mu = x.mean(axis=axes, keepdims=True)
         diff = x - mu
         var = (diff * diff).mean(axis=axes, keepdims=True)
-        xhat = diff / sqrt(var + p.eps)
+        xhat = diff / sqrt(var + BN_EPS)
         out = gamma * xhat + beta
 
-        m = p.momentum
+        m = BN_MOMENTUM
         p.running_mean[...] = m * p.running_mean + (1.0 - m) * mu.data.reshape(-1)
         p.running_var[...] = m * p.running_var + (1.0 - m) * var.data.reshape(-1)
         return out
 
     rm = Tensor(p.running_mean.reshape(pshape).astype(x.dtype, copy=False))
     denom = Tensor(
-        np.sqrt(p.running_var.reshape(pshape).astype(x.dtype, copy=False) + p.eps)
+        np.sqrt(p.running_var.reshape(pshape).astype(x.dtype, copy=False) + BN_EPS)
     )
     xhat = (x - rm) / denom
     return gamma * xhat + beta

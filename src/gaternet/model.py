@@ -326,21 +326,13 @@ def gated_conv_forward(
     return y if gates is None else y * gates.reshape(n, ch, 1, 1)
 
 
-def live_after(layer: LayerSpec, gates: Array | None,
-               live: Array | None) -> Array | None:
-    """Live input channels of the layer after this one: a gated conv's gates
-    ([N, filters], 0 = switched off), kept through pools, cleared (None, all
-    live) by an ungated conv or an fc."""
-    return live if layer.kind == "pool" else gates
-
-
 def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
     """Conv MACs of a gated forward over len(gates) samples (gater and
     backbone), and how many of them gating multiplies by zero.
 
     gates is the [N, c] binary eval gate matrix. A backbone (sample, out,
-    in) triple is off when its gate is 0 or its input channel is not live
-    (live_after); each triple costs kernel^2 x output-map MACs. Every conv
+    in) triple is off when its gate is 0 or its input channel is not live;
+    each triple costs kernel^2 x output-map MACs. Every conv
     still computes its off triples, so the second number is a count, not
     a measured saving.
     """
@@ -365,7 +357,11 @@ def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
                     live_in = c_in if live is None else np.count_nonzero(live, axis=1)
                     on = int((np.count_nonzero(g, axis=1) * live_in).sum())
                     off += (dense - on) * triple
-            live = live_after(layer, g, live)
+            # Live input channels of the next layer: a gated conv's gates
+            # ([N, filters], 0 = switched off), kept through pools, cleared
+            # (None, all live) by an ungated conv or an fc.
+            if layer.kind != "pool":
+                live = g
     return total, off
 
 

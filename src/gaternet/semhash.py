@@ -128,34 +128,6 @@ def semhash_forward(
     )
 
 
-@dataclass(frozen=True)
-class GateDropoutSchedule:
-    """Linear ramp of the gate-dropout rate over a training run."""
-
-    start_rate: float
-    end_rate: float
-    total_steps: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.start_rate <= self.end_rate < 1.0:
-            raise ValueError(
-                f"need 0 <= start <= end < 1, got start={self.start_rate}, "
-                f"end={self.end_rate}"
-            )
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-
-
-def dropout_rate_at(schedule: GateDropoutSchedule, step: int) -> float:
-    """Rate at an optimizer step; clamps to end_rate past the schedule."""
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    if step >= schedule.total_steps:
-        return schedule.end_rate
-    frac = step / schedule.total_steps
-    return schedule.start_rate + (schedule.end_rate - schedule.start_rate) * frac
-
-
 def gate_dropout(
     selected: Tensor, rate: float, rng: np.random.Generator
 ) -> Tensor:

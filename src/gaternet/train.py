@@ -30,7 +30,6 @@ from gaternet.persist import (
     save_checkpoint,
     write_csv,
 )
-from gaternet.semhash import GateDropoutSchedule, dropout_rate_at
 from gaternet.tensor import Array, Tensor, assert_all_finite, no_grad
 
 log = logging.getLogger(__name__)
@@ -50,7 +49,8 @@ METRIC_COLUMNS = (
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one phase of training."""
+    """Hyperparameters for one phase of training: the one copy of each
+    default, and the lr and gate-dropout schedules a run follows."""
 
     phase: str
     epochs: int
@@ -62,7 +62,6 @@ class TrainConfig:
     seed: int = 0
     dropout_start: float = 0.0
     dropout_end: float = 0.05
-    reg_reduction: str = "mean"
 
     def __post_init__(self):
         object.__setattr__(
@@ -81,16 +80,44 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.reg_reduction not in ("mean", "sum"):
-            raise ValueError(
-                f"reg_reduction must be mean or sum, got {self.reg_reduction!r}"
-            )
         if not 0.0 <= self.dropout_start <= self.dropout_end < 1.0:
             raise ValueError(
                 f"need 0 <= dropout_start <= dropout_end < 1, got "
                 f"start={self.dropout_start}, end={self.dropout_end}"
             )
-        lr_at(self.lr_schedule, 0)  # validates shape and the epoch-0 anchor
+        epochs = [e for e, _ in self.lr_schedule]
+        if not epochs or epochs[0] != 0:
+            raise ValueError(
+                f"lr_schedule must start at epoch 0: {self.lr_schedule}"
+            )
+        if any(a >= b for a, b in zip(epochs, epochs[1:])):
+            raise ValueError(
+                f"lr_schedule breakpoints must strictly increase: {self.lr_schedule}"
+            )
+        if any(lr <= 0 for _, lr in self.lr_schedule):
+            raise ValueError(f"learning rates must be positive: {self.lr_schedule}")
+
+    def lr(self, epoch: int) -> float:
+        """Piecewise-constant: the rate of the last breakpoint <= epoch."""
+        if epoch < 0:
+            raise ValueError(f"epoch must be >= 0, got {epoch}")
+        return next(lr for e, lr in reversed(self.lr_schedule) if e <= epoch)
+
+    def dropout_rate(self, step: int, steps_per_epoch: int) -> float:
+        """Gate-dropout rate at an optimizer step: 0.0 outside joint; in
+        joint a linear ramp from dropout_start at step 0 to exactly
+        dropout_end at the run's final step, then clamped there."""
+        if step < 0:
+            raise ValueError(f"step must be >= 0, got {step}")
+        if self.phase != "joint":
+            return 0.0
+        # Steps are numbered 0..E*S-1, so a span of E*S-1 puts the ramp's
+        # exact dropout_end on the run's final optimizer step.
+        span = max(1, self.epochs * steps_per_epoch - 1)
+        if step >= span:
+            return self.dropout_end
+        frac = step / span
+        return self.dropout_start + (self.dropout_end - self.dropout_start) * frac
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -98,38 +125,15 @@ class TrainConfig:
         return d
 
 
-def lr_at(schedule, epoch: int) -> float:
-    """Piecewise-constant lookup: the rate of the last breakpoint <= epoch."""
-    schedule = tuple(schedule)
-    if not schedule:
-        raise ValueError("lr_schedule must not be empty")
-    epochs = [e for e, _ in schedule]
-    if epochs != sorted(epochs) or len(set(epochs)) != len(epochs):
-        raise ValueError(f"lr_schedule breakpoints must strictly increase: {schedule}")
-    if any(lr <= 0 for _, lr in schedule):
-        raise ValueError(f"learning rates must be positive: {schedule}")
-    if epoch < schedule[0][0]:
-        raise ValueError(
-            f"epoch {epoch} precedes the first lr breakpoint {schedule[0][0]}"
-        )
-    current = schedule[0][1]
-    for e, lr in schedule:
-        if e <= epoch:
-            current = lr
-    return current
-
-
-def l1_gate_penalty(selected: Tensor, lambda_: float, reduction: str = "mean") -> Tensor:
+def l1_gate_penalty(selected: Tensor, lambda_: float) -> Tensor:
     """lambda * mean_batch(||g||_1 / c); gates are nonnegative, so the L1
-    norm is a plain sum. "sum" reduction adds per-sample penalties instead
-    of averaging them."""
+    norm is a plain sum."""
     if lambda_ < 0:
         raise ValueError(f"lambda must be >= 0, got {lambda_}")
     n, c = selected.shape
     if c < 1:
         raise ValueError("penalty needs at least one gate")
-    scale = lambda_ / (n * c) if reduction == "mean" else lambda_ / c
-    return selected.sum() * scale
+    return selected.sum() * (lambda_ / (n * c))
 
 
 def total_loss(
@@ -137,7 +141,6 @@ def total_loss(
     labels,
     selected_gates: Tensor | None,
     lambda_: float,
-    reduction: str = "mean",
 ) -> Tensor:
     """Cross entropy plus the sparse-gate penalty.
 
@@ -153,7 +156,7 @@ def total_loss(
             f"gate batch {selected_gates.shape[0]} does not match logits batch "
             f"{logits.shape[0]}"
         )
-    return ce + l1_gate_penalty(selected_gates, lambda_, reduction)
+    return ce + l1_gate_penalty(selected_gates, lambda_)
 
 
 def sgd_step(
@@ -266,15 +269,16 @@ def _state(model: GaterNet, opt: SGD | None = None) -> dict[str, Array]:
 
 def restore(model: GaterNet, ckpt_path: str | Path,
             prefixes: tuple[str, ...] | None = None,
-            opt: SGD | None = None) -> dict:
+            opt: SGD | None = None, require: dict | None = None) -> dict:
     """Copy checkpoint tensors into the model, in place; returns the metadata.
 
     Refuses a container that is not a training checkpoint (meta format 1
-    and a known phase) or was saved for another model spec. Targets the
-    names of _state(model, opt) under prefixes (all of them when prefixes
-    is None; opt.* names are under "opt"). Each target must be present in
-    the checkpoint with its exact shape and dtype; tensors the checkpoint
-    holds beyond the targets are ignored.
+    and a known phase), was saved for another model spec, or whose
+    metadata differs from any key: value of require, all before any tensor
+    is copied. Targets the names of _state(model, opt) under prefixes (all
+    of them when prefixes is None; opt.* names are under "opt"). Each
+    target must be present in the checkpoint with its exact shape and
+    dtype; tensors the checkpoint holds beyond the targets are ignored.
     """
     tensors, meta = load_checkpoint(ckpt_path)
     if meta.get("format") != 1 or meta.get("phase") not in PHASES:
@@ -286,6 +290,12 @@ def restore(model: GaterNet, ckpt_path: str | Path,
             f"{ckpt_path}: model spec hash mismatch "
             f"(checkpoint {meta.get('spec_hash')}, current {spec_hash})"
         )
+    for key, want in (require or {}).items():
+        if meta.get(key) != want:
+            raise CheckpointError(
+                f"{ckpt_path}: {key} mismatch "
+                f"(checkpoint {meta.get(key)}, requested {want})"
+            )
     targets = _state(model, opt)
     if prefixes is not None:
         targets = {k: v for k, v in targets.items()
@@ -315,10 +325,6 @@ def load_model(spec: ModelSpec, ckpt_path: str | Path) -> tuple[GaterNet, str]:
         model = GaterNet(spec, include_probe=True)
         restore(model, ckpt_path)
     return model, phase
-
-
-def _save_state(path: Path, model: GaterNet, opt: SGD, meta: dict) -> None:
-    save_checkpoint(path, _state(model, opt), meta)
 
 
 def run_phase(
@@ -371,17 +377,8 @@ def run_phase(
     step = 0
     rows: list[dict] = []
     if resume_ckpt is not None:
-        meta = restore(model, resume_ckpt, opt=opt)
-        if meta.get("train_config_hash") != cfg_hash:
-            raise CheckpointError(
-                f"{resume_ckpt}: train config hash mismatch "
-                f"(checkpoint {meta.get('train_config_hash')}, current {cfg_hash})"
-            )
-        if meta.get("phase") != phase:
-            raise CheckpointError(
-                f"{resume_ckpt}: phase mismatch (checkpoint {meta.get('phase')}, "
-                f"requested {phase})"
-            )
+        meta = restore(model, resume_ckpt, opt=opt, require={
+            "phase": phase, "train_config_hash": cfg_hash})
         for key, kind in (("epochs_done", int), ("step", int), ("metrics_rows", list)):
             if key not in meta:
                 raise CheckpointError(f"{resume_ckpt}: metadata lacks {key!r}")
@@ -414,13 +411,6 @@ def run_phase(
                 f"{start_epoch * steps_per_epoch} ({steps_per_epoch} per epoch)"
             )
 
-    # Steps are numbered 0..E*S-1, so a span of E*S-1 puts the ramp's exact
-    # end_rate on the run's final optimizer step.
-    dropout_sched = GateDropoutSchedule(
-        cfg.dropout_start, cfg.dropout_end,
-        max(1, cfg.epochs * steps_per_epoch - 1),
-    ) if phase == "joint" else None
-
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{phase}.ckpt"
     metrics_path = out_dir / f"metrics_{phase}.csv"
@@ -428,7 +418,7 @@ def run_phase(
     n_train = len(splits.train_x)
     for epoch in range(start_epoch, cfg.epochs):
         rng = _epoch_rng(cfg.seed, phase, epoch)
-        lr = lr_at(cfg.lr_schedule, epoch)
+        lr = cfg.lr(epoch)
         order = rng.permutation(n_train)
         losses = []
         for lo in range(0, n_train, cfg.batch_size):
@@ -438,9 +428,9 @@ def run_phase(
                 for i in range(len(xb)):
                     xb[i] = augment(xb[i], rng, desc.random_crop, desc.mirror)
             yb = splits.train_y[idx]
-            rate = dropout_rate_at(dropout_sched, step) if dropout_sched else 0.0
+            rate = cfg.dropout_rate(step, steps_per_epoch)
             logits, gates = phase_forward(model, phase, Tensor(xb), True, rng, rate)
-            loss = total_loss(logits, yb, gates, cfg.lambda_, cfg.reg_reduction)
+            loss = total_loss(logits, yb, gates, cfg.lambda_)
             assert_all_finite(loss, f"{phase} loss at step {step}")
             opt.zero_grad()
             loss.backward()
@@ -452,7 +442,7 @@ def run_phase(
                                           splits.eval_y, cfg.batch_size)
         # gates are forced on while the backbone pretrains
         gate_field = 1.0 if phase == "pretrain_backbone" else mean_gate
-        last_rate = dropout_rate_at(dropout_sched, step - 1) if dropout_sched else 0.0
+        last_rate = cfg.dropout_rate(step - 1, steps_per_epoch)
         rows.append({
             "epoch": epoch, "phase": phase, "train_loss": train_loss,
             "eval_acc": eval_acc,
@@ -460,7 +450,7 @@ def run_phase(
             "lr": lr, "dropout_rate": last_rate,
         })
         write_csv(metrics_path, METRIC_COLUMNS, rows)
-        _save_state(ckpt_path, model, opt, {
+        save_checkpoint(ckpt_path, _state(model, opt), {
             "format": 1, "phase": phase, "epochs_done": epoch + 1, "step": step,
             "seed": cfg.seed, "spec_hash": spec_hash,
             "train_config_hash": cfg_hash, "metrics_rows": rows,

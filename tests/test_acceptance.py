@@ -45,8 +45,6 @@ from gaternet.model import (
 )
 from gaternet.persist import load_checkpoint
 from gaternet.semhash import (
-    GateDropoutSchedule,
-    dropout_rate_at,
     gate_dropout,
     saturating_sigmoid,
     semhash_forward,
@@ -652,10 +650,13 @@ def test_criterion_09_persistence(tmp_path):
 
 
 def test_criterion_10_scheduled_dropout(tmp_path):
-    sched = GateDropoutSchedule(start_rate=0.0, end_rate=0.05, total_steps=40)
-    assert dropout_rate_at(sched, 0) == 0.0
-    assert dropout_rate_at(sched, 40) == 0.05  # exact, not approximate
-    assert dropout_rate_at(sched, 20) == pytest.approx(0.025)
+    # 41 epochs of 1 step each: the final step is 40
+    sched = TrainConfig("joint", epochs=41, batch_size=1,
+                        lr_schedule=((0, 0.05),), dropout_start=0.0,
+                        dropout_end=0.05)
+    assert sched.dropout_rate(0, 1) == 0.0
+    assert sched.dropout_rate(40, 1) == 0.05  # exact, not approximate
+    assert sched.dropout_rate(20, 1) == pytest.approx(0.025)
 
     # a real run's metrics land on the anchors: 0.0 start, 0.05 final step
     spec = small_gated_spec()

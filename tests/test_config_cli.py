@@ -25,11 +25,11 @@ SYNTHETIC_SMALL = (Path(__file__).resolve().parent.parent / "configs"
 # a change here stops every saved run of this config from resuming
 SYNTHETIC_SMALL_HASHES = {
     "pretrain_backbone":
-        "5a8d003dc8003af93c89431a38da2a847f35bc7ce52033bdb66b2955b8cbe4c4",
+        "ff49476193676e1df573eccea7d9b5c32f7ea0b5485343b2c835e48d4ccd627f",
     "pretrain_gater":
-        "fa2e2fbe9439b9b3e7d7eec4c7ce417591083535c9fde834c592f4074e4c9a9f",
+        "22ebf29bdf89bf2084296943ae8a39ce3858e5496da655eb265936115c4a1217",
     "joint":
-        "431100665211921983a639a1a9dfba1ec75cb7845770a6ec9d1d4bd81409d5a3",
+        "b607097c0e389a423fd8764bfcb30bce7591e47b0acf1520a790d49dd26d0d4f",
 }
 
 
@@ -79,7 +79,6 @@ TYPED_KEYS = [
     (("model", "backbone", 1, "window"), int),
     (("train", "batch_size"), int),
     (("train", "momentum"), float),
-    (("train", "reg_reduction"), str),
     (("train", "phases", "joint", "epochs"), int),
 ]
 _NOT_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -284,7 +283,6 @@ class TestLoadConfig:
                 seed=doc["seed"],
                 dropout_start=train["dropout_start"],
                 dropout_end=train["dropout_end"],
-                reg_reduction="mean",  # the default; the file leaves it out
             )
             got = cfg.make_phase_config(phase)
             assert got == want, phase
@@ -357,8 +355,11 @@ class TestCli:
         assert np.array_equal(log.filter_ids, gate_map.filter_ids)
 
         an_dir = tmp_path / "analysis"
-        assert main(["analyze", "--gatelog", gatelog,
-                     "--out", str(an_dir), "--bins", "8"]) == 0
+        # every eval image fires the same gates, so the usage vectors'
+        # principal components past the first have no variance to carry
+        with pytest.warns(UserWarning, match="rank 0"):
+            assert main(["analyze", "--gatelog", gatelog,
+                         "--out", str(an_dir), "--bins", "8"]) == 0
         for name in ("taxonomy.csv", "layer_distribution.csv",
                      "on_count_histogram.csv", "fired_count_histogram.csv",
                      "usage_vectors.csv"):
@@ -441,6 +442,37 @@ class TestCli:
         assert main(["train", "--config", cfg_path,
                      "--phase", "pretrain-backbone"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+        # the knob that chose a summed gate penalty is gone
+        doc = base_config(tmp_path)
+        doc["train"]["reg_reduction"] = "mean"
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg_path,
+                     "--phase", "pretrain-backbone"]) == 2
+        assert (capsys.readouterr().err
+                == "config error: unknown key 'reg_reduction' in train\n")
+
+        # an output path that cannot be written is refused before any work
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        for argv, path in [
+            (["train", "--config", cfg_path, "--phase", "pretrain-backbone",
+              "--out-dir", str(a_file)], a_file),
+            (["analyze", "--gatelog", str(tmp_path / "absent.glog"),
+              "--out", str(a_file)], a_file),
+            (["analyze", "--gatelog", str(tmp_path / "absent.glog"),
+              "--out", str(a_file / "sub")], a_file / "sub"),
+            (["eval", "--config", cfg_path, "--ckpt", str(tmp_path / "absent.ckpt"),
+              "--dump-gates", str(a_dir)], a_dir),
+        ]:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert err.startswith("config error:") and str(path) in err, argv
+            assert out == ""
+        assert a_file.read_text() == "" and list(a_dir.iterdir()) == []
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
@@ -638,6 +670,21 @@ class TestCli:
                 == (b / "pretrain_backbone.ckpt").read_bytes())
         assert ((a / "metrics_pretrain_backbone.csv").read_bytes()
                 == (b / "metrics_pretrain_backbone.csv").read_bytes())
+
+    def test_resume_from_other_phase_exits_3(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg_path,
+                     "--phase", "pretrain-backbone"]) == 0
+        ckpt = tmp_path / "run" / "pretrain_backbone.ckpt"
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path, "--phase", "joint",
+                     "--resume", str(ckpt)]) == 3
+        out, err = capsys.readouterr()
+        assert err == (f"checkpoint error: {ckpt}: phase mismatch (checkpoint "
+                       f"pretrain_backbone, requested joint)\n")
+        assert out == ""
+        assert ckpt.read_bytes() == before
 
     def test_resume_flag_continues_same_run(self, tmp_path, capsys):
         doc = base_config(tmp_path)

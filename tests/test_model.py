@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import gaternet.model as model_mod
 import gaternet.semhash as semhash_mod
 from gaternet.layers import (
+    BN_EPS,
     BatchNormParams,
     Conv2dParams,
     avg_pool2d,
@@ -290,7 +291,7 @@ def _selective_train_reference(x, p, bn, gates):
     mu = full.mean(axis=(0, 2, 3), keepdims=True)
     diff = full - mu
     var = (diff * diff).mean(axis=(0, 2, 3), keepdims=True)
-    xhat = diff / np.sqrt(var + bn.eps)
+    xhat = diff / np.sqrt(var + BN_EPS)
     y = bn.gamma.data.reshape(1, c_out, 1, 1) * xhat + bn.beta.data.reshape(
         1, c_out, 1, 1
     )

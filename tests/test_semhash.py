@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gaternet.semhash import (
-    GateDropoutSchedule,
-    dropout_rate_at,
     gate_dropout,
     hard_gate,
     saturating_sigmoid,
@@ -22,6 +20,7 @@ from gaternet.semhash import (
     _sat_sigmoid_grad,
 )
 from gaternet.tensor import Tensor
+from gaternet.train import TrainConfig
 from oracles import PinnedBranchRng, grad_check
 
 LN11 = 2.3978952727983707  # ln(11), the exact clip breakpoint
@@ -215,21 +214,19 @@ class TestStraightThrough:
 
 class TestGateDropout:
     def test_schedule_anchors(self):
-        sched = GateDropoutSchedule(0.0, 0.05, 1000)
-        assert dropout_rate_at(sched, 0) == 0.0
-        assert dropout_rate_at(sched, 1000) == 0.05
-        assert dropout_rate_at(sched, 500) == 0.025
-        assert dropout_rate_at(sched, 5000) == 0.05  # clamp past the end
+        # 1001 epochs of 1 step: the ramp's span is the final step, 1000
+        cfg = TrainConfig("joint", epochs=1001, batch_size=1,
+                          lr_schedule=((0, 0.1),), dropout_end=0.05)
+        assert cfg.dropout_rate(0, 1) == 0.0
+        assert cfg.dropout_rate(1000, 1) == 0.05
+        assert cfg.dropout_rate(500, 1) == 0.025
+        assert cfg.dropout_rate(5000, 1) == 0.05  # clamp past the end
         with pytest.raises(ValueError):
-            dropout_rate_at(sched, -1)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            GateDropoutSchedule(0.1, 0.05, 10)   # start > end
-        with pytest.raises(ValueError):
-            GateDropoutSchedule(0.0, 1.0, 10)    # end not < 1
-        with pytest.raises(ValueError):
-            GateDropoutSchedule(0.0, 0.05, 0)    # no steps
+            cfg.dropout_rate(-1, 1)
+        # only the joint phase drops gates
+        pretrain = TrainConfig("pretrain_gater", epochs=1001, batch_size=1,
+                               lr_schedule=((0, 0.1),), dropout_end=0.05)
+        assert pretrain.dropout_rate(1000, 1) == 0.0
 
     def test_rate_zero_is_identity(self):
         t = Tensor(np.ones((4, 6)))

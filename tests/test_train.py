@@ -21,7 +21,6 @@ from gaternet.train import (
     SGD,
     TrainConfig,
     l1_gate_penalty,
-    lr_at,
     run_phase,
     sgd_step,
     total_loss,
@@ -59,17 +58,20 @@ def tiny_cfg(phase, epochs=2, **kw):
 
 class TestLrSchedule:
     def test_piecewise_lookup(self):
-        sched = ((0, 0.1), (5, 0.01), (9, 0.001))
-        assert lr_at(sched, 0) == 0.1
-        assert lr_at(sched, 4) == 0.1
-        assert lr_at(sched, 5) == 0.01
-        assert lr_at(sched, 8) == 0.01
-        assert lr_at(sched, 9) == 0.001
-        assert lr_at(sched, 100) == 0.001
+        cfg = tiny_cfg("joint", lr_schedule=((0, 0.1), (5, 0.01), (9, 0.001)))
+        assert cfg.lr(0) == 0.1
+        assert cfg.lr(4) == 0.1
+        assert cfg.lr(5) == 0.01
+        assert cfg.lr(8) == 0.01
+        assert cfg.lr(9) == 0.001
+        assert cfg.lr(100) == 0.001
+        with pytest.raises(ValueError):
+            cfg.lr(-1)
 
+    # TrainConfig checks the schedule once, so a bad one never reaches lr()
     @pytest.mark.parametrize("sched,epoch", [
         ((), 0),
-        (((5, 0.1), (3, 0.01)), 5),   # not increasing
+        (((0, 0.1), (5, 0.01), (3, 0.001)), 5),  # not increasing
         (((0, 0.1), (0, 0.01)), 0),   # duplicate breakpoint
         (((0, 0.0),), 0),             # nonpositive lr
         (((0, -0.1),), 0),
@@ -77,7 +79,7 @@ class TestLrSchedule:
     ])
     def test_rejects(self, sched, epoch):
         with pytest.raises(ValueError):
-            lr_at(sched, epoch)
+            tiny_cfg("joint", lr_schedule=sched).lr(epoch)
 
 
 class TestTrainConfig:
@@ -101,11 +103,11 @@ class TestTrainConfig:
         {"momentum": -0.1},
         {"weight_decay": -1e-4},
         {"lambda_": -0.1},
-        {"reg_reduction": "max"},
         {"dropout_start": 0.2, "dropout_end": 0.1},
         {"dropout_end": 1.0},
         {"dropout_start": -0.01},
         {"lr_schedule": ((3, 0.1),)},  # no epoch-0 anchor
+        {"lr_schedule": ((-3, 0.1), (1, 0.01))},  # starts before epoch 0
     ])
     def test_rejects(self, kw):
         base = dict(phase="joint", epochs=2, batch_size=16,
@@ -120,10 +122,6 @@ class TestGatePenalty:
         sel = Tensor(np.array([[1, 0, 1], [0, 0, 1]], dtype=np.float32))
         # sum 3 over n=2, c=3: 0.6 * (3 / (2*3)) = 0.3
         assert l1_gate_penalty(sel, 0.6).item() == pytest.approx(0.3)
-
-    def test_sum_reduction_value(self):
-        sel = Tensor(np.array([[1, 0, 1], [0, 0, 1]], dtype=np.float32))
-        assert l1_gate_penalty(sel, 0.6, "sum").item() == pytest.approx(0.6)
 
     def test_rejects(self):
         sel = Tensor(np.ones((2, 3), np.float32))
@@ -371,15 +369,15 @@ class TestRunPhase:
         cfg = tiny_cfg("joint", epochs=3)
         splits = tiny_splits()
 
-        saved = train_mod._save_state
+        saved = train_mod.save_checkpoint
         side = tmp_path / "epoch0.ckpt"
 
-        def keep_first(path, model, opt, meta):
-            saved(path, model, opt, meta)
+        def keep_first(path, tensors, meta):
+            saved(path, tensors, meta)
             if meta["epochs_done"] == 1:
                 shutil.copy(path, side)
 
-        monkeypatch.setattr(train_mod, "_save_state", keep_first)
+        monkeypatch.setattr(train_mod, "save_checkpoint", keep_first)
         full = run_phase(spec, cfg, splits, tmp_path / "full",
                          from_scratch=True)
         monkeypatch.undo()
@@ -423,9 +421,8 @@ class TestRunPhase:
         with pytest.raises(CheckpointError, match="mismatch"):
             run_phase(spec, tiny_cfg("joint", lambda_=0.7), splits, tmp_path,
                       resume_ckpt=done.checkpoint_path)
-        # a different phase also changes the config hash, so any resume
-        # across phases is refused one way or the other
-        with pytest.raises(CheckpointError, match="mismatch"):
+        # the phase is checked before the config hash and before any tensor
+        with pytest.raises(CheckpointError, match="phase mismatch"):
             run_phase(spec, tiny_cfg("pretrain_backbone"), splits, tmp_path,
                       resume_ckpt=done.checkpoint_path)
 
