@@ -18,11 +18,7 @@ from pathlib import Path
 
 from gaternet.data import DataError, DatasetDescriptor
 from gaternet.model import LayerSpec, ModelSpec, validate_spec
-from gaternet.train import PHASES, TrainConfig
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
+from gaternet.train import PHASES, ConfigError, TrainConfig
 
 
 def _require_dict(value, where: str) -> dict:

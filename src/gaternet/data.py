@@ -179,16 +179,16 @@ def pad_crop(image: Array, pad: int, oy: int, ox: int) -> Array:
 
 
 def augment(image: Array, rng: np.random.Generator,
-            random_crop: bool, mirror: bool, pad: int = PAD) -> Array:
+            random_crop: bool, mirror: bool) -> Array:
     """Train-time augmentation for one [C, H, W] image.
 
     Draw order is fixed (crop offsets, then the mirror coin) so a seeded
     rng reproduces the exact same augmented stream.
     """
     if random_crop:
-        oy = int(rng.integers(0, 2 * pad + 1))
-        ox = int(rng.integers(0, 2 * pad + 1))
-        image = pad_crop(image, pad, oy, ox)
+        oy = int(rng.integers(0, 2 * PAD + 1))
+        ox = int(rng.integers(0, 2 * PAD + 1))
+        image = pad_crop(image, PAD, oy, ox)
     if mirror and rng.random() < 0.5:
         image = hflip(image)
     return image

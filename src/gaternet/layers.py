@@ -7,6 +7,11 @@ gives the same bits every time, which is what reruns, save -> load ->
 eval and the masked-vs-gated equivalence rely on. Its backward is two
 GEMMs over the same patches (_extract_patches), checked against finite
 differences.
+
+batchnorm is one op over (x, gamma, beta): training and eval run the same
+normalize expression, over batch or running statistics. Its backward is
+the closed form of Ioffe & Szegedy (2015), checked against finite
+differences.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gaternet.tensor import Array, Tensor, apply_op, sqrt, _stable_sigmoid
+from gaternet.tensor import Array, Tensor, apply_op, _stable_sigmoid
 
 
 @dataclass
@@ -190,27 +195,33 @@ def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
             f"batchnorm channel mismatch: input has {x.shape[1]}, params have "
             f"{p.channels}"
         )
-    gamma = p.gamma.reshape(pshape)
-    beta = p.beta.reshape(pshape)
 
     if training:
-        mu = x.mean(axis=axes, keepdims=True)
-        diff = x - mu
+        mu = x.data.mean(axis=axes, keepdims=True)
+        diff = x.data - mu
         var = (diff * diff).mean(axis=axes, keepdims=True)
-        xhat = diff / sqrt(var + BN_EPS)
-        out = gamma * xhat + beta
-
         m = BN_MOMENTUM
-        p.running_mean[...] = m * p.running_mean + (1.0 - m) * mu.data.reshape(-1)
-        p.running_var[...] = m * p.running_var + (1.0 - m) * var.data.reshape(-1)
-        return out
+        p.running_mean[...] = m * p.running_mean + (1.0 - m) * mu.reshape(-1)
+        p.running_var[...] = m * p.running_var + (1.0 - m) * var.reshape(-1)
+    else:
+        mu = p.running_mean.reshape(pshape).astype(x.dtype, copy=False)
+        var = p.running_var.reshape(pshape).astype(x.dtype, copy=False)
+    std = np.sqrt(var + BN_EPS)
+    xhat = (x.data - mu) / std
+    gamma = p.gamma.data.reshape(pshape)
+    out = gamma * xhat + p.beta.data.reshape(pshape)
 
-    rm = Tensor(p.running_mean.reshape(pshape).astype(x.dtype, copy=False))
-    denom = Tensor(
-        np.sqrt(p.running_var.reshape(pshape).astype(x.dtype, copy=False) + BN_EPS)
-    )
-    xhat = (x - rm) / denom
-    return gamma * xhat + beta
+    def backward(g: Array) -> None:
+        p.gamma._accumulate((g * xhat).sum(axis=axes))
+        p.beta._accumulate(g.sum(axis=axes))
+        if x.requires_grad:
+            gx = g * gamma
+            if training:
+                gx = (gx - gx.mean(axis=axes, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+            x._accumulate(gx / std)
+
+    return apply_op(out, (x, p.gamma, p.beta), backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -115,7 +115,7 @@ def semhash_forward(
     g_beta = hard_gate(g_noisy)
 
     use_beta = rng.random(n) < 0.5
-    mask = Tensor(use_beta[:, None].astype(g_pre.dtype))
+    mask = use_beta[:, None].astype(g_pre.dtype)
     selected = g_beta * mask + g_alpha * (1.0 - mask)
     return GateBundle(
         g_pre=g_pre,

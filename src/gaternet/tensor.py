@@ -158,20 +158,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._lift(other)
-        _check_broadcast(self.shape, other.shape)
-        a, b = self, other
-
-        def backward(g: Array) -> None:
-            a._accumulate(_unbroadcast(g, a.shape))
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-        return apply_op(a.data - b.data, (a, b), backward)
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
     def __mul__(self, other):
         other = self._lift(other)
         _check_broadcast(self.shape, other.shape)
@@ -184,17 +170,6 @@ class Tensor:
         return apply_op(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        _check_broadcast(self.shape, other.shape)
-        a, b = self, other
-
-        def backward(g: Array) -> None:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return apply_op(a.data / b.data, (a, b), backward)
 
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
@@ -304,15 +279,6 @@ def apply_op(
         out._parents = parents
         out._backward_fn = backward_fn
     return out
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out_data = np.sqrt(x.data)
-
-    def backward(g: Array) -> None:
-        x._accumulate(g * (0.5 / out_data))
-
-    return apply_op(out_data, (x,), backward)
 
 
 def assert_all_finite(x, where: str = "tensor") -> None:

@@ -34,6 +34,11 @@ from gaternet.tensor import Array, Tensor, assert_all_finite, no_grad
 
 log = logging.getLogger(__name__)
 
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent run configuration."""
+
+
 PHASES = ("pretrain_backbone", "pretrain_gater", "joint")
 _PHASE_TAG = {name: i + 1 for i, name in enumerate(PHASES)}
 _TRAINED_PREFIXES = {
@@ -341,10 +346,23 @@ def run_phase(
 
     The metrics CSV and checkpoint are rewritten atomically per epoch, so
     an interrupted run leaves the previous epoch's files intact and can be
-    resumed with resume_ckpt.
+    resumed with resume_ckpt. backbone_ckpt, gater_ckpt and from_scratch
+    act only in the joint phase without resume_ckpt, and the checkpoints
+    not with from_scratch; one given where it cannot act raises
+    ConfigError before any work.
     """
     out_dir = Path(out_dir)
     phase = cfg.phase
+    ckpts = [flag for flag, path in (("--backbone-ckpt", backbone_ckpt),
+                                     ("--gater-ckpt", gater_ckpt)) if path is not None]
+    if phase != "joint" or resume_ckpt is not None:
+        unused = ckpts + (["--from-scratch"] if from_scratch else [])
+        why = "--resume" if phase == "joint" else f"the {phase} phase"
+    else:
+        unused = ckpts if from_scratch else []
+        why = "--from-scratch"
+    if unused:
+        raise ConfigError(f"{', '.join(unused)} cannot take effect with {why}")
     spec_hash = dict_hash(spec_to_dict(spec))
     cfg_hash = dict_hash(cfg.to_dict())
 

@@ -474,6 +474,24 @@ class TestCli:
             assert out == ""
         assert a_file.read_text() == "" and list(a_dir.iterdir()) == []
 
+        # a flag that cannot take effect is refused before any work, even
+        # where the checkpoints it names do not exist
+        absent = str(tmp_path / "absent.ckpt")
+        for flags, named in [
+            (["--phase", "pretrain-backbone", "--backbone-ckpt", absent],
+             "--backbone-ckpt"),
+            (["--phase", "pretrain-gater", "--from-scratch"], "--from-scratch"),
+            (["--phase", "joint", "--from-scratch", "--gater-ckpt", absent],
+             "--gater-ckpt"),
+            (["--phase", "joint", "--resume", str(tmp_path / "joint.ckpt"),
+              "--backbone-ckpt", absent], "--backbone-ckpt"),
+        ]:
+            assert main(["train", "--config", cfg_path, *flags]) == 2, flags
+            out, err = capsys.readouterr()
+            assert err.startswith(f"config error: {named} cannot take effect"), flags
+            assert out == ""
+            assert not (tmp_path / "run").exists()
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["eval", "--config", cfg_path,

@@ -218,7 +218,7 @@ class TestBatchNorm:
         var = (diff * diff).mean(axis=(0, 2, 3), keepdims=True)  # biased
         xhat = diff / np.sqrt(var + np.float32(BN_EPS))
         want = p.gamma.data.reshape(1, 3, 1, 1) * xhat + p.beta.data.reshape(1, 3, 1, 1)
-        assert np.allclose(got, want, atol=1e-6)
+        assert np.array_equal(got, want)
         assert got.dtype == np.float32
 
     def test_train_output_is_normalized(self):
@@ -255,7 +255,7 @@ class TestBatchNorm:
             rv.reshape(1, 2, 1, 1) + np.float32(BN_EPS))
         want = (p.gamma.data.reshape(1, 2, 1, 1) * xhat
                 + p.beta.data.reshape(1, 2, 1, 1))
-        assert np.allclose(got, want, atol=1e-6)
+        assert np.array_equal(got, want)
         assert np.array_equal(p.running_mean, rm)
         assert np.array_equal(p.running_var, rv)
 
@@ -270,21 +270,42 @@ class TestBatchNorm:
                 + p.beta.data)
         assert np.allclose(y, want, atol=1e-6)
 
-    def test_gradients_train_mode(self):
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.standard_normal((5, 3, 4, 4)), requires_grad=True)
-        p = self._params(3, dtype=np.float64, seed=7)
-        f = lambda t: (batchnorm(t, p, True) * batchnorm(t, p, True)).mean()
-        # EMA side effects do not affect the differentiated value
-        assert grad_check(f, x) < 1e-6
-        assert grad_check(
-            lambda t: (batchnorm(
-                x, BatchNormParams(t, p.beta, p.running_mean, p.running_var),
-                True) * 2.0).sum(), p.gamma) < 1e-6
-        assert grad_check(
-            lambda t: (batchnorm(
-                x, BatchNormParams(p.gamma, t, p.running_mean, p.running_var),
-                True) * 3.0).sum(), p.beta) < 1e-6
+    @settings(max_examples=40, deadline=None)
+    @given(four_d=st.booleans(), training=st.booleans(), n=st.integers(2, 5),
+           c=st.integers(1, 3), hw=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_gradients_both_modes(self, four_d, training, n, c, hw, seed):
+        # every branch of the closed-form backward: 2-D and 4-D input, batch
+        # or running statistics
+        rng = np.random.default_rng(seed)
+        shape = (n, c, hw, hw) if four_d else (n, c)
+        axes = (0, 2, 3) if four_d else (0,)
+        # unit spread per channel keeps the batch variance well away from 0,
+        # where finite differences lose their accuracy
+        raw = rng.standard_normal(shape)
+        x = Tensor((raw - raw.mean(axis=axes, keepdims=True))
+                   / raw.std(axis=axes, keepdims=True))
+        p = self._params(c, dtype=np.float64, seed=seed + 1)
+        p.running_mean[...] = rng.standard_normal(c)
+        p.running_var[...] = rng.uniform(0.5, 2.0, c)
+        mix = Tensor(rng.standard_normal(shape))
+
+        def loss(x, gamma, beta):
+            # in training the EMA side effect does not reach the value
+            bn = BatchNormParams(gamma, beta, p.running_mean, p.running_var)
+            return (batchnorm(x, bn, training) * mix).sum()
+
+        assert grad_check(lambda t: loss(t, p.gamma, p.beta), x) < 1e-6
+        assert grad_check(lambda t: loss(x, t, p.beta), p.gamma) < 1e-6
+        assert grad_check(lambda t: loss(x, p.gamma, t), p.beta) < 1e-6
+
+    def test_one_graph_node_over_x_gamma_beta(self):
+        x = Tensor(np.random.default_rng(8).standard_normal((4, 3, 2, 2)),
+                   requires_grad=True)
+        p = self._params(3, dtype=np.float64)
+        for training in (True, False):
+            y = batchnorm(x, p, training)
+            assert y._parents == (x, p.gamma, p.beta)
 
     def test_validation(self):
         with pytest.raises(ValueError):

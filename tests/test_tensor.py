@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaternet.tensor import Tensor, apply_op, assert_all_finite, no_grad, sqrt
+from gaternet.tensor import Tensor, apply_op, assert_all_finite, no_grad
 from oracles import grad_check
 
 
@@ -23,15 +23,11 @@ class TestForward:
         b = Tensor(np.array([3.0, 4.0]))
         assert np.array_equal((a + b).data, [4.0, 6.0])
         assert np.array_equal((a * b).data, [3.0, 8.0])
-        assert np.array_equal((a - b).data, [-2.0, -2.0])
-        assert np.array_equal((a / b).data, [1 / 3, 0.5])
 
     def test_scalar_operands_promote(self):
         a = Tensor(np.array([1.0, 2.0], dtype=np.float32))
         assert np.array_equal((2.0 * a).data, [2.0, 4.0])
-        assert np.array_equal((1.0 - a).data, [0.0, -1.0])
         assert np.array_equal((a + 1).data, [2.0, 3.0])
-        assert np.array_equal((a / 2.0).data, [0.5, 1.0])
 
     def test_int_input_becomes_float32(self):
         t = Tensor(np.array([1, 2, 3]))
@@ -108,9 +104,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("op", [
         lambda a, b: (a + b).sum(),
-        lambda a, b: (a - b).sum(),
         lambda a, b: (a * b).sum(),
-        lambda a, b: (a / (b * b + 1.0)).sum(),
     ])
     def test_binary_op_grads(self, op):
         a = Tensor(_f64(3, 4, seed=1), requires_grad=True)
@@ -137,11 +131,10 @@ class TestBackward:
         assert grad_check(lambda t: (t.mean(axis=0) * t.mean(axis=0)).sum(), x) < 1e-6
         assert grad_check(lambda t: t.sum(axis=1, keepdims=True).mean(), x) < 1e-6
 
-    def test_neg_reshape_getitem_sqrt_grads(self):
+    def test_reshape_getitem_grads(self):
         x = Tensor(np.abs(_f64(4, 4, seed=9)) + 0.5, requires_grad=True)
         assert grad_check(lambda t: t.reshape(2, 8).mean(), x) < 1e-6
         assert grad_check(lambda t: (t[1:3] * t[1:3]).sum(), x) < 1e-6
-        assert grad_check(lambda t: sqrt(t).sum(), x) < 1e-6
 
     def test_getitem_overlapping_rows_accumulate(self):
         x = Tensor(np.ones(3), requires_grad=True)
