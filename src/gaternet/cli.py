@@ -32,7 +32,7 @@ from gaternet.config import ConfigError, RunConfig, load_config
 from gaternet.data import DataError, load_dataset, load_eval_split
 from gaternet.model import conv_macs
 from gaternet.persist import CheckpointError
-from gaternet.train import PHASES, evaluate, load_model, run_phase
+from gaternet.train import PHASES, evaluate, load_model, run_phase, start_checkpoints
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +76,9 @@ def cmd_train(args) -> int:
     out_dir = _out_path(_resolve_out_dir(args.out_dir, cfg), "output directory",
                         want_dir=True)
     phase = _PHASE_FLAG[args.phase]
+    # refuse the flags before the dataset is built; run_phase checks again
+    start_checkpoints(phase, out_dir, args.backbone_ckpt, args.gater_ckpt,
+                      args.resume, args.from_scratch)
     splits = load_dataset(cfg.dataset, cfg.seed)
 
     result = run_phase(

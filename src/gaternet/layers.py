@@ -5,8 +5,8 @@ in eval alike. It equals a scalar loop convolution (tests/oracles.py's
 loop_conv2d) within float32 rounding, not bit for bit; for one input it
 gives the same bits every time, which is what reruns, save -> load ->
 eval and the masked-vs-gated equivalence rely on. Its backward is two
-GEMMs over the same patches (_extract_patches), checked against finite
-differences.
+GEMMs, one of them over the patches (_extract_patches) that a training
+forward keeps for it, checked against finite differences.
 
 batchnorm is one op over (x, gamma, beta): training and eval run the same
 normalize expression, over batch or running statistics. Its backward is
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gaternet.tensor import Array, Tensor, apply_op, _stable_sigmoid
+from gaternet.tensor import Array, Tensor, apply_op, recording, _stable_sigmoid
 
 
 @dataclass
@@ -106,50 +106,59 @@ def conv_output_hw(shape: tuple, p: Conv2dParams) -> tuple[int, int]:
     return oh, ow
 
 
-# The forward builds its im2col patches over blocks of at most this many
-# samples, because the patch matrix is kh*kw times the size of its input.
-# Where no backward follows (eval), that matrix sets the process's peak
-# memory: on a 64-image gated eval of the synthetic_small model, peak RSS
-# rose 17% with full-batch patches and 9% with 32-sample blocks, and
-# stayed within 1% with 16, at no cost in time. The backward keeps
-# full-batch patches.
+# Where no backward can follow (eval, under no_grad), the forward builds
+# its im2col patches over blocks of at most this many samples, because the
+# patch matrix is kh*kw times the size of its input and sets the process's
+# peak memory: on a 64-image gated eval of the synthetic_small model, peak
+# RSS rose 17% with full-batch patches and 9% with 32-sample blocks, and
+# stayed within 1% with 16, at no cost in time. A training forward builds
+# full-batch patches once and keeps them for the filters' gradient.
 FORWARD_BLOCK = 16
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """2-D convolution (cross-correlation) over [N, C, H, W] input: filters
     @ im2col patches, then bias, in BLAS summation order (see module
-    docstring). Both gradients are GEMMs against the patches of the whole
-    batch, which backward builds again."""
+    docstring). Both gradients are GEMMs over the whole batch. When the
+    filters need a gradient and a graph is being recorded, the forward
+    builds the whole batch's patches once and the backward reuses them for
+    the filters' gradient, then drops them (a second backward over the same
+    graph builds them again)."""
     oh, ow = conv_output_hw(x.shape, p)
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = p.filters.shape
     s, pad = p.stride, p.padding
     w_flat = p.filters.data.reshape(c_out, -1)
+    keep = p.filters.requires_grad and recording()
+    block = max(n, 1) if keep else FORWARD_BLOCK
+    kept = None  # the whole batch's patches, while backward may need them
     out = np.empty((n, c_out, oh, ow), dtype=x.dtype)
-    for lo in range(0, n, FORWARD_BLOCK):
-        xb = x.data[lo : lo + FORWARD_BLOCK]
+    for lo in range(0, n, block):
+        xb = x.data[lo : lo + block]
         patches = _extract_patches(xb, kh, kw, s, pad, oh, ow)
         out[lo : lo + len(xb)] = (w_flat @ patches).reshape(
-            c_out, len(xb), oh, ow).transpose(1, 0, 2, 3)
+            c_out, oh, ow, len(xb)).transpose(3, 0, 1, 2)
+        kept = patches if keep else None
     if p.bias is not None:
         out += p.bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g: Array) -> None:
-        g_flat = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
+        nonlocal kept
+        g_flat = g.transpose(1, 2, 3, 0).reshape(c_out, -1)
         if p.filters.requires_grad:
-            patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
-            p.filters._accumulate((g_flat @ patches.T).reshape(c_out, c_in, kh, kw))
-            del patches
+            if kept is None:
+                kept = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
+            p.filters._accumulate((g_flat @ kept.T).reshape(c_out, c_in, kh, kw))
+            kept = None
         if x.requires_grad:
-            dpatch = (w_flat.T @ g_flat).reshape(c_in, kh, kw, n, oh, ow)
-            dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+            dpatch = (w_flat.T @ g_flat).reshape(c_in, kh, kw, oh, ow, n)
+            dxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
             for ki in range(kh):
                 for kj in range(kw):
-                    dxp[:, :, ki : ki + s * oh : s, kj : kj + s * ow : s] += (
+                    dxp[:, ki : ki + s * oh : s, kj : kj + s * ow : s] += (
                         dpatch[:, ki, kj]
                     )
-            x._accumulate(dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3))
+            x._accumulate(dxp[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2))
         if p.bias is not None and p.bias.requires_grad:
             p.bias._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -160,19 +169,20 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 def _extract_patches(
     x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int
 ) -> Array:
-    """im2col: [N, C, H, W] -> [C*kh*kw, N*oh*ow], rows in (c, ki, kj) order
-    and columns in (n, i, j) order, one strided slice copy per kernel
-    offset out of a padded [C, N, H, W] copy of x."""
+    """im2col: [N, C, H, W] -> [C*kh*kw, oh*ow*N], rows in (c, ki, kj) order
+    and columns in (i, j, n) order, one strided slice copy per kernel
+    offset out of a padded [C, H, W, N] copy of x. With the sample axis
+    innermost, each slice copy moves runs of N contiguous values."""
     n, c, h, w = x.shape
-    xt = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xt[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    xt = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    xt[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((c, kh, kw, oh, ow, n), dtype=x.dtype)
     for ki in range(kh):
         for kj in range(kw):
             cols[:, ki, kj] = xt[
-                :, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride
+                :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride
             ]
-    return cols.reshape(c * kh * kw, n * oh * ow)
+    return cols.reshape(c * kh * kw, oh * ow * n)
 
 
 def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:

@@ -102,8 +102,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never g itself: g may be a read-only broadcast view, or
+            # the same array handed to another parent
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -112,7 +116,9 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into .grad for every reachable leaf.
 
         self must hold a single scalar. Grads add into any existing .grad,
-        so call zero_grad() between optimizer steps.
+        so call zero_grad() between optimizer steps. A non-leaf's .grad
+        (self's included) is freed, set to None, once its own backward has
+        run, so only the leaves hold gradients afterwards.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -136,7 +142,8 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+                g, node.grad = node.grad, None
+                node._backward_fn(g)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -255,6 +262,11 @@ def _normalize_axes(axis, ndim: int) -> tuple | None:
 _grad_off = threading.local()
 
 
+def recording() -> bool:
+    """False inside a no_grad() block of this thread: ops record no graph."""
+    return not getattr(_grad_off, "on", False)
+
+
 @contextmanager
 def no_grad():
     """Ops in this thread record no graph until the block exits."""
@@ -274,7 +286,7 @@ def apply_op(
     and this thread is not inside no_grad()."""
     parents = tuple(parents)
     out = Tensor(data)
-    if not getattr(_grad_off, "on", False) and any(p.requires_grad for p in parents):
+    if recording() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

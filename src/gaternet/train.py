@@ -332,6 +332,54 @@ def load_model(spec: ModelSpec, ckpt_path: str | Path) -> tuple[GaterNet, str]:
     return model, phase
 
 
+def start_checkpoints(
+    phase: str,
+    out_dir: str | Path,
+    backbone_ckpt: str | Path | None = None,
+    gater_ckpt: str | Path | None = None,
+    resume_ckpt: str | Path | None = None,
+    from_scratch: bool = False,
+) -> tuple[Path, Path] | None:
+    """The (backbone, gater) pretraining checkpoints that a phase starts
+    from, or None where it starts otherwise. Only the joint phase without
+    resume_ckpt and without from_scratch starts from them: the given paths
+    first, else out_dir/pretrain_backbone.ckpt and pretrain_gater.ckpt
+    when present. Raises ConfigError for a flag that cannot take effect
+    and CheckpointError for a checkpoint that is missing; it reads no
+    checkpoint and writes nothing, so callers can check before any work.
+    """
+    out_dir = Path(out_dir)
+    ckpts = [flag for flag, path in (("--backbone-ckpt", backbone_ckpt),
+                                     ("--gater-ckpt", gater_ckpt)) if path is not None]
+    if phase != "joint" or resume_ckpt is not None:
+        unused = ckpts + (["--from-scratch"] if from_scratch else [])
+        why = "--resume" if phase == "joint" else f"the {phase} phase"
+    else:
+        unused = ckpts if from_scratch else []
+        why = "--from-scratch"
+    if unused:
+        raise ConfigError(f"{', '.join(unused)} cannot take effect with {why}")
+    if phase != "joint" or from_scratch or resume_ckpt is not None:
+        return None
+    if backbone_ckpt is None and (out_dir / "pretrain_backbone.ckpt").is_file():
+        backbone_ckpt = out_dir / "pretrain_backbone.ckpt"
+    if gater_ckpt is None and (out_dir / "pretrain_gater.ckpt").is_file():
+        gater_ckpt = out_dir / "pretrain_gater.ckpt"
+    missing = [
+        f"--{flag}-ckpt / pretrain_{flag}.ckpt"
+        for flag, ckpt in (("backbone", backbone_ckpt), ("gater", gater_ckpt))
+        if ckpt is None
+    ]
+    if missing:
+        raise CheckpointError(
+            "joint training initializes from the two pretraining "
+            f"checkpoints; missing (neither given nor found in {out_dir}): "
+            f"{', '.join(missing)}. Run the pretraining phases first, pass "
+            "--backbone-ckpt/--gater-ckpt, or use --from-scratch."
+        )
+    return Path(backbone_ckpt), Path(gater_ckpt)
+
+
 def run_phase(
     spec: ModelSpec,
     cfg: TrainConfig,
@@ -347,45 +395,19 @@ def run_phase(
     The metrics CSV and checkpoint are rewritten atomically per epoch, so
     an interrupted run leaves the previous epoch's files intact and can be
     resumed with resume_ckpt. backbone_ckpt, gater_ckpt and from_scratch
-    act only in the joint phase without resume_ckpt, and the checkpoints
-    not with from_scratch; one given where it cannot act raises
-    ConfigError before any work.
+    act as start_checkpoints says, which checks them before any work.
     """
     out_dir = Path(out_dir)
     phase = cfg.phase
-    ckpts = [flag for flag, path in (("--backbone-ckpt", backbone_ckpt),
-                                     ("--gater-ckpt", gater_ckpt)) if path is not None]
-    if phase != "joint" or resume_ckpt is not None:
-        unused = ckpts + (["--from-scratch"] if from_scratch else [])
-        why = "--resume" if phase == "joint" else f"the {phase} phase"
-    else:
-        unused = ckpts if from_scratch else []
-        why = "--from-scratch"
-    if unused:
-        raise ConfigError(f"{', '.join(unused)} cannot take effect with {why}")
+    start = start_checkpoints(phase, out_dir, backbone_ckpt, gater_ckpt,
+                              resume_ckpt, from_scratch)
     spec_hash = dict_hash(spec_to_dict(spec))
     cfg_hash = dict_hash(cfg.to_dict())
 
     model = GaterNet(spec, seed=cfg.seed, include_probe=(phase == "pretrain_gater"))
-    if phase == "joint" and not from_scratch and resume_ckpt is None:
-        if backbone_ckpt is None and (out_dir / "pretrain_backbone.ckpt").is_file():
-            backbone_ckpt = out_dir / "pretrain_backbone.ckpt"
-        if gater_ckpt is None and (out_dir / "pretrain_gater.ckpt").is_file():
-            gater_ckpt = out_dir / "pretrain_gater.ckpt"
-        missing = [
-            f"--{flag}-ckpt / pretrain_{flag}.ckpt"
-            for flag, ckpt in (("backbone", backbone_ckpt), ("gater", gater_ckpt))
-            if ckpt is None
-        ]
-        if missing:
-            raise CheckpointError(
-                "joint training initializes from the two pretraining "
-                f"checkpoints; missing (neither given nor found in {out_dir}): "
-                f"{', '.join(missing)}. Run the pretraining phases first, pass "
-                "--backbone-ckpt/--gater-ckpt, or use --from-scratch."
-            )
-        restore(model, backbone_ckpt, ("backbone",))
-        restore(model, gater_ckpt, ("gater",))
+    if start is not None:
+        restore(model, start[0], ("backbone",))
+        restore(model, start[1], ("gater",))
 
     trained = model.trainable(_TRAINED_PREFIXES[phase])
     opt = SGD(trained, momentum=cfg.momentum, weight_decay=cfg.weight_decay)

@@ -492,6 +492,21 @@ class TestCli:
             assert out == ""
             assert not (tmp_path / "run").exists()
 
+    def test_unusable_flag_is_refused_before_the_dataset_loads(
+            self, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr("gaternet.cli.load_dataset",
+                            lambda *args: loads.append(args))
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg_path, "--phase", "pretrain-gater",
+                     "--from-scratch"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: --from-scratch cannot take effect")
+        # a missing pretrain checkpoint is refused before the load too
+        assert main(["train", "--config", cfg_path, "--phase", "joint"]) == 3
+        assert capsys.readouterr().err.startswith("checkpoint error:")
+        assert loads == []
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["eval", "--config", cfg_path,

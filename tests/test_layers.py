@@ -14,6 +14,7 @@ import scipy.signal
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from gaternet import layers
 from gaternet.layers import (
     BN_EPS,
     BN_MOMENTUM,
@@ -28,8 +29,9 @@ from gaternet.layers import (
     relu,
     sigmoid,
     softmax_cross_entropy,
+    _extract_patches,
 )
-from gaternet.tensor import Tensor
+from gaternet.tensor import Tensor, no_grad
 from oracles import grad_check, loop_conv2d
 
 
@@ -173,11 +175,16 @@ class TestConv2dGemm:
         x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
         p = _conv_params(c_out, c_in, kernel, seed=seed, stride=stride,
                          padding=padding, bias=bias)
-        got = conv2d(Tensor(x), p).data
         want = loop_conv2d(x, p)
-        assert got.shape == want.shape
-        assert got.dtype == np.float32 and got.flags.c_contiguous
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        # the filters need a gradient, so a recorded forward keeps one
+        # full-batch patch matrix; under no_grad it runs in blocks
+        recorded = conv2d(Tensor(x), p).data
+        with no_grad():
+            blocked = conv2d(Tensor(x), p).data
+        for got in (recorded, blocked):
+            assert got.shape == want.shape
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_same_input_gives_identical_bits(self):
         # a batch of two forward blocks and a partial one
@@ -194,6 +201,60 @@ class TestConv2dGemm:
             runs.append([a.tobytes() for a in (y.data, xt.grad, p.filters.grad,
                                                p.bias.grad)])
         assert runs[0] == runs[1]
+
+
+    def test_patches_are_built_once_per_training_step(self, monkeypatch):
+        calls = []
+
+        def counting(x, *args):
+            calls.append(len(x))
+            return _extract_patches(x, *args)
+
+        monkeypatch.setattr(layers, "_extract_patches", counting)
+        rng = np.random.default_rng(14)
+        n = 2 * FORWARD_BLOCK + 3
+        x = Tensor(rng.standard_normal((n, 3, 6, 6)).astype(np.float32),
+                   requires_grad=True)
+        p = _conv_params(4, 3, 3, seed=15)
+        with no_grad():
+            conv2d(x, p)
+        assert calls == [FORWARD_BLOCK, FORWARD_BLOCK, 3]
+        calls.clear()
+        loss = conv2d(x, p).sum()
+        loss.backward()
+        assert calls == [n]  # the forward's; the backward reused them
+        calls.clear()
+        loss.backward()
+        assert calls == [n]  # dropped after use, so built again
+
+    def test_kept_patch_backward_matches_finite_differences(self):
+        # n past one forward block: the kept patches span the whole batch
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((FORWARD_BLOCK + 3, 2, 5, 5)),
+                   requires_grad=True)
+        p = _conv_params(3, 2, 3, seed=17, stride=2, dtype=np.float64)
+        mix = Tensor(rng.standard_normal(conv2d(x, p).shape))
+        assert grad_check(lambda t: (conv2d(t, p) * mix).sum(), x) < 1e-6
+        assert grad_check(
+            lambda t: (conv2d(x, Conv2dParams(t, p.bias, 2, 1)) * mix).sum(),
+            p.filters) < 1e-6
+
+    def test_second_backward_gives_the_same_leaf_grads(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((FORWARD_BLOCK + 5, 3, 7, 7))
+                   .astype(np.float32), requires_grad=True)
+        p = _conv_params(5, 3, 3, seed=19, stride=2)
+        q = _conv_params(2, 5, 3, seed=20)
+        y = conv2d(relu(conv2d(x, p)), q)
+        loss = (y * y).sum()
+        leaves = (x, p.filters, p.bias, q.filters, q.bias)
+        grads = []
+        for _ in range(2):
+            for t in leaves:
+                t.zero_grad()
+            loss.backward()
+            grads.append([t.grad.tobytes() for t in leaves])
+        assert grads[0] == grads[1]
 
 
 class TestBatchNorm:

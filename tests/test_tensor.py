@@ -143,6 +143,57 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
 
 
+class TestGradLifetime:
+    def test_only_leaves_hold_grads_after_backward(self):
+        a = Tensor(_f64(3, 4, seed=10), requires_grad=True)
+        b = Tensor(_f64(4, seed=11), requires_grad=True)
+        c = Tensor(_f64(3, 4, seed=12))  # a constant: no grad
+        h = a * b + c
+        u = h.mean(axis=0)
+        loss = (u * u).sum() + h.sum()
+        loss.backward()
+        for node in (h, u, loss):
+            assert node.grad is None
+        assert c.grad is None
+        # d/dh of sum_j mean_i(h)_j^2 + sum(h) is 2 u_j / 3 + 1
+        dh = 2.0 * u.data / 3.0 + 1.0
+        np.testing.assert_allclose(a.grad, np.broadcast_to(dh * b.data, (3, 4)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(b.grad, (dh * a.data).sum(axis=0), rtol=1e-12)
+
+    def test_second_backward_repeats_the_first(self):
+        a = Tensor(_f64(5, seed=13), requires_grad=True)
+        h = a * a
+        loss = (h + h * a).sum()
+        grads = []
+        for _ in range(2):
+            a.zero_grad()
+            loss.backward()
+            grads.append(a.grad.copy())
+        np.testing.assert_array_equal(grads[0], grads[1])
+        np.testing.assert_allclose(grads[0], 2 * a.data + 3 * a.data ** 2,
+                                   rtol=1e-12)
+
+    def test_broadcast_view_is_copied_in(self):
+        # sum's backward hands x a read-only broadcast view, twice
+        x = Tensor(_f64(2, 3, seed=14), requires_grad=True)
+        (x.sum() + x.sum()).backward()
+        assert x.grad.flags.writeable and x.grad.flags.owndata
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+    def test_gradient_shared_by_both_parents_is_copied(self):
+        # add hands one array to both parents; here it is a read-only view
+        a = Tensor(_f64(2, 3, seed=15), requires_grad=True)
+        (a + a).sum().backward()
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+        b = Tensor(_f64(2, 3, seed=16), requires_grad=True)
+        c = Tensor(_f64(2, 3, seed=17), requires_grad=True)
+        ((b + c) * 3.0).sum().backward()
+        assert not np.shares_memory(b.grad, c.grad)
+        b.grad += 1.0
+        assert np.array_equal(c.grad, np.full((2, 3), 3.0))
+
+
 class TestGradCheck:
     def test_rejects_nondeterministic_function(self):
         x = Tensor(np.ones(2), requires_grad=True)
