@@ -59,8 +59,7 @@ def main() -> None:
             print(f"seed {seed} lambda {lam}: acc {rj.final_eval_acc:.4f} "
                   f"activation {rj.final_gate_activation:.4f}")
 
-    # csv's default terminator, which sweep.csv has always used
-    write_csv(out_root / "sweep.csv", list(rows[0]), rows, lineterminator="\r\n")
+    write_csv(out_root / "sweep.csv", list(rows[0]), rows)
 
     print("\nper-lambda means:")
     for lam in args.lambdas:

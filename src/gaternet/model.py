@@ -4,8 +4,10 @@ A ModelSpec describes two stacks: a backbone (conv/pool/fc layers, some
 conv layers flagged as gated) and a gater (conv/pool layers feeding global
 average pooling). The gater's pooled features go through a bottleneck head
 (FC -> batchnorm -> relu -> FC) whose output width is the total number of
-gated backbone filters; those scores are binarized (see semhash) and each
-gated conv's post-activation channels are multiplied by their gate.
+gated backbone filters; one semhash op binarizes those scores (noisy
+and straight-through in training, a plain threshold in eval; see
+semhash) and each gated conv's post-activation channels are multiplied
+by their gate.
 
 Every conv, gated or not, in training and in eval, is one im2col GEMM
 (layers.conv2d); a gated conv then multiplies each post-relu channel by
@@ -481,16 +483,15 @@ class GaterNet:
         training mode, after branch selection, so binary gates stay binary.
         An eval pass runs under no_grad and records no graph.
         """
-        mode = "train" if training else "eval"
         n = x.shape[0]
         with nullcontext() if training else no_grad():
             if self.spec.gated_filter_total == 0:
                 empty = Tensor(np.zeros((n, 0), dtype=x.dtype))
-                bundle = semhash_forward(empty, mode, rng)
+                bundle = semhash_forward(empty, training, rng)
                 return self._run_stack("backbone", self.spec.backbone, x, training), bundle
             f = self.gater_features(x, training)
             g_pre = self.gater_head(f, training)
-            bundle = semhash_forward(g_pre, mode, rng)
+            bundle = semhash_forward(g_pre, training, rng)
             selected = bundle.selected
             if training and dropout_rate > 0.0:
                 selected = gate_dropout(selected, dropout_rate, rng)

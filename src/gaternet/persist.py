@@ -50,11 +50,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_csv(path: str | Path, fieldnames, rows,
-              lineterminator: str = "\n") -> None:
-    """Header plus one line per row dict, written atomically."""
+def write_csv(path: str | Path, fieldnames, rows) -> None:
+    """Header plus one line per row dict, each ending in a bare newline,
+    written atomically."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator=lineterminator)
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())

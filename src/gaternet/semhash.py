@@ -2,12 +2,14 @@
 
 The gater head emits real scores g_pre. During training each score gets
 unit Gaussian noise, then two views are formed: a soft view through a
-saturating sigmoid (g_alpha) and a hard 0/1 view by thresholding at zero
-(g_beta). Each sample in the batch uses one view or the other, picked by a
-fair coin, and the hard view borrows the soft view's gradient so the
-backbone's feedback still reaches the gater. At eval time noise and the soft
-view are skipped and the hard view is always used, so deployed gates are
-exactly binary and deterministic.
+saturating sigmoid and a hard 0/1 view by thresholding at zero. Each
+sample in the batch uses one view or the other, picked by a fair coin,
+and the hard view borrows the soft view's gradient so the backbone's
+feedback still reaches the gater. Whichever view a row took, the gradient
+that reaches g_pre is the saturating sigmoid's derivative at the noisy
+score, so the whole discretizer is one autodiff op. At eval time noise
+and the soft view are skipped and the hard view is always used, so
+deployed gates are exactly binary and deterministic.
 
 The saturating sigmoid is clip(1.2 * sigmoid(x) - 0.1, 0, 1). It hits
 exactly 0 / 1 at x = -+ln(11) (about 2.398), which is what lets a finite
@@ -22,8 +24,6 @@ import numpy as np
 
 from gaternet.tensor import Array, Tensor, apply_op, _stable_sigmoid
 
-MODES = ("train", "eval")
-
 
 def _sat_sigmoid_data(x: Array) -> Array:
     return np.clip(1.2 * _stable_sigmoid(x) - 0.1, 0.0, 1.0).astype(x.dtype, copy=False)
@@ -37,95 +37,52 @@ def _sat_sigmoid_grad(x: Array) -> Array:
     return (1.2 * s * (1.0 - s) * inside).astype(x.dtype, copy=False)
 
 
-def saturating_sigmoid(x: Tensor) -> Tensor:
-    """clip(1.2 * sigmoid(x) - 0.1, 0, 1); gradient is zero where clipped."""
-
-    def backward(g: Array) -> None:
-        x._accumulate(g * _sat_sigmoid_grad(x.data))
-
-    return apply_op(_sat_sigmoid_data(x.data), (x,), backward)
-
-
-def hard_gate(x: Tensor) -> Tensor:
-    """indicator(x > 0) with the saturating sigmoid's gradient.
-
-    The forward value is exactly 0 or 1 (strict inequality: a score of 0
-    gates off). The true derivative is zero almost everywhere, so backward
-    substitutes the saturating sigmoid's derivative at the same point, the
-    straight-through estimate that ties the hard branch to the soft one.
-    It is computed in backward, so eval passes never pay for it.
-    """
-
-    def backward(g: Array) -> None:
-        x._accumulate(g * _sat_sigmoid_grad(x.data))
-
-    return apply_op((x.data > 0).astype(x.dtype), (x,), backward)
-
-
 @dataclass
 class GateBundle:
-    """Everything one gating pass produces.
+    """What one gating pass hands its callers.
 
-    branch_mask[i] is True where sample i uses the hard branch (g_beta);
-    in eval mode that is every sample and g_alpha is None. selected is the
-    [N, c] gate tensor the backbone actually consumes.
+    g_pre holds the gater's scores [N, c]; g_beta their hard 0/1 view (of
+    the noisy scores in training); selected the [N, c] gates the backbone
+    actually consumes. In eval selected is g_beta.
     """
 
     g_pre: Tensor
-    g_noisy: Tensor
-    g_alpha: Tensor | None
     g_beta: Tensor
     selected: Tensor
-    branch_mask: Array
-    mode: str
 
 
 def semhash_forward(
     g_pre: Tensor,
-    mode: str,
+    training: bool,
     rng: np.random.Generator | None = None,
 ) -> GateBundle:
     """Discretize gate scores [N, c] into a GateBundle.
 
-    Training needs an rng for the noise and the per-sample branch coin.
+    Training draws standard-normal noise of g_pre's shape, then one coin
+    per row (hard view where coin < 0.5), so it needs an rng. selected is
+    one graph node over g_pre whose backward is the straight-through
+    g * sat'(noisy score), computed only when backward runs.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if g_pre.ndim != 2:
         raise ValueError(f"g_pre must be [N, c], got shape {g_pre.shape}")
-    n = g_pre.shape[0]
+    if training:
+        if rng is None:
+            raise ValueError("training needs an rng for noise and branch choice")
+        g_noisy = g_pre.data + rng.standard_normal(g_pre.shape, dtype=g_pre.dtype)
+        hard = (g_noisy > 0).astype(g_pre.dtype)
+        use_hard = rng.random(g_pre.shape[0]) < 0.5
+        mask = use_hard[:, None].astype(g_pre.dtype)
+        out = hard * mask + _sat_sigmoid_data(g_noisy) * (1.0 - mask)
+    else:
+        g_noisy = g_pre.data
+        out = hard = (g_noisy > 0).astype(g_pre.dtype)
 
-    if mode == "eval":
-        g_beta = hard_gate(g_pre)
-        return GateBundle(
-            g_pre=g_pre,
-            g_noisy=g_pre,
-            g_alpha=None,
-            g_beta=g_beta,
-            selected=g_beta,
-            branch_mask=np.ones(n, dtype=bool),
-            mode=mode,
-        )
+    def backward(g: Array) -> None:
+        g_pre._accumulate(g * _sat_sigmoid_grad(g_noisy))
 
-    if rng is None:
-        raise ValueError("training mode needs an rng for noise and branch choice")
-    noise = rng.standard_normal(g_pre.shape, dtype=g_pre.dtype)
-    g_noisy = g_pre + Tensor(noise)
-    g_alpha = saturating_sigmoid(g_noisy)
-    g_beta = hard_gate(g_noisy)
-
-    use_beta = rng.random(n) < 0.5
-    mask = use_beta[:, None].astype(g_pre.dtype)
-    selected = g_beta * mask + g_alpha * (1.0 - mask)
-    return GateBundle(
-        g_pre=g_pre,
-        g_noisy=g_noisy,
-        g_alpha=g_alpha,
-        g_beta=g_beta,
-        selected=selected,
-        branch_mask=use_beta,
-        mode=mode,
-    )
+    selected = apply_op(out, (g_pre,), backward)
+    g_beta = Tensor(hard) if training else selected
+    return GateBundle(g_pre=g_pre, g_beta=g_beta, selected=selected)
 
 
 def gate_dropout(

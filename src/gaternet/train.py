@@ -476,6 +476,7 @@ def run_phase(
             loss.backward()
             opt.step(lr)
             losses.append(loss.item())
+            del logits, gates, loss  # free this step's graph before the next
             step += 1
         train_loss = float(np.mean(losses))
         eval_acc, mean_gate, _ = evaluate(model, phase, splits.eval_x,

@@ -3,8 +3,9 @@
 A finite-difference gradient checker, the gradient-routing proof for the
 sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
-masked gated conv from layers primitives, and an rng stand-in that pins
-every training sample to one discretizer branch.
+masked gated conv from layers primitives, the discretizer composed from
+six graph nodes that semhash_forward is checked against, and an rng
+stand-in that pins every training sample to one discretizer branch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from gaternet.layers import Conv2dParams, batchnorm, conv2d, conv_output_hw, relu
 from gaternet.model import GaterNet
-from gaternet.tensor import Array, Tensor
+from gaternet.semhash import _sat_sigmoid_data, _sat_sigmoid_grad
+from gaternet.tensor import Array, Tensor, apply_op
 from gaternet.train import l1_gate_penalty
 
 
@@ -191,6 +193,33 @@ class PinnedBranchRng:
 
     def random(self, size):
         return np.full(size, self._coin)
+
+
+def _with_sat_sigmoid_grad(data: Array, x: Tensor) -> Tensor:
+    """An op over x with forward value data and the saturating sigmoid's
+    gradient at x."""
+
+    def backward(g: Array) -> None:
+        x._accumulate(g * _sat_sigmoid_grad(x.data))
+
+    return apply_op(data, (x,), backward)
+
+
+def semhash_reference(g_pre: Tensor, rng) -> Tensor:
+    """The training discretizer's selected gates as six graph nodes: noise
+    add, saturating sigmoid, hard gate (whose gradient is the saturating
+    sigmoid's), two branch-mask products and their sum. It makes the same
+    draws in the same order as semhash_forward (noise, then one coin per
+    row, hard view where coin < 0.5). Autodiff routes the upstream
+    gradient through both views and sums them, where semhash_forward
+    writes the straight-through gradient in closed form."""
+    noise = rng.standard_normal(g_pre.shape, dtype=g_pre.dtype)
+    g_noisy = g_pre + Tensor(noise)
+    g_alpha = _with_sat_sigmoid_grad(_sat_sigmoid_data(g_noisy.data), g_noisy)
+    g_beta = _with_sat_sigmoid_grad((g_noisy.data > 0).astype(g_pre.dtype), g_noisy)
+    use_beta = rng.random(g_pre.shape[0]) < 0.5
+    mask = use_beta[:, None].astype(g_pre.dtype)
+    return g_beta * mask + g_alpha * (1.0 - mask)
 
 
 def loop_conv2d(x: Array, p: Conv2dParams) -> Array:

@@ -44,11 +44,7 @@ from gaternet.model import (
     gated_conv_forward,
 )
 from gaternet.persist import load_checkpoint
-from gaternet.semhash import (
-    gate_dropout,
-    saturating_sigmoid,
-    semhash_forward,
-)
+from gaternet.semhash import gate_dropout, semhash_forward
 from gaternet.tensor import Tensor
 from gaternet.train import (
     TrainConfig,
@@ -120,8 +116,12 @@ def _op_cases(seed: int):
     relu_x = f32(40) * 2.0
     relu_excl = np.abs(relu_x) < 0.05  # stay away from the kink at zero
 
-    sat_x = f32(50) * 2.5
-    sat_excl = np.abs(np.abs(sat_x) - SATURATION) < 0.05  # clip breakpoints
+    sat_x = f32(5, 10) * 2.5
+    # the soft view of semhash_forward with every row pinned to it sees
+    # sat_x plus the pinned generator's noise; stay off the clip breakpoints
+    sat_noisy = sat_x + np.random.default_rng(seed).standard_normal(
+        sat_x.shape, dtype=np.float32)
+    sat_excl = np.abs(np.abs(sat_noisy) - SATURATION) < 0.05
 
     fc_x = Tensor(f32(5, 6))
     fc_w = Tensor(f32(6, 4) * 0.5)
@@ -149,8 +149,9 @@ def _op_cases(seed: int):
          Tensor(relu_x), relu_excl),
         ("sigmoid", lambda t: (sigmoid(t) * _mix(seed + 5, sat_x.shape)).sum(),
          Tensor(sat_x), None),
-        ("saturating_sigmoid",
-         lambda t: (saturating_sigmoid(t) * _mix(seed + 6, sat_x.shape)).sum(),
+        ("semhash/soft_view",
+         lambda t: (semhash_forward(t, True, PinnedBranchRng(seed, "alpha"))
+                    .selected * _mix(seed + 6, sat_x.shape)).sum(),
          Tensor(sat_x), sat_excl),
         ("fully_connected/W",
          lambda t: (fully_connected(fc_x, t, fc_b) * fc_mix).sum(), fc_w, None),
@@ -188,23 +189,23 @@ def _composite_fd_worst(model, name, x, labels, seed, n_coords=5,
     gradient has nothing to hide behind.
     """
     real_relu = model_mod.relu
-    real_sat = semhash_mod.saturating_sigmoid
+    real_sat = semhash_mod._sat_sigmoid_data
     trace: list | None = None
 
     def recording_relu(t):
         trace.append(t.data > 0)
         return real_relu(t)
 
-    def recording_sat(t):
-        trace.append(np.digitize(t.data, (-SATURATION, SATURATION)))
-        return real_sat(t)
+    def recording_sat(x):
+        trace.append(np.digitize(x, (-SATURATION, SATURATION)))
+        return real_sat(x)
 
     def loss_eval(record: bool = False):
         nonlocal trace
         trace = []
         if record:
             model_mod.relu = recording_relu
-            semhash_mod.saturating_sigmoid = recording_sat
+            semhash_mod._sat_sigmoid_data = recording_sat
         try:
             logits, bundle = model.forward(
                 Tensor(x), training=True, rng=PinnedBranchRng(seed, "alpha"),
@@ -212,7 +213,7 @@ def _composite_fd_worst(model, name, x, labels, seed, n_coords=5,
             return total_loss(logits, labels, bundle.selected, 0.1), trace
         finally:
             model_mod.relu = real_relu
-            semhash_mod.saturating_sigmoid = real_sat
+            semhash_mod._sat_sigmoid_data = real_sat
 
     loss, _ = loss_eval()
     for t in model.params.values():
@@ -343,11 +344,13 @@ def test_criterion_03_semhash_contracts():
         "eval gates differ from indicator(pre-activation > 0)"
     assert np.array_equal(gates, b2.selected.data), "eval gates not deterministic"
 
-    # train: branch routing fraction 0.5 +/- 0.02 over 10,000 samples
+    # train: branch routing fraction 0.5 +/- 0.02 over 10,000 samples,
+    # counted from the output rows: a hard row is all 0/1, and a soft row
+    # is only if all 8 of its noisy scores clip
     g_pre = Tensor(np.random.default_rng(2).standard_normal(
         (10_000, 8)).astype(np.float32))
-    bundle = semhash_forward(g_pre, "train", np.random.default_rng(3))
-    frac = float(bundle.branch_mask.mean())
+    sel = semhash_forward(g_pre, True, np.random.default_rng(3)).selected.data
+    frac = float(np.all((sel == 0.0) | (sel == 1.0), axis=1).mean())
     assert abs(frac - 0.5) <= 0.02, f"hard-branch fraction {frac}"
 
     # straight-through: hard-branch backward equals smooth-branch backward
@@ -355,7 +358,7 @@ def test_criterion_03_semhash_contracts():
     for branch in ("alpha", "beta"):
         leaf = Tensor(np.random.default_rng(4).standard_normal(
             (64, 8)).astype(np.float32), requires_grad=True)
-        out = semhash_forward(leaf, "train", PinnedBranchRng(5, branch))
+        out = semhash_forward(leaf, True, PinnedBranchRng(5, branch))
         (out.selected * _mix(9, (64, 8))).sum().backward()
         grads[branch] = leaf.grad.copy()
     assert np.array_equal(grads["alpha"], grads["beta"]), \

@@ -551,7 +551,7 @@ class TestGaterNetForward:
         logits, bundle = model.forward(x, training=False)
         assert logits.shape == (5, 3)
         assert bundle.selected.shape == (5, 12)
-        assert bundle.mode == "eval"
+        assert bundle.g_beta is bundle.selected  # eval uses the hard view
         sel = bundle.selected.data
         assert np.all((sel == 0.0) | (sel == 1.0))
 
@@ -576,7 +576,7 @@ class TestGaterNetForward:
                                            rng=np.random.default_rng(4))
             assert grad.call_count == 0
             (logits.sum() + bundle.selected.sum()).backward()
-            assert grad.call_count == 2
+            assert grad.call_count == 1
 
     def test_eval_records_no_graph_training_does(self):
         model = GaterNet(small_spec(), seed=0)

@@ -63,3 +63,4 @@ def test_sparsity_sweep(tmp_path, tiny_config):
     with open(out / "sweep.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [(r["seed"], r["lambda"]) for r in rows] == [("0", "0.0"), ("0", "1.0")]
+    assert b"\r" not in (out / "sweep.csv").read_bytes()  # "\n" like every CSV
