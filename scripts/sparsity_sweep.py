@@ -20,6 +20,8 @@ from gaternet.persist import write_csv
 from gaternet.train import run_phase
 
 REPO = Path(__file__).resolve().parent.parent
+SWEEP_COLUMNS = ("seed", "lambda", "eval_acc", "mean_gate_activation",
+                 "ungated_baseline_acc")
 
 
 def main() -> None:
@@ -50,23 +52,18 @@ def main() -> None:
                            out_root / f"seed{seed}" / f"lambda{lam}",
                            backbone_ckpt=pre_dir / "pretrain_backbone.ckpt",
                            gater_ckpt=pre_dir / "pretrain_gater.ckpt")
-            rows.append({
-                "seed": seed, "lambda": lam,
-                "eval_acc": rj.final_eval_acc,
-                "mean_gate_activation": rj.final_gate_activation,
-                "ungated_baseline_acc": rb.final_eval_acc,
-            })
+            rows.append((seed, lam, rj.final_eval_acc,
+                         rj.final_gate_activation, rb.final_eval_acc))
             print(f"seed {seed} lambda {lam}: acc {rj.final_eval_acc:.4f} "
                   f"activation {rj.final_gate_activation:.4f}")
 
-    write_csv(out_root / "sweep.csv", list(rows[0]), rows)
+    write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, rows)
 
     print("\nper-lambda means:")
     for lam in args.lambdas:
-        acts = [r["mean_gate_activation"] for r in rows if r["lambda"] == lam]
-        accs = [r["eval_acc"] for r in rows if r["lambda"] == lam]
-        print(f"  lambda {lam}: activation {np.mean(acts):.4f} "
-              f"acc {np.mean(accs):.4f}")
+        picked = [r for r in rows if r[1] == lam]
+        print(f"  lambda {lam}: activation {np.mean([r[3] for r in picked]):.4f} "
+              f"acc {np.mean([r[2] for r in picked]):.4f}")
     print(f"summary: {out_root / 'sweep.csv'}")
 
 

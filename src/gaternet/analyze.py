@@ -154,19 +154,6 @@ def classify_gates(log: GateLog) -> GateTaxonomy:
                         fractions=fractions)
 
 
-def layer_distribution(tax: GateTaxonomy) -> list[dict]:
-    """One row per layer with both absolute counts and fractions."""
-    rows = []
-    for i, layer in enumerate(tax.layers.tolist()):
-        row = {"layer_id": layer, "total": int(tax.counts[i].sum())}
-        for k, name in enumerate(CATEGORIES):
-            row[name] = int(tax.counts[i, k])
-        for k, name in enumerate(CATEGORIES):
-            row[f"frac_{name}"] = float(tax.fractions[i, k])
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class Histogram:
     counts: Array  # int64 [bins]
@@ -212,9 +199,13 @@ class FiredCountReport:
 
 
 def fired_count_per_sample(log: GateLog, bins: int = 100) -> FiredCountReport:
-    """Row sums with summary stats; histogram spans [0, num_gates]."""
+    """Row sums with summary stats; histogram spans [0, num_gates]. Needs
+    at least one sample and one gate."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if log.num_samples < 1 or log.num_gates < 1:
+        raise ValueError(f"cannot count fired gates from an empty log ("
+                         f"{log.num_samples} samples x {log.num_gates} gates)")
     per_sample = log.gates.sum(axis=1, dtype=np.int64)
     total = int(per_sample.sum())
     counts, edges = np.histogram(per_sample, bins=bins, range=(0, log.num_gates))
@@ -283,48 +274,30 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
 
 
 def write_taxonomy_csv(path: str | Path, log: GateLog, tax: GateTaxonomy) -> None:
-    rows = [
-        {
-            "gate_index": j,
-            "layer_id": int(log.layer_ids[j]),
-            "filter_id": int(log.filter_ids[j]),
-            "category": CATEGORIES[tax.categories[j]],
-        }
-        for j in range(log.num_gates)
-    ]
+    rows = zip(range(log.num_gates), log.layer_ids.tolist(),
+               log.filter_ids.tolist(),
+               (CATEGORIES[k] for k in tax.categories.tolist()))
     write_csv(path, ["gate_index", "layer_id", "filter_id", "category"], rows)
 
 
 def write_layer_distribution_csv(path: str | Path, tax: GateTaxonomy) -> None:
-    rows = layer_distribution(tax)
-    names = ["layer_id", "total", *CATEGORIES, *(f"frac_{c}" for c in CATEGORIES)]
-    out = []
-    for row in rows:
-        formatted = dict(row)
-        for c in CATEGORIES:
-            formatted[f"frac_{c}"] = f"{row[f'frac_{c}']:.8e}"
-        out.append(formatted)
-    write_csv(path, names, out)
+    header = ["layer_id", "total", *CATEGORIES, *(f"frac_{c}" for c in CATEGORIES)]
+    rows = [[layer, sum(counts), *counts, *(f"{f:.8e}" for f in fracs)]
+            for layer, counts, fracs in zip(
+                tax.layers.tolist(), tax.counts.tolist(), tax.fractions.tolist())]
+    write_csv(path, header, rows)
 
 
 def write_histogram_csv(path: str | Path, hist: Histogram) -> None:
-    rows = [
-        {"bin_lo": f"{hist.edges[i]:.8e}", "bin_hi": f"{hist.edges[i + 1]:.8e}",
-         "count": int(hist.counts[i])}
-        for i in range(len(hist.counts))
-    ]
-    write_csv(path, ["bin_lo", "bin_hi", "count"], rows)
+    edges = [f"{e:.8e}" for e in hist.edges.tolist()]
+    write_csv(path, ["bin_lo", "bin_hi", "count"],
+              zip(edges[:-1], edges[1:], hist.counts.tolist()))
 
 
 def export_usage_vectors(log: GateLog, pca_k: int, path: str | Path) -> PCAResult:
     """Per-sample PCA-reduced usage vectors with labels, as CSV."""
     result = pca_reduce(log.gates.astype(np.float64), pca_k)
-    names = ["label"] + [f"pc{i}" for i in range(pca_k)]
-    rows = []
-    for i in range(log.num_samples):
-        row = {"label": int(log.labels[i])}
-        for j in range(pca_k):
-            row[f"pc{j}"] = f"{result.reduced[i, j]:.8e}"
-        rows.append(row)
-    write_csv(path, names, rows)
+    rows = ([label, *(f"{v:.8e}" for v in vec)]
+            for label, vec in zip(log.labels.tolist(), result.reduced.tolist()))
+    write_csv(path, ["label", *(f"pc{i}" for i in range(pca_k))], rows)
     return result

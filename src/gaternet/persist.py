@@ -46,18 +46,14 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def write_csv(path: str | Path, fieldnames, rows) -> None:
-    """Header plus one line per row dict, each ending in a bare newline,
-    written atomically."""
+def write_csv(path: str | Path, header, rows) -> None:
+    """The header, then one line per row of values in header order, each
+    ending in a bare newline, written atomically."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
 def dict_hash(d: dict) -> str:

@@ -19,7 +19,6 @@ from gaternet.analyze import (
     classify_gates,
     export_usage_vectors,
     fired_count_per_sample,
-    layer_distribution,
     load_gate_log,
     on_count_histogram,
     pca_reduce,
@@ -209,16 +208,6 @@ class TestTaxonomy:
         assert np.array_equal(moved.layers, base.layers)
         assert np.array_equal(moved.counts, base.counts)
 
-    def test_layer_distribution_rows(self):
-        rows = layer_distribution(classify_gates(crafted_log()))
-        assert rows[0] == {
-            "layer_id": 0, "total": 2, "always_on": 1, "always_off": 1,
-            "input_dependent": 0, "frac_always_on": 0.5,
-            "frac_always_off": 0.5, "frac_input_dependent": 0.0,
-        }
-        assert rows[1]["total"] == 3
-        assert rows[1]["frac_input_dependent"] == pytest.approx(2 / 3)
-
 
 class TestHistograms:
     def test_on_count_report(self):
@@ -254,6 +243,20 @@ class TestHistograms:
         assert report.total == sum(expect)  # exact integer, not a float mean
         assert report.mean == report.total / log.num_samples
         assert int(report.histogram.counts.sum()) == log.num_samples
+
+    def test_fired_count_refuses_no_samples(self):
+        log = crafted_log()
+        empty = GateLog(log.gates[:0], log.labels[:0], log.layer_ids,
+                        log.filter_ids)
+        with pytest.raises(ValueError, match="empty log"):
+            fired_count_per_sample(empty)
+
+    def test_fired_count_refuses_no_gates(self):
+        log = crafted_log()
+        empty = GateLog(log.gates[:, :0], log.labels, log.layer_ids[:0],
+                        log.filter_ids[:0])
+        with pytest.raises(ValueError, match="empty log"):
+            fired_count_per_sample(empty)
 
     def test_bins_validation(self):
         with pytest.raises(ValueError):
@@ -355,36 +358,86 @@ class TestPCA:
 
 
 class TestCsvExports:
+    """Each writer's exact bytes: a header naming the columns once, then one
+    "\n"-terminated line per row, floats as .8e."""
+
     def test_taxonomy_csv(self, tmp_path):
         log = crafted_log()
         path = tmp_path / "taxonomy.csv"
         write_taxonomy_csv(path, log, classify_gates(log))
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5
-        assert rows[0] == {"gate_index": "0", "layer_id": "0",
-                           "filter_id": "0", "category": "always_on"}
-        assert rows[2]["category"] == "input_dependent"
-        assert rows[4] == {"gate_index": "4", "layer_id": "1",
-                           "filter_id": "2", "category": "input_dependent"}
+        assert path.read_bytes() == (
+            b"gate_index,layer_id,filter_id,category\n"
+            b"0,0,0,always_on\n"
+            b"1,0,1,always_off\n"
+            b"2,1,0,input_dependent\n"
+            b"3,1,1,always_on\n"
+            b"4,1,2,input_dependent\n"
+        )
 
     def test_layer_distribution_csv(self, tmp_path):
         path = tmp_path / "layers.csv"
         write_layer_distribution_csv(path, classify_gates(crafted_log()))
+        assert path.read_bytes() == (
+            b"layer_id,total,always_on,always_off,input_dependent,"
+            b"frac_always_on,frac_always_off,frac_input_dependent\n"
+            b"0,2,1,1,0,5.00000000e-01,5.00000000e-01,0.00000000e+00\n"
+            b"1,3,1,0,2,3.33333333e-01,0.00000000e+00,6.66666667e-01\n"
+        )
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows[0]["layer_id"] == "0"
-        assert rows[0]["always_on"] == "1"
+        assert rows[0] == {
+            "layer_id": "0", "total": "2", "always_on": "1", "always_off": "1",
+            "input_dependent": "0", "frac_always_on": "5.00000000e-01",
+            "frac_always_off": "5.00000000e-01",
+            "frac_input_dependent": "0.00000000e+00",
+        }
+        assert rows[1]["total"] == "3"
         assert float(rows[1]["frac_input_dependent"]) == pytest.approx(2 / 3)
 
     def test_histogram_csv(self, tmp_path):
         path = tmp_path / "hist.csv"
         write_histogram_csv(path, on_count_histogram(crafted_log(), bins=4).histogram)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["count"] for r in rows] == ["0", "0", "2", "0"]
-        assert float(rows[0]["bin_lo"]) == 0.0
-        assert float(rows[-1]["bin_hi"]) == 4.0
+        assert path.read_bytes() == (
+            b"bin_lo,bin_hi,count\n"
+            b"0.00000000e+00,1.00000000e+00,0\n"
+            b"1.00000000e+00,2.00000000e+00,0\n"
+            b"2.00000000e+00,3.00000000e+00,2\n"
+            b"3.00000000e+00,4.00000000e+00,0\n"
+        )
+
+    def test_fired_count_histogram_csv(self, tmp_path):
+        path = tmp_path / "fired.csv"
+        write_histogram_csv(path,
+                            fired_count_per_sample(crafted_log(), bins=5).histogram)
+        assert path.read_bytes() == (
+            b"bin_lo,bin_hi,count\n"
+            b"0.00000000e+00,1.00000000e+00,0\n"
+            b"1.00000000e+00,2.00000000e+00,0\n"
+            b"2.00000000e+00,3.00000000e+00,0\n"
+            b"3.00000000e+00,4.00000000e+00,4\n"
+            b"4.00000000e+00,5.00000000e+00,0\n"
+        )
+
+    def test_usage_vectors_csv(self, tmp_path):
+        # centered columns 0 and 1 are equal and orthogonal to column 2, so
+        # the components are (1, 1, 0) / sqrt(2) and (0, 0, 1), and every
+        # projection is +-sqrt(0.5) or +-0.5: no digit of .8e is in doubt
+        log = GateLog(
+            gates=np.array([[1, 1, 1], [1, 1, 0], [0, 0, 1], [0, 0, 0]],
+                           dtype=np.uint8),
+            labels=np.array([0, 1, 2, 1]),
+            layer_ids=np.array([0, 0, 1]),
+            filter_ids=np.array([0, 1, 0]),
+        )
+        path = tmp_path / "usage.csv"
+        export_usage_vectors(log, 2, path)
+        assert path.read_bytes() == (
+            b"label,pc0,pc1\n"
+            b"0,7.07106781e-01,5.00000000e-01\n"
+            b"1,7.07106781e-01,-5.00000000e-01\n"
+            b"2,-7.07106781e-01,5.00000000e-01\n"
+            b"1,-7.07106781e-01,-5.00000000e-01\n"
+        )
 
     def test_usage_vectors_round_trip(self, tmp_path):
         log = random_log(8, n=25, c=17)

@@ -13,6 +13,7 @@ from gaternet.persist import (
     dict_hash,
     load_checkpoint,
     save_checkpoint,
+    write_csv,
 )
 
 
@@ -176,6 +177,16 @@ class TestAtomicWrite:
     def test_makes_parent_dirs(self, tmp_path):
         atomic_write_bytes(tmp_path / "a" / "b" / "x.bin", b"z")
         assert (tmp_path / "a" / "b" / "x.bin").exists()
+
+
+class TestWriteCsv:
+    def test_exact_bytes(self, tmp_path):
+        write_csv(tmp_path / "x.csv", ["i", "s", "f", "e"], [
+            (1, "x", 0.1, ""),
+            [-2, "y,z", 1e-05, 3.0],
+        ])
+        assert (tmp_path / "x.csv").read_bytes() == (
+            b"i,s,f,e\n1,x,0.1,\n-2,\"y,z\",1e-05,3.0\n")
 
 
 class TestDictHash:

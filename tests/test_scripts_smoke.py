@@ -61,6 +61,10 @@ def test_sparsity_sweep(tmp_path, tiny_config):
                       "--seeds", "0")
     assert proc.returncode == 0, proc.stderr
     with open(out / "sweep.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        assert reader.fieldnames == ["seed", "lambda", "eval_acc",
+                                     "mean_gate_activation",
+                                     "ungated_baseline_acc"]
+        rows = list(reader)
     assert [(r["seed"], r["lambda"]) for r in rows] == [("0", "0.0"), ("0", "1.0")]
     assert b"\r" not in (out / "sweep.csv").read_bytes()  # "\n" like every CSV
