@@ -142,12 +142,9 @@ def classify_gates(log: GateLog) -> GateTaxonomy:
     categories = np.full(c, INPUT_DEPENDENT, dtype=np.int8)
     categories[on_counts == n] = ALWAYS_ON
     categories[on_counts == 0] = ALWAYS_OFF
-    layers = np.unique(log.layer_ids)
+    layers, layer_index = np.unique(log.layer_ids, return_inverse=True)
     counts = np.zeros((len(layers), 3), dtype=np.int64)
-    for i, layer in enumerate(layers):
-        mask = log.layer_ids == layer
-        for k in range(3):
-            counts[i, k] = int((categories[mask] == k).sum())
+    np.add.at(counts, (layer_index, categories), 1)
     totals = counts.sum(axis=1, keepdims=True)
     fractions = counts / totals
     return GateTaxonomy(categories=categories, layers=layers, counts=counts,
@@ -225,52 +222,51 @@ class PCAResult:
     components: Array                # float64 [k, d], rows orthonormal
     explained_variance_ratio: Array  # float64 [k], non-increasing
     mean: Array                      # float64 [d], the subtracted column means
-    rank_deficient: bool
+    rank: int                        # of the centered data
+
+    @property
+    def rank_deficient(self) -> bool:
+        return len(self.components) > self.rank
 
 
 def pca_reduce(vectors: Array, k: int) -> PCAResult:
     """Project centered rows onto the top-k principal directions.
 
-    Uses a singular decomposition of the centered data in float64.
-    Components are ordered by descending variance; each component's
+    Eigendecomposes the d x d scatter matrix of the centered data in
+    float64. Components are ordered by descending variance; each component's
     largest-magnitude coordinate is made positive so signs are
     reproducible. Ratios are against the total variance of the data, so
     they sum to at most 1. Asking for more components than the data's
     rank is allowed: the trailing components carry zero variance and the
     result is flagged rank_deficient.
     """
-    x = np.asarray(vectors, dtype=np.float64)
+    x = np.asarray(vectors)
     if x.ndim != 2:
         raise ValueError(f"vectors must be 2-D [samples, features], got {x.shape}")
     n, d = x.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k must be in [1, min(n, d)] = [1, {min(n, d)}], got {k}")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    u, s, vt = np.linalg.svd(xc, full_matrices=False)
-    tol = s[0] * max(n, d) * np.finfo(np.float64).eps if s.size else 0.0
-    rank = int((s > tol).sum())
-    rank_deficient = k > rank
-    if rank_deficient:
+    mean = x.mean(axis=0, dtype=np.float64)
+    xc = x - mean  # float64 whatever the input dtype: the one [n, d] copy
+    evals, evecs = np.linalg.eigh(xc.T @ xc)
+    evals = np.clip(evals[::-1], 0.0, None)
+    # eigh puts a zero eigenvalue at up to ~eps * evals[0], not eps**2 * evals[0]
+    tol = evals[0] * max(n, d) * np.finfo(np.float64).eps
+    rank = int((evals > tol).sum())
+    if k > rank:
         warnings.warn(
             f"requested {k} components but the centered data has rank {rank}; "
             f"trailing components carry zero variance",
             stacklevel=2,
         )
-    components = vt[:k].copy()
-    for i in range(k):
-        j = int(np.abs(components[i]).argmax())
-        if components[i, j] < 0:
-            components[i] = -components[i]
+    components = evecs[:, ::-1].T[:k].copy()
+    lead = components[np.arange(k), np.abs(components).argmax(axis=1)]
+    components[lead < 0] *= -1
     reduced = xc @ components.T
-    total_var = float((s * s).sum())
-    if total_var > 0:
-        ratios = (s[:k] * s[:k]) / total_var
-    else:
-        ratios = np.zeros(k, dtype=np.float64)
+    # every eigenvalue is 0 when their sum is, and then so is every ratio
+    ratios = evals[:k] / (float(evals.sum()) or 1.0)
     return PCAResult(reduced=reduced, components=components,
-                     explained_variance_ratio=ratios, mean=mean,
-                     rank_deficient=rank_deficient)
+                     explained_variance_ratio=ratios, mean=mean, rank=rank)
 
 
 def write_taxonomy_csv(path: str | Path, log: GateLog, tax: GateTaxonomy) -> None:
@@ -296,7 +292,7 @@ def write_histogram_csv(path: str | Path, hist: Histogram) -> None:
 
 def export_usage_vectors(log: GateLog, pca_k: int, path: str | Path) -> PCAResult:
     """Per-sample PCA-reduced usage vectors with labels, as CSV."""
-    result = pca_reduce(log.gates.astype(np.float64), pca_k)
+    result = pca_reduce(log.gates, pca_k)
     rows = ([label, *(f"{v:.8e}" for v in vec)]
             for label, vec in zip(log.labels.tolist(), result.reduced.tolist()))
     write_csv(path, ["label", *(f"pc{i}" for i in range(pca_k))], rows)

@@ -13,6 +13,7 @@ import dataclasses
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from gaternet.analyze import (
@@ -154,7 +155,9 @@ def cmd_analyze(args) -> int:
     write_histogram_csv(out / "on_count_histogram.csv", on_report.histogram)
     fired = fired_count_per_sample(gate_log, bins=args.bins)
     write_histogram_csv(out / "fired_count_histogram.csv", fired.histogram)
-    result = export_usage_vectors(gate_log, pca_k, out / "usage_vectors.csv")
+    with warnings.catch_warnings():  # a rank below pca_k is printed instead
+        warnings.simplefilter("ignore", UserWarning)
+        result = export_usage_vectors(gate_log, pca_k, out / "usage_vectors.csv")
 
     print(f"samples: {n}")
     print(f"gates: {c}")
@@ -164,6 +167,7 @@ def cmd_analyze(args) -> int:
     print(f"fired_max: {fired.max}")
     print(f"fired_mean: {fired.mean:.6f}")
     print(f"pca_components: {pca_k}")
+    print(f"pca_rank: {result.rank}")
     print(f"pca_explained_variance: "
           f"{float(result.explained_variance_ratio.sum()):.6f}")
     print(f"outputs: {out}")

@@ -4,8 +4,9 @@ A finite-difference gradient checker, the gradient-routing proof for the
 sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
 masked gated conv from layers primitives, the discretizer composed from
-six graph nodes that semhash_forward is checked against, and an rng
-stand-in that pins every training sample to one discretizer branch.
+six graph nodes that semhash_forward is checked against, an rng stand-in
+that pins every training sample to one discretizer branch, and the thin-SVD
+PCA that pca_reduce is checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from gaternet.analyze import PCAResult
 from gaternet.layers import Conv2dParams, batchnorm, conv2d, conv_output_hw, relu
 from gaternet.model import GaterNet
 from gaternet.semhash import _sat_sigmoid_data, _sat_sigmoid_grad
@@ -259,3 +261,29 @@ def masked_reference(x, p, bn, gates):
         y = batchnorm(y, bn, False)
     n, c = gates.shape
     return (relu(y) * Tensor(gates).reshape(n, c, 1, 1)).data
+
+
+def pca_svd_reference(x: Array, k: int) -> PCAResult:
+    """pca_reduce by a thin SVD of the centered float64 data: the squared
+    singular values are the scatter matrix's eigenvalues, and the rank cut
+    is numpy.linalg.matrix_rank's default on the singular values. Same
+    sign convention and ratios as pca_reduce; it raises no warning."""
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    mean = x.mean(axis=0)
+    xc = x - mean
+    _, s, vt = np.linalg.svd(xc, full_matrices=False)
+    tol = s[0] * max(n, d) * np.finfo(np.float64).eps
+    components = vt[:k].copy()
+    for i in range(k):
+        j = int(np.abs(components[i]).argmax())
+        if components[i, j] < 0:
+            components[i] = -components[i]
+    total_var = float((s * s).sum())
+    if total_var > 0:
+        ratios = (s[:k] * s[:k]) / total_var
+    else:
+        ratios = np.zeros(k, dtype=np.float64)
+    return PCAResult(reduced=xc @ components.T, components=components,
+                     explained_variance_ratio=ratios, mean=mean,
+                     rank=int((s > tol).sum()))

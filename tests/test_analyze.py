@@ -2,9 +2,11 @@
 taxonomy, histograms, principal-component reduction, and the CSV exports.
 
 Scan results are checked against brute-force loops, and the PCA against an
-independent eigendecomposition of the covariance matrix."""
+independent eigendecomposition of the covariance matrix and against the
+thin-SVD oracle."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from gaternet.analyze import (
     write_taxonomy_csv,
 )
 from gaternet.persist import CheckpointError, load_checkpoint, save_checkpoint
+from oracles import pca_svd_reference
 
 
 def random_log(seed: int, n: int = 12, c: int = 13, p: float = 0.5) -> GateLog:
@@ -346,6 +349,46 @@ class TestPCA:
             result = pca_reduce(x, 2)
         assert np.all(result.explained_variance_ratio == 0.0)
         assert np.all(result.reduced == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_svd_oracle_on_planted_logs(self, data):
+        """0/1 logs whose extra columns are constant, duplicates or
+        complements of random ones, so the centered data is often rank
+        deficient. Components are compared where the eigengap around them
+        exceeds 1e-3 of the largest eigenvalue; elsewhere either basis of
+        the eigenspace is right."""
+        n = data.draw(st.integers(2, 600), label="n")
+        base = data.draw(st.integers(1, 40), label="base columns")
+        planted = data.draw(st.lists(
+            st.sampled_from(["off", "on", "duplicate", "complement"]),
+            max_size=40), label="planted columns")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        cols = list((rng.random((n, base)) < rng.uniform(0.02, 0.98, base)).T)
+        for kind in planted:
+            src = cols[rng.integers(base)]
+            cols.append({"off": np.zeros(n, bool), "on": np.ones(n, bool),
+                         "duplicate": src, "complement": ~src}[kind])
+        x = np.stack(cols, axis=1)[:, rng.permutation(len(cols))].astype(np.uint8)
+        k = data.draw(st.integers(1, min(x.shape)), label="k")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = pca_reduce(x, k)
+        want = pca_svd_reference(x, k)
+        assert got.rank == want.rank
+        assert got.rank_deficient == want.rank_deficient
+        assert len(caught) == int(got.rank_deficient)
+        assert np.abs(got.explained_variance_ratio
+                      - want.explained_variance_ratio).max() < 1e-12
+        s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+        evals = np.concatenate([[np.inf], s * s, [0.0]])
+        for i in range(min(k, want.rank)):
+            gap = min(evals[i] - evals[i + 1], evals[i + 1] - evals[i + 2])
+            if gap > 1e-3 * evals[1]:
+                cos = float(got.components[i] @ want.components[i])
+                assert 1 - abs(cos) < 1e-9, f"component {i}: cos {cos}"
 
     def test_k_validation(self):
         x = spectral_data(5, n=10, d=4)

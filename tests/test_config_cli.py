@@ -355,11 +355,8 @@ class TestCli:
         assert np.array_equal(log.filter_ids, gate_map.filter_ids)
 
         an_dir = tmp_path / "analysis"
-        # every eval image fires the same gates, so the usage vectors'
-        # principal components past the first have no variance to carry
-        with pytest.warns(UserWarning, match="rank 0"):
-            assert main(["analyze", "--gatelog", gatelog,
-                         "--out", str(an_dir), "--bins", "8"]) == 0
+        assert main(["analyze", "--gatelog", gatelog,
+                     "--out", str(an_dir), "--bins", "8"]) == 0
         for name in ("taxonomy.csv", "layer_distribution.csv",
                      "on_count_histogram.csv", "fired_count_histogram.csv",
                      "usage_vectors.csv"):
@@ -368,6 +365,9 @@ class TestCli:
             assert len(list(csv.DictReader(fh))) == 4
         stdout = capsys.readouterr().out
         assert "always_on:" in stdout and "pca_components:" in stdout
+        # every eval image fires the same gates, so the usage vectors carry
+        # no variance: the rank is printed, not warned about
+        assert "pca_rank: 0" in stdout.splitlines()
 
     @pytest.mark.parametrize("empty_split", ["train", "eval"])
     def test_empty_cifar_split_exits_4(self, tmp_path, capsys, empty_split):
@@ -801,6 +801,20 @@ class TestCli:
         assert main(["analyze", "--gatelog", str(tmp_path / "empty.glog"),
                      "--out", str(tmp_path / "an")]) == 3
         assert "nothing to analyze" in capsys.readouterr().err
+
+    def test_analyze_constant_log_prints_rank_without_warning(self, tmp_path,
+                                                              capsys):
+        gates = np.ones((64, 10), dtype=np.uint8)
+        gates[:, 3] = 0
+        save_gate_log(tmp_path / "const.glog",
+                      GateLog(gates=gates, labels=np.zeros(64),
+                              layer_ids=np.zeros(10), filter_ids=np.arange(10)))
+        assert main(["analyze", "--gatelog", str(tmp_path / "const.glog"),
+                     "--out", str(tmp_path / "an")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert "pca_components: 10" in lines and "pca_rank: 0" in lines
 
     @pytest.mark.parametrize("flags", [
         ["--bins", "0"], ["--pca-k", "100"], ["--pca-k", "0"],
