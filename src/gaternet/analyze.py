@@ -166,13 +166,14 @@ class OnCountReport:
     histogram: Histogram
 
 
-def on_count_histogram(log: GateLog, bins: int = 100) -> OnCountReport:
-    """Histogram of per-gate on-counts, input-dependent gates only, over
-    equal-width bins spanning [0, num_samples]."""
+def on_count_histogram(log: GateLog, tax: GateTaxonomy,
+                       bins: int = 100) -> OnCountReport:
+    """Histogram of per-gate on-counts, input-dependent gates only (as
+    classify_gates(log) sorts them into tax), over equal-width bins
+    spanning [0, num_samples]."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     n = log.num_samples
-    tax = classify_gates(log)
     dep = np.flatnonzero(tax.categories == INPUT_DEPENDENT)
     on_counts = log.gates[:, dep].sum(axis=0, dtype=np.int64)
     counts, edges = np.histogram(on_counts, bins=bins, range=(0, n))

@@ -102,11 +102,9 @@ def cmd_eval(args) -> int:
     if args.dump_gates:
         _out_path(args.dump_gates, "--dump-gates", want_dir=False)
     model, phase = load_model(cfg.model, args.ckpt)
-    if args.dump_gates and (phase != "joint" or not cfg.model.gated_filter_total):
+    if args.dump_gates and phase != "joint":
         raise CheckpointError(
-            f"--dump-gates needs a joint-phase checkpoint of a model with gated "
-            f"filters; this one is from {phase} with "
-            f"{cfg.model.gated_filter_total} gated filters"
+            f"--dump-gates needs a joint-phase checkpoint; this one is from {phase}"
         )
     eval_x, eval_y = load_eval_split(cfg.dataset, cfg.seed)
     acc, mean_gate, gates = evaluate(
@@ -151,7 +149,7 @@ def cmd_analyze(args) -> int:
     tax = classify_gates(gate_log)
     write_taxonomy_csv(out / "taxonomy.csv", gate_log, tax)
     write_layer_distribution_csv(out / "layer_distribution.csv", tax)
-    on_report = on_count_histogram(gate_log, bins=args.bins)
+    on_report = on_count_histogram(gate_log, tax, bins=args.bins)
     write_histogram_csv(out / "on_count_histogram.csv", on_report.histogram)
     fired = fired_count_per_sample(gate_log, bins=args.bins)
     write_histogram_csv(out / "fired_count_histogram.csv", fired.histogram)

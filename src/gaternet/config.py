@@ -21,12 +21,6 @@ from gaternet.model import LayerSpec, ModelSpec, validate_spec
 from gaternet.train import PHASES, ConfigError, TrainConfig
 
 
-def _require_dict(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
-    return value
-
-
 _MISSING = object()
 
 
@@ -49,7 +43,9 @@ class _Section:
     """Dict wrapper that tracks consumed keys and rejects leftovers."""
 
     def __init__(self, raw: dict, where: str):
-        self.raw = _require_dict(raw, where)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
+        self.raw = raw
         self.where = where
         self.taken: set[str] = set()
 
@@ -86,7 +82,7 @@ def _parse_layer(raw: dict, where: str) -> LayerSpec:
     kwargs = {"kind": kind}
     fields = {
         "conv": {"filters": int, "kernel": int, "stride": int, "padding": int,
-                 "gated": bool, "batchnorm": bool},
+                 "gated": bool},
         "pool": {"window": int},
         "fc": {"width": int},
     }.get(kind)
@@ -196,10 +192,9 @@ def _parse_train(raw: dict, seed: int) -> dict[str, TrainConfig]:
     """One TrainConfig per phase: the shared train keys, the phase's epochs
     and lr_schedule, and the config seed."""
     sec = _Section(raw, "train")
-    phases_raw = _require_dict(sec.take("phases"), "train.phases")
-    unknown = sorted(set(phases_raw) - set(PHASES))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in train.phases")
+    phases_sec = _Section(sec.take("phases"), "train.phases")
+    phases_raw = {name: phases_sec.take(name) for name in PHASES}
+    phases_sec.finish()
     shared = {
         "batch_size": sec.take("batch_size", want=int),
         **sec.given({"momentum": float, "weight_decay": float, "lambda": float,
@@ -210,8 +205,6 @@ def _parse_train(raw: dict, seed: int) -> dict[str, TrainConfig]:
     sec.finish()
     phases = {}
     for name in PHASES:
-        if name not in phases_raw:
-            raise ConfigError(f"train.phases is missing required key {name!r}")
         psec = _Section(phases_raw[name], f"train.phases.{name}")
         epochs = psec.take("epochs", want=int)
         schedule = _parse_schedule(
@@ -238,11 +231,9 @@ def load_config(path: str | Path) -> RunConfig:
     sec = _Section(raw, "config")
     seed = sec.take("seed", 0, int)
     out_dir = sec.take("out_dir", want=str)
-    dataset = _parse_dataset(
-        _require_dict(sec.take("dataset"), "dataset"), path.parent
-    )
-    model = _parse_model(_require_dict(sec.take("model"), "model"))
-    phases = _parse_train(_require_dict(sec.take("train"), "train"), seed)
+    dataset = _parse_dataset(sec.take("dataset"), path.parent)
+    model = _parse_model(sec.take("model"))
+    phases = _parse_train(sec.take("train"), seed)
     sec.finish()
     if model.num_classes != dataset.num_classes:
         raise ConfigError(

@@ -25,10 +25,10 @@ from gaternet.tensor import Array, Tensor, apply_op, recording, _stable_sigmoid
 
 @dataclass
 class Conv2dParams:
-    """Filters [out_ch, in_ch, kh, kw], optional bias [out_ch]."""
+    """Filters [out_ch, in_ch, kh, kw]; no bias, since every conv is
+    followed by a batchnorm whose beta is the shift."""
 
     filters: Tensor
-    bias: Tensor | None = None
     stride: int = 1
     padding: int = 0
 
@@ -118,7 +118,7 @@ FORWARD_BLOCK = 16
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """2-D convolution (cross-correlation) over [N, C, H, W] input: filters
-    @ im2col patches, then bias, in BLAS summation order (see module
+    @ im2col patches, in BLAS summation order (see module
     docstring). Both gradients are GEMMs over the whole batch. When the
     filters need a gradient and a graph is being recorded, the forward
     builds the whole batch's patches once and the backward reuses them for
@@ -139,8 +139,6 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         out[lo : lo + len(xb)] = (w_flat @ patches).reshape(
             c_out, oh, ow, len(xb)).transpose(3, 0, 1, 2)
         kept = patches if keep else None
-    if p.bias is not None:
-        out += p.bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g: Array) -> None:
         nonlocal kept
@@ -159,11 +157,8 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
                         dpatch[:, ki, kj]
                     )
             x._accumulate(dxp[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2))
-        if p.bias is not None and p.bias.requires_grad:
-            p.bias._accumulate(g.sum(axis=(0, 2, 3)))
 
-    parents = (x, p.filters) if p.bias is None else (x, p.filters, p.bias)
-    return apply_op(out, parents, backward)
+    return apply_op(out, (x, p.filters), backward)
 
 
 def _extract_patches(

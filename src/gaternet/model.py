@@ -1,8 +1,9 @@
 """Gated backbone CNN plus the gater network that drives it.
 
-A ModelSpec describes two stacks: a backbone (conv/pool/fc layers, some
-conv layers flagged as gated) and a gater (conv/pool layers feeding global
-average pooling). The gater's pooled features go through a bottleneck head
+A ModelSpec describes two stacks: a backbone (conv/pool/fc layers, at
+least one conv layer flagged as gated) and a gater (conv/pool layers, at
+least one conv, feeding global average pooling). Every conv is conv ->
+batchnorm -> relu. The gater's pooled features go through a bottleneck head
 (FC -> batchnorm -> relu -> FC) whose output width is the total number of
 gated backbone filters; one semhash op binarizes those scores (noisy
 and straight-through in training, a plain threshold in eval; see
@@ -47,10 +48,9 @@ LAYER_KINDS = ("conv", "pool", "fc")
 class LayerSpec:
     """One backbone or gater layer.
 
-    conv layers are conv -> (batchnorm) -> relu, with a bias only when
-    batchnorm is off. pool is non-overlapping average pooling. fc layers
-    flatten on entry if needed; every fc except the backbone's last gets a
-    relu.
+    conv layers are conv -> batchnorm -> relu. pool is non-overlapping
+    average pooling. fc layers flatten on entry if needed; every fc except
+    the backbone's last gets a relu.
     """
 
     kind: str
@@ -59,7 +59,6 @@ class LayerSpec:
     stride: int = 1
     padding: int = 1
     gated: bool = False
-    batchnorm: bool = True
     window: int = 2
     width: int = 0
 
@@ -199,8 +198,10 @@ def trace_shapes(layers: tuple[LayerSpec, ...], input_shape, num_classes=None):
 
 def validate_spec(spec: ModelSpec) -> None:
     trace_shapes(spec.backbone, spec.input_shape, spec.num_classes)
-    if spec.gated_filter_total > 0 and spec.feature_size < 1:
-        raise ValueError("gated layers need a gater with at least one conv")
+    if not any(l.gated for l in spec.backbone):
+        raise ValueError("backbone needs at least one gated conv")
+    if not any(l.kind == "conv" for l in spec.gater):
+        raise ValueError("gater needs at least one conv")
     trace_shapes(spec.gater, spec.input_shape)
 
 
@@ -267,10 +268,7 @@ def init_params(
                     (layer.filters, c_in, layer.kernel, layer.kernel),
                     np.sqrt(2.0 / fan_in),
                 )
-                if layer.batchnorm:
-                    add_bn(f"{prefix}.{i}.bn", layer.filters)
-                else:
-                    params[f"{prefix}.{i}.bias"] = zeros(layer.filters)
+                add_bn(f"{prefix}.{i}.bn", layer.filters)
             elif layer.kind == "fc":
                 fan_in = entries[i][1]
                 last = final_is_classifier and i == len(layers) - 1
@@ -279,19 +277,15 @@ def init_params(
                 params[f"{prefix}.{i}.b"] = zeros(layer.width)
 
     add_stack("backbone", spec.backbone, spec.input_shape, True)
-    if spec.gater:
-        add_stack("gater", spec.gater, spec.input_shape, False)
+    add_stack("gater", spec.gater, spec.input_shape, False)
 
     h, c, b = spec.feature_size, spec.gated_filter_total, spec.bottleneck
-    if c > 0:
-        params["head.W1"] = normal((h, b), 1.0 / np.sqrt(h))
-        params["head.b1"] = zeros(b)
-        add_bn("head.bn", b)
-        params["head.W2"] = normal((b, c), 1.0 / np.sqrt(b))
-        params["head.b2"] = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
+    params["head.W1"] = normal((h, b), 1.0 / np.sqrt(h))
+    params["head.b1"] = zeros(b)
+    add_bn("head.bn", b)
+    params["head.W2"] = normal((b, c), 1.0 / np.sqrt(b))
+    params["head.b2"] = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
     if include_probe:
-        if h < 1:
-            raise ValueError("probe needs a gater with at least one conv")
         params["probe.W"] = normal((h, spec.num_classes), 1.0 / np.sqrt(h))
         params["probe.b"] = zeros(spec.num_classes)
     return params, buffers
@@ -300,11 +294,11 @@ def init_params(
 def gated_conv_forward(
     x: Tensor,
     p: Conv2dParams,
-    bn: BatchNormParams | None,
+    bn: BatchNormParams,
     gates: Tensor | None,
     training: bool,
 ) -> Tensor:
-    """conv -> (batchnorm) -> relu, then per-channel gate multiply.
+    """conv -> batchnorm -> relu, then per-channel gate multiply.
 
     gates is [N, out_channels], or None for an ungated conv; binary gates
     switch channels fully on or off, soft gates (the training-time alpha
@@ -322,8 +316,7 @@ def gated_conv_forward(
         if x.shape[0] != n:
             raise ValueError(f"gate batch {n} does not match input batch {x.shape[0]}")
     y = conv2d(x, p)
-    if bn is not None:
-        y = batchnorm(y, bn, training)
+    y = batchnorm(y, bn, training)
     y = relu(y)
     return y if gates is None else y * gates.reshape(n, ch, 1, 1)
 
@@ -422,11 +415,10 @@ class GaterNet:
             if layer.kind == "conv":
                 conv = Conv2dParams(
                     filters=self.params[f"{name}.filters"],
-                    bias=self.params.get(f"{name}.bias"),
                     stride=layer.stride,
                     padding=layer.padding,
                 )
-                bn = self._bn(f"{name}.bn") if layer.batchnorm else None
+                bn = self._bn(f"{name}.bn")
                 gates = None
                 if layer.gated and selected is not None:
                     lo, hi = self.gate_map.slices[i]
@@ -445,15 +437,11 @@ class GaterNet:
 
     def gater_features(self, x: Tensor, training: bool) -> Tensor:
         """Gater conv stack then global average pooling: [N, h]."""
-        if not self.spec.gater:
-            raise ValueError("this spec has no gater stack")
         return global_avg_pool(self._run_stack("gater", self.spec.gater, x, training))
 
     def gater_head(self, f: Tensor, training: bool) -> Tensor:
         """Bottleneck head mapping pooled features [N, h] to scores [N, c]:
         W2 @ relu(batchnorm(W1 @ f + b1)) + b2."""
-        if self.spec.gated_filter_total == 0:
-            raise ValueError("this spec has no gated filters, so no head")
         p = self.params
         z = fully_connected(f, p["head.W1"], p["head.b1"])
         z = relu(batchnorm(z, self._bn("head.bn"), training))
@@ -478,17 +466,11 @@ class GaterNet:
     ) -> tuple[Tensor, GateBundle]:
         """Full gated pass; returns logits and the gate bundle.
 
-        A spec with no gated layers degrades to the plain backbone (the
-        bundle is empty with width 0). dropout_rate only applies in
-        training mode, after branch selection, so binary gates stay binary.
-        An eval pass runs under no_grad and records no graph.
+        dropout_rate only applies in training mode, after branch selection,
+        so binary gates stay binary. An eval pass runs under no_grad and
+        records no graph.
         """
-        n = x.shape[0]
         with nullcontext() if training else no_grad():
-            if self.spec.gated_filter_total == 0:
-                empty = Tensor(np.zeros((n, 0), dtype=x.dtype))
-                bundle = semhash_forward(empty, training, rng)
-                return self._run_stack("backbone", self.spec.backbone, x, training), bundle
             f = self.gater_features(x, training)
             g_pre = self.gater_head(f, training)
             bundle = semhash_forward(g_pre, training, rng)

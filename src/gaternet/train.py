@@ -136,8 +136,6 @@ def l1_gate_penalty(selected: Tensor, lambda_: float) -> Tensor:
     if lambda_ < 0:
         raise ValueError(f"lambda must be >= 0, got {lambda_}")
     n, c = selected.shape
-    if c < 1:
-        raise ValueError("penalty needs at least one gate")
     return selected.sum() * (lambda_ / (n * c))
 
 
@@ -154,7 +152,7 @@ def total_loss(
     if lambda_ < 0:
         raise ValueError(f"lambda must be >= 0, got {lambda_}")
     ce = softmax_cross_entropy(logits, labels)
-    if selected_gates is None or selected_gates.shape[1] == 0 or lambda_ == 0:
+    if selected_gates is None or lambda_ == 0:
         return ce
     if selected_gates.shape[0] != logits.shape[0]:
         raise ValueError(
@@ -244,8 +242,8 @@ def phase_forward(model: GaterNet, phase: str, x: Tensor, training: bool,
 def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
              batch_size: int) -> tuple[float, float | None, Array | None]:
     """Eval-mode accuracy; in joint also the uint8 [N, c] eval gates and
-    their mean as an exact count ratio (None without gated filters). Runs
-    under no_grad, so no phase records a graph."""
+    their mean as an exact count ratio (both None in the other phases).
+    Runs under no_grad, so no phase records a graph."""
     correct = 0
     rows = []
     with no_grad():
@@ -259,7 +257,7 @@ def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
     if phase != "joint":
         return acc, None, None
     gates = np.concatenate(rows, axis=0)
-    mean_gate = int(gates.sum()) / gates.size if gates.size else None
+    mean_gate = int(gates.sum()) / gates.size
     return acc, mean_gate, gates
 
 
@@ -430,12 +428,13 @@ def run_phase(
         rows = meta["metrics_rows"]
         for i, row in enumerate(rows):
             # as written below: JSON numbers (never bools) after epoch and
-            # phase, but for a blank mean_gate_activation
+            # phase, but for pretrain_gater's blank mean_gate_activation
             if not (isinstance(row, dict) and set(row) == set(METRIC_COLUMNS)
                     and row["epoch"] == i and type(row["epoch"]) is int
                     and row["phase"] == phase
                     and all(type(row[k]) in (int, float) for k in METRIC_COLUMNS[2:]
-                            if (k, row[k]) != ("mean_gate_activation", ""))):
+                            if (phase, k, row[k])
+                            != ("pretrain_gater", "mean_gate_activation", ""))):
                 raise CheckpointError(
                     f"{resume_ckpt}: metadata 'metrics_rows' holds {row!r}, not "
                     f"the {phase} row of epoch {i} with keys "
@@ -463,7 +462,7 @@ def run_phase(
         losses = []
         for lo in range(0, n_train, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            xb = splits.train_x[idx].copy()
+            xb = splits.train_x[idx]  # fancy indexing copies
             if desc.random_crop or desc.mirror:
                 for i in range(len(xb)):
                     xb[i] = augment(xb[i], rng, desc.random_crop, desc.mirror)
@@ -508,6 +507,6 @@ def run_phase(
         rows=rows,
         final_eval_acc=float(last["eval_acc"]),
         final_train_loss=float(last["train_loss"]),
-        final_gate_activation=float(gate) if phase == "joint" and gate != "" else None,
+        final_gate_activation=float(gate) if phase == "joint" else None,
         model=model,
     )

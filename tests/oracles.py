@@ -158,18 +158,15 @@ def param_count(model: GaterNet) -> ParamCountReport:
     )
     # Head weights without biases and batchnorm, (h + c) * b, against
     # the h * c a direct h -> c layer would cost.
-    head_w = head_single = 0
-    if model.spec.gated_filter_total > 0:
-        (h, b), (_, c) = model.params["head.W1"].shape, model.params["head.W2"].shape
-        head_w, head_single = (h + c) * b, h * c
+    (h, b), (_, c) = model.params["head.W1"].shape, model.params["head.W2"].shape
     return ParamCountReport(
         backbone=backbone,
         gater=gater,
         head=head,
         probe=probe,
         total=backbone + gater + head,
-        head_weight_count=head_w,
-        head_single_layer_weight_count=head_single,
+        head_weight_count=(h + c) * b,
+        head_single_layer_weight_count=h * c,
     )
 
 
@@ -227,7 +224,7 @@ def semhash_reference(g_pre: Tensor, rng) -> Tensor:
 def loop_conv2d(x: Array, p: Conv2dParams) -> Array:
     """The exact reference convolution over [N, C, H, W] input: for each
     (ic, ki, kj) in that order, one product with every output position,
-    added to the accumulator, then the bias. A scalar loop adding terms in
+    added to the accumulator. A scalar loop adding terms in
     the same order gives the same float32 bits, and each (sample, output
     channel) map is computed independently of every other one."""
     oh, ow = conv_output_hw(x.shape, p)
@@ -248,17 +245,13 @@ def loop_conv2d(x: Array, p: Conv2dParams) -> Array:
                     out=tmp,
                 )
                 out += tmp
-    if p.bias is not None:
-        out += p.bias.data.reshape(1, c_out, 1, 1)
     return out
 
 
 def masked_reference(x, p, bn, gates):
     """The masked gated conv from layers primitives, in eval mode:
     relu(bn(conv2d(x))) * g."""
-    y = conv2d(Tensor(x), p)
-    if bn is not None:
-        y = batchnorm(y, bn, False)
+    y = batchnorm(conv2d(Tensor(x), p), bn, False)
     n, c = gates.shape
     return (relu(y) * Tensor(gates).reshape(n, c, 1, 1)).data
 

@@ -96,11 +96,11 @@ def _op_cases(seed: int):
     conv_mix = _mix(seed, (2, 4, 5, 5))
 
     def conv_of_w(w):
-        p = Conv2dParams(filters=w, bias=None, stride=1, padding=1)
+        p = Conv2dParams(filters=w, stride=1, padding=1)
         return (conv2d(x_conv, p) * conv_mix).sum()
 
     def conv_of_x(x):
-        p = Conv2dParams(filters=w_conv, bias=None, stride=1, padding=1)
+        p = Conv2dParams(filters=w_conv, stride=1, padding=1)
         return (conv2d(x, p) * conv_mix).sum()
 
     bn_gamma = Tensor(f32(4) * 0.2 + 1.0)
@@ -288,7 +288,7 @@ def _conv_with_bn(seed: int, cout: int, cin: int):
     rng = np.random.default_rng(seed)
     p = Conv2dParams(
         filters=Tensor(rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)),
-        bias=None, stride=1, padding=1,
+        stride=1, padding=1,
     )
     bn = BatchNormParams(
         gamma=Tensor(rng.uniform(0.5, 1.5, cout).astype(np.float32)),
@@ -556,7 +556,7 @@ def test_criterion_08_analytics_oracles():
         assert (tax.total(ALWAYS_ON) + tax.total(ALWAYS_OFF)
                 + tax.total(INPUT_DEPENDENT)) == c
 
-        on_rep = on_count_histogram(log, bins=6)
+        on_rep = on_count_histogram(log, tax, bins=6)
         assert sorted(on_rep.on_counts.tolist()) == sorted(dep_expect)
         assert int(on_rep.histogram.counts.sum()) == len(dep_expect)
 

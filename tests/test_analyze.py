@@ -214,7 +214,8 @@ class TestTaxonomy:
 
 class TestHistograms:
     def test_on_count_report(self):
-        report = on_count_histogram(crafted_log(), bins=4)
+        log = crafted_log()
+        report = on_count_histogram(log, classify_gates(log), bins=4)
         assert list(report.gate_indices) == [2, 4]
         assert list(report.on_counts) == [2, 2]
         assert report.histogram.counts.tolist() == [0, 0, 2, 0]
@@ -222,8 +223,8 @@ class TestHistograms:
 
     def test_on_count_total_matches_dependent_gates(self):
         log = random_log(3, n=20, c=40)
-        report = on_count_histogram(log, bins=10)
         tax = classify_gates(log)
+        report = on_count_histogram(log, tax, bins=10)
         assert int(report.histogram.counts.sum()) == tax.total(INPUT_DEPENDENT)
         # every input-dependent on-count is strictly inside (0, n)
         assert np.all(report.on_counts > 0)
@@ -262,10 +263,11 @@ class TestHistograms:
             fired_count_per_sample(empty)
 
     def test_bins_validation(self):
+        log = crafted_log()
         with pytest.raises(ValueError):
-            on_count_histogram(crafted_log(), bins=0)
+            on_count_histogram(log, classify_gates(log), bins=0)
         with pytest.raises(ValueError):
-            fired_count_per_sample(crafted_log(), bins=0)
+            fired_count_per_sample(log, bins=0)
 
 
 def spectral_data(seed: int, n: int = 40, d: int = 7) -> np.ndarray:
@@ -439,7 +441,9 @@ class TestCsvExports:
 
     def test_histogram_csv(self, tmp_path):
         path = tmp_path / "hist.csv"
-        write_histogram_csv(path, on_count_histogram(crafted_log(), bins=4).histogram)
+        log = crafted_log()
+        write_histogram_csv(
+            path, on_count_histogram(log, classify_gates(log), bins=4).histogram)
         assert path.read_bytes() == (
             b"bin_lo,bin_hi,count\n"
             b"0.00000000e+00,1.00000000e+00,0\n"

@@ -15,7 +15,7 @@ from gaternet.analyze import GateLog, load_gate_log, save_gate_log
 from gaternet.cli import main
 from gaternet.config import ConfigError, load_config
 from gaternet.data import load_dataset
-from gaternet.model import GaterNet, conv_macs
+from gaternet.model import GaterNet, conv_macs, spec_to_dict
 from gaternet.persist import dict_hash, load_checkpoint, save_checkpoint
 from gaternet.train import PHASES, TrainConfig
 
@@ -31,6 +31,10 @@ SYNTHETIC_SMALL_HASHES = {
     "joint":
         "b607097c0e389a423fd8764bfcb30bce7591e47b0acf1520a790d49dd26d0d4f",
 }
+# spec_hash of the synthetic_small model; checkpoints carry it, so a change
+# here stops every saved run of this config from loading
+SYNTHETIC_SMALL_SPEC_HASH = (
+    "5f15f6f1ca901e17b1aa3409c2b6ad24a13e71fba664c9c4260b83eb9b45d18b")
 
 
 def base_config(tmp_path) -> dict:
@@ -289,6 +293,31 @@ class TestLoadConfig:
             assert dict_hash(got.to_dict()) == SYNTHETIC_SMALL_HASHES[phase]
         reseeded = dataclasses.replace(cfg, seed=5)
         assert [reseeded.make_phase_config(p).seed for p in PHASES] == [5] * 3
+
+    def test_synthetic_small_spec_hash_is_pinned(self):
+        spec = load_config(SYNTHETIC_SMALL).model
+        assert dict_hash(spec_to_dict(spec)) == SYNTHETIC_SMALL_SPEC_HASH
+
+    def test_cifar10_config_loads(self, tmp_path):
+        # load_config checks only that the batch files exist, so empty
+        # placeholders at the config's relative paths stand in for them
+        src = SYNTHETIC_SMALL.parent / "cifar10.json"
+        (tmp_path / "configs").mkdir()
+        path = tmp_path / "configs" / "cifar10.json"
+        path.write_bytes(src.read_bytes())
+        batches = tmp_path / "data" / "cifar-10-batches-bin"
+        batches.mkdir(parents=True)
+        names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+        for name in names:
+            (batches / name).touch()
+        cfg = load_config(path)
+        assert cfg.dataset.kind == "cifar10"
+        assert [Path(p).name for p in cfg.dataset.train_paths] == names[:5]
+        assert Path(cfg.dataset.eval_path).name == names[5]
+        assert cfg.model.input_shape == (3, 32, 32)
+        assert cfg.model.gated_filter_total == 2 * (32 + 64 + 128)
+        assert cfg.model.feature_size == 32
+        assert [cfg.phases[p].epochs for p in PHASES] == [30, 20, 40]
 
     def test_unknown_phase_request(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
@@ -621,21 +650,27 @@ class TestCli:
         assert "joint" in captured.err
         assert captured.out == ""  # refused before the eval pass
 
-    def test_dump_gates_without_gated_filters_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda m: m["backbone"][0].__setitem__("gated", False),
+         "model: backbone needs at least one gated conv"),
+        (lambda m: m.pop("gater"), "model: gater needs at least one conv"),
+        (lambda m: m.__setitem__("gater", [{"kind": "pool"}]),
+         "model: gater needs at least one conv"),
+        (lambda m: m["backbone"][0].__setitem__("batchnorm", False),
+         "unknown key 'batchnorm' in model.backbone[0]"),
+    ], ids=["no-gated-conv", "no-gater", "no-gater-conv", "batchnorm-key"])
+    def test_train_refuses_a_model_that_is_not_a_gaternet(self, tmp_path,
+                                                          capsys, mutate,
+                                                          message):
         doc = base_config(tmp_path)
-        doc["model"]["backbone"][0]["gated"] = False
+        mutate(doc["model"])
         cfg_path = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg_path, "--phase", "joint",
-                     "--from-scratch"]) == 0
-        capsys.readouterr()
-        rc = main(["eval", "--config", cfg_path,
-                   "--ckpt", str(tmp_path / "run" / "joint.ckpt"),
-                   "--dump-gates", str(tmp_path / "g.glog")])
-        assert rc == 3
+                     "--from-scratch"]) == 2
         captured = capsys.readouterr()
-        assert "gated filters" in captured.err
+        assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
-        assert not (tmp_path / "g.glog").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_dump_gates_runs_eval_set_once(self, tmp_path, capsys,
                                           monkeypatch):
@@ -747,6 +782,10 @@ class TestCli:
             "epoch": 0, "phase": "pretrain_backbone", "train_loss": 1.0,
             "eval_acc": "x", "mean_gate_activation": 1.0, "lr": 0.1,
             "dropout_rate": 0.0}]}, id="metrics_rows-str-value"),
+        pytest.param({"metrics_rows": [{
+            "epoch": 0, "phase": "pretrain_backbone", "train_loss": 1.0,
+            "eval_acc": 0.5, "mean_gate_activation": "", "lr": 0.1,
+            "dropout_rate": 0.0}]}, id="metrics_rows-blank-gate"),
         pytest.param({"step": -3}, id="step-negative"),
         pytest.param({"step": 1000000}, id="step-past-epochs"),
     ])

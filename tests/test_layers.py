@@ -35,7 +35,7 @@ from gaternet.tensor import Tensor, no_grad
 from oracles import grad_check, loop_conv2d
 
 
-def naive_conv2d(x, w, b, stride, padding):
+def naive_conv2d(x, w, stride, padding):
     """Scalar reference: same accumulation order, no vectorization."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
@@ -56,50 +56,41 @@ def naive_conv2d(x, w, b, stride, padding):
                                 acc = acc + w[co, ic, ki, kj] * xp[
                                     ni, ic, oi * stride + ki, oj * stride + kj
                                 ]
-                    if b is not None:
-                        acc = acc + b[co]
                     out[ni, co, oi, oj] = acc
     return out
 
 
-def _conv_params(cout, cin, k, seed, stride=1, padding=1, bias=True,
-                 dtype=np.float32):
+def _conv_params(cout, cin, k, seed, stride=1, padding=1, dtype=np.float32):
     rng = np.random.default_rng(seed)
     w = Tensor(rng.standard_normal((cout, cin, k, k)).astype(dtype),
                requires_grad=True)
-    bt = (Tensor(rng.standard_normal(cout).astype(dtype), requires_grad=True)
-          if bias else None)
-    return Conv2dParams(filters=w, bias=bt, stride=stride, padding=padding)
+    return Conv2dParams(filters=w, stride=stride, padding=padding)
 
 
 class TestConv2d:
     @pytest.mark.parametrize("geometry", [
-        # (cin, cout, k, stride, padding, h, w, bias)
-        (3, 8, 3, 1, 1, 8, 8, True),
-        (3, 8, 3, 1, 1, 8, 8, False),
-        (4, 6, 3, 2, 1, 9, 9, True),
-        (2, 5, 5, 1, 2, 7, 7, True),
-        (3, 4, 1, 1, 0, 6, 6, True),
-        (1, 3, 3, 3, 0, 9, 12, False),
+        # (cin, cout, k, stride, padding, h, w)
+        (3, 8, 3, 1, 1, 8, 8),
+        (3, 8, 3, 2, 0, 8, 8),
+        (4, 6, 3, 2, 1, 9, 9),
+        (2, 5, 5, 1, 2, 7, 7),
+        (3, 4, 1, 1, 0, 6, 6),
+        (1, 3, 3, 3, 0, 9, 12),
     ])
     def test_matches_naive_loop_bitwise(self, geometry):
-        cin, cout, k, stride, padding, h, w, bias = geometry
+        cin, cout, k, stride, padding, h, w = geometry
         rng = np.random.default_rng(hash(geometry) % 2**32)
         x = rng.standard_normal((2, cin, h, w)).astype(np.float32)
-        p = _conv_params(cout, cin, k, seed=1, stride=stride, padding=padding,
-                         bias=bias)
+        p = _conv_params(cout, cin, k, seed=1, stride=stride, padding=padding)
         got = loop_conv2d(x, p)
-        want = naive_conv2d(
-            x, p.filters.data, None if p.bias is None else p.bias.data,
-            stride, padding,
-        )
+        want = naive_conv2d(x, p.filters.data, stride, padding)
         assert got.dtype == np.float32
         assert np.array_equal(got, want), "vectorized loop diverged from scalar loop"
 
     def test_matches_scipy_correlate(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3, 8, 8))
-        p = _conv_params(4, 3, 3, seed=2, bias=False, dtype=np.float64)
+        p = _conv_params(4, 3, 3, seed=2, dtype=np.float64)
         got = conv2d(Tensor(x), p).data
         want = np.zeros_like(got)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -116,7 +107,7 @@ class TestConv2d:
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 1.0
-        p = Conv2dParams(filters=Tensor(w), bias=None, stride=1, padding=1)
+        p = Conv2dParams(filters=Tensor(w), stride=1, padding=1)
         assert np.array_equal(conv2d(Tensor(x), p).data, x)
 
     def test_sample_rows_are_independent(self):
@@ -134,7 +125,6 @@ class TestConv2d:
         p = _conv_params(6, 3, 3, seed=4)
         full = loop_conv2d(x, p)
         sub = Conv2dParams(filters=Tensor(p.filters.data[[1, 4]]),
-                           bias=Tensor(p.bias.data[[1, 4]]),
                            stride=1, padding=1)
         assert np.array_equal(loop_conv2d(x, sub), full[:, [1, 4]])
 
@@ -154,27 +144,24 @@ class TestConv2d:
         p = _conv_params(4, 3, 3, seed=11, stride=2, dtype=np.float64)
         assert grad_check(lambda t: (conv2d(t, p) * conv2d(t, p)).sum(), x) < 1e-6
         assert grad_check(
-            lambda t: (conv2d(x, Conv2dParams(t, p.bias, 2, 1)) * 3.0).sum(),
+            lambda t: (conv2d(x, Conv2dParams(t, 2, 1)) * 3.0).sum(),
             p.filters) < 1e-6
-        assert grad_check(
-            lambda t: conv2d(x, Conv2dParams(p.filters, t, 2, 1)).sum(),
-            p.bias) < 1e-6
 
 
 class TestConv2dGemm:
     # n reaches past four forward blocks, so a partial last block is covered
     @settings(max_examples=60, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
-           padding=st.sampled_from([0, 1]), bias=st.booleans(),
+           padding=st.sampled_from([0, 1]),
            n=st.integers(1, 4 * FORWARD_BLOCK + 1), c_in=st.integers(1, 6),
            c_out=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
-    def test_matches_loop_within_rounding(self, kernel, stride, padding, bias,
+    def test_matches_loop_within_rounding(self, kernel, stride, padding,
                                           n, c_in, c_out, seed):
         rng = np.random.default_rng(seed)
         h, w = rng.integers(max(kernel - 2 * padding, 1), 10, size=2)
         x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
         p = _conv_params(c_out, c_in, kernel, seed=seed, stride=stride,
-                         padding=padding, bias=bias)
+                         padding=padding)
         want = loop_conv2d(x, p)
         # the filters need a gradient, so a recorded forward keeps one
         # full-batch patch matrix; under no_grad it runs in blocks
@@ -198,8 +185,7 @@ class TestConv2dGemm:
             xt = Tensor(x.copy(), requires_grad=True)
             y = conv2d(xt, p)
             (y * mix).sum().backward()
-            runs.append([a.tobytes() for a in (y.data, xt.grad, p.filters.grad,
-                                               p.bias.grad)])
+            runs.append([a.tobytes() for a in (y.data, xt.grad, p.filters.grad)])
         assert runs[0] == runs[1]
 
 
@@ -236,7 +222,7 @@ class TestConv2dGemm:
         mix = Tensor(rng.standard_normal(conv2d(x, p).shape))
         assert grad_check(lambda t: (conv2d(t, p) * mix).sum(), x) < 1e-6
         assert grad_check(
-            lambda t: (conv2d(x, Conv2dParams(t, p.bias, 2, 1)) * mix).sum(),
+            lambda t: (conv2d(x, Conv2dParams(t, 2, 1)) * mix).sum(),
             p.filters) < 1e-6
 
     def test_second_backward_gives_the_same_leaf_grads(self):
@@ -247,7 +233,7 @@ class TestConv2dGemm:
         q = _conv_params(2, 5, 3, seed=20)
         y = conv2d(relu(conv2d(x, p)), q)
         loss = (y * y).sum()
-        leaves = (x, p.filters, p.bias, q.filters, q.bias)
+        leaves = (x, p.filters, q.filters)
         grads = []
         for _ in range(2):
             for t in leaves:

@@ -2,6 +2,7 @@
 initialization, parameter counting, the equivalence between masked and
 selectively computed gated convolutions, and the conv MAC count."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,7 @@ from gaternet.tensor import Tensor
 from oracles import masked_reference, param_count
 
 
-def small_spec(gated=True, gater=True) -> ModelSpec:
+def small_spec(gated=True) -> ModelSpec:
     return ModelSpec(
         input_shape=(3, 8, 8),
         num_classes=3,
@@ -54,7 +55,7 @@ def small_spec(gated=True, gater=True) -> ModelSpec:
             LayerSpec("pool"),
             LayerSpec("conv", filters=5),
             LayerSpec("pool"),
-        ) if gater else (),
+        ),
         bottleneck=3,
     )
 
@@ -96,6 +97,14 @@ class TestSpecs:
         assert spec_from_dict(spec_to_dict(spec)) == spec
         import json
         json.dumps(spec_to_dict(spec))  # must be JSON-ready
+
+    def test_every_model_needs_a_gated_conv_and_a_gater_conv(self):
+        with pytest.raises(ValueError,
+                           match="^backbone needs at least one gated conv$"):
+            GaterNet(small_spec(gated=False), seed=3)
+        pool_only = dataclasses.replace(small_spec(), gater=(LayerSpec("pool"),))
+        with pytest.raises(ValueError, match="^gater needs at least one conv$"):
+            GaterNet(pool_only, seed=3)
 
     def test_validate_spec_needs_gater_for_gates(self):
         with pytest.raises(ValueError, match="gater"):
@@ -183,14 +192,14 @@ class TestInitParams:
         assert "backbone.0.bias" not in params
         spec = ModelSpec(
             (3, 8, 8), 3,
-            (LayerSpec("conv", filters=4, batchnorm=False),
+            (LayerSpec("conv", filters=4, gated=True),
              LayerSpec("fc", width=3)),
-            (), 1,
+            (LayerSpec("conv", filters=2),), 1,
         )
         params, buffers = init_params(spec, np.random.default_rng(3))
-        assert "backbone.0.bias" in params
-        assert "backbone.0.bn.gamma" not in params
-        assert not buffers
+        assert "backbone.0.bias" not in params
+        assert "backbone.0.bn.gamma" in params
+        assert "backbone.0.bn.running_mean" in buffers
 
 
 class TestParamCount:
@@ -226,12 +235,11 @@ class TestParamCount:
         assert report.total == report.backbone + report.gater + report.head
 
 
-def _conv_setup(cout, seed, cin=3, size=6, batch=4, with_bn=True):
+def _conv_setup(cout, seed, cin=3, size=6, batch=4):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((batch, cin, size, size)).astype(np.float32)
     p = Conv2dParams(
         filters=Tensor(rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)),
-        bias=None if with_bn else Tensor(rng.standard_normal(cout).astype(np.float32)),
         stride=1, padding=1,
     )
     bn = BatchNormParams(
@@ -239,7 +247,7 @@ def _conv_setup(cout, seed, cin=3, size=6, batch=4, with_bn=True):
         beta=Tensor(rng.standard_normal(cout).astype(np.float32)),
         running_mean=rng.standard_normal(cout).astype(np.float32),
         running_var=rng.uniform(0.5, 2.0, cout).astype(np.float32),
-    ) if with_bn else None
+    )
     return x, p, bn
 
 
@@ -271,17 +279,9 @@ def _selective_train_reference(x, p, bn, gates):
                     acc += wdat[c, ic, ki, kj] * xp[
                         rows, ic, ki : ki + s * oh : s, kj : kj + s * ow : s
                     ]
-        if p.bias is not None:
-            acc = acc + p.bias.data[c]
         return acc
 
     all_rows = np.arange(n)
-    if bn is None:
-        for c in range(c_out):
-            rows = all_rows[on[:, c]]
-            if rows.size:
-                out[rows, c] = np.maximum(conv_channel(rows, c), 0)
-        return out
     # Batch statistics see the whole batch, so compute enabled channels
     # over all samples, with the same reduction geometry as batchnorm.
     full = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
@@ -305,22 +305,20 @@ def _selective_train_reference(x, p, bn, gates):
 class TestMaskedVsSelective:
     # Eval only: masked_reference is eval-mode batchnorm; the training path
     # is checked against the loop-order reference in the next test.
-    @pytest.mark.parametrize("training,with_bn", [(False, True), (False, False)])
-    def test_masked_equals_skip_path_bitwise(self, training, with_bn):
-        x, p, bn = _conv_setup(8, seed=42, with_bn=with_bn)
+    def test_masked_equals_skip_path_bitwise(self):
+        x, p, bn = _conv_setup(8, seed=42)
         rng = np.random.default_rng(7)
         gates = (rng.random((4, 8)) < 0.5).astype(np.float32)
-        _, _, bn2 = _conv_setup(8, seed=42, with_bn=with_bn)
+        _, _, bn2 = _conv_setup(8, seed=42)
         masked = masked_reference(x, p, bn, gates)
-        skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), training).data
+        skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), False).data
         assert np.array_equal(masked, skipped)
 
-    @pytest.mark.parametrize("with_bn", [True, False])
-    def test_training_matches_skip_reference(self, with_bn):
+    def test_training_matches_skip_reference(self):
         # Gated-off channels are exactly 0; gated-on ones match the
         # loop-order reference within float32 rounding.
         for seed in range(20):
-            x, p, bn = _conv_setup(8, seed=100 + seed, with_bn=with_bn)
+            x, p, bn = _conv_setup(8, seed=100 + seed)
             gates = (np.random.default_rng(seed).random((4, 8)) < 0.5).astype(
                 np.float32)
             want = _selective_train_reference(x, p, bn, gates)
@@ -373,10 +371,10 @@ class TestMaskedVsSelective:
     @pytest.mark.parametrize("side", ["skip", "dense"])
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
-           padding=st.sampled_from([0, 1]), with_bn=st.booleans(),
+           padding=st.sampled_from([0, 1]),
            soft=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_skip_path_matches_masked_reference(self, side, kernel, stride,
-                                                padding, with_bn, soft, seed):
+                                                padding, soft, seed):
         # The production eval path against relu(bn(conv2d(x))) * g, with
         # sparse ("skip") and near-dense ("dense") gates, an all-on and an all-off gate row,
         # input channels zeroed the way a previous gated layer leaves them,
@@ -398,8 +396,6 @@ class TestMaskedVsSelective:
         p = Conv2dParams(
             filters=Tensor(rng.standard_normal(
                 (c_out, c_in, kernel, kernel)).astype(np.float32)),
-            bias=None if with_bn else Tensor(
-                rng.standard_normal(c_out).astype(np.float32)),
             stride=stride, padding=padding,
         )
         bn = BatchNormParams(
@@ -407,7 +403,7 @@ class TestMaskedVsSelective:
             beta=Tensor(rng.standard_normal(c_out).astype(np.float32)),
             running_mean=rng.standard_normal(c_out).astype(np.float32),
             running_var=rng.uniform(0.5, 2.0, c_out).astype(np.float32),
-        ) if with_bn else None
+        )
         want = masked_reference(x, p, bn, gates)
         got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), False)
         assert got.data.dtype == want.dtype
@@ -423,7 +419,7 @@ def _skip_spec() -> ModelSpec:
         backbone=(
             LayerSpec("conv", filters=6, gated=True),
             LayerSpec("pool"),
-            LayerSpec("conv", filters=8, gated=True, batchnorm=False),
+            LayerSpec("conv", filters=8, gated=True),
             LayerSpec("conv", filters=5),
             LayerSpec("conv", filters=6, kernel=1, padding=0, gated=True),
             LayerSpec("conv", filters=4, stride=2, gated=True),
@@ -455,20 +451,16 @@ def _masked_forward(model, x):
         name = f"backbone.{i}"
         if layer.kind == "conv":
             p = Conv2dParams(model.params[f"{name}.filters"],
-                             model.params.get(f"{name}.bias"),
                              layer.stride, layer.padding)
             g = None
             if layer.gated:
                 lo, hi = model.gate_map.slices[i]
                 g = gates[:, lo:hi]
+            bn = model._bn(f"{name}.bn")
             if g is not None:
-                bn = model._bn(f"{name}.bn") if layer.batchnorm else None
                 h = Tensor(masked_reference(h.data, p, bn, g))
             else:
-                h = conv2d(h, p)
-                if layer.batchnorm:
-                    h = batchnorm(h, model._bn(f"{name}.bn"), False)
-                h = relu(h)
+                h = relu(batchnorm(conv2d(h, p), bn, False))
         elif layer.kind == "pool":
             h = avg_pool2d(h, layer.window)
         else:
@@ -595,16 +587,6 @@ class TestGaterNetForward:
         x = Tensor(np.zeros((2, 3, 8, 8), np.float32))
         with pytest.raises(ValueError):
             model.forward(x, training=True)
-
-    def test_zero_gated_spec_degrades_to_plain_backbone(self):
-        spec = small_spec(gated=False, gater=False)
-        model = GaterNet(spec, seed=3)
-        x = Tensor(np.random.default_rng(3).standard_normal(
-            (4, 3, 8, 8)).astype(np.float32))
-        logits, bundle = model.forward(x, training=False)
-        plain = model.forward_backbone(x, training=False)
-        assert np.array_equal(logits.data, plain.data)
-        assert bundle.selected.shape == (4, 0)
 
     def test_probe_requires_flag(self):
         model = GaterNet(small_spec(), seed=0)

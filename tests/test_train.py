@@ -127,8 +127,6 @@ class TestGatePenalty:
         sel = Tensor(np.ones((2, 3), np.float32))
         with pytest.raises(ValueError):
             l1_gate_penalty(sel, -0.1)
-        with pytest.raises(ValueError):
-            l1_gate_penalty(Tensor(np.ones((2, 0), np.float32)), 0.1)
 
     def test_total_loss_adds_penalty(self):
         rng = np.random.default_rng(0)
@@ -156,9 +154,7 @@ class TestGatePenalty:
     def test_no_gates_and_batch_mismatch(self):
         logits = Tensor(np.zeros((4, 3), np.float32))
         labels = np.zeros(4, dtype=np.int64)
-        empty = Tensor(np.zeros((4, 0), np.float32))
         assert np.isfinite(total_loss(logits, labels, None, 0.1).item())
-        assert np.isfinite(total_loss(logits, labels, empty, 0.1).item())
         with pytest.raises(ValueError):
             total_loss(logits, labels, Tensor(np.ones((3, 5), np.float32)), 0.1)
         with pytest.raises(ValueError):
