@@ -57,7 +57,7 @@ def main() -> None:
             print(f"seed {seed} lambda {lam}: acc {rj.final_eval_acc:.4f} "
                   f"activation {rj.final_gate_activation:.4f}")
 
-    write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, rows)
+    write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, "%s,%s,%s,%s,%s", rows)
 
     print("\nper-lambda means:")
     for lam in args.lambdas:

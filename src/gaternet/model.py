@@ -111,6 +111,10 @@ class ModelSpec:
             raise ValueError("gater layers cannot be gated")
         if any(l.kind == "fc" for l in self.gater):
             raise ValueError("gater stack is conv/pool only")
+        if not any(l.gated for l in self.backbone):
+            raise ValueError("backbone needs at least one gated conv")
+        if not any(l.kind == "conv" for l in self.gater):
+            raise ValueError("gater needs at least one conv")
 
     @property
     def gated_filter_total(self) -> int:
@@ -120,8 +124,7 @@ class ModelSpec:
     @property
     def feature_size(self) -> int:
         """h: gater feature width after global average pooling."""
-        convs = [l for l in self.gater if l.kind == "conv"]
-        return convs[-1].filters if convs else 0
+        return [l for l in self.gater if l.kind == "conv"][-1].filters
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,6 @@ def trace_shapes(layers: tuple[LayerSpec, ...], input_shape, num_classes=None):
 
 def validate_spec(spec: ModelSpec) -> None:
     trace_shapes(spec.backbone, spec.input_shape, spec.num_classes)
-    if not any(l.gated for l in spec.backbone):
-        raise ValueError("backbone needs at least one gated conv")
-    if not any(l.kind == "conv" for l in spec.gater):
-        raise ValueError("gater needs at least one conv")
     trace_shapes(spec.gater, spec.input_shape)
 
 

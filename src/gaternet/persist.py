@@ -6,14 +6,12 @@ metadata block, then each array as (name, dtype tag, shape, little-endian
 payload). Serialization is exact, so save -> load -> forward reproduces
 outputs bit for bit. All writes in this package go through a temp file in
 the target directory followed by os.replace, so readers never observe a
-half-written file.
+half-written file. CSV rows are %-formatted and never quoted.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -46,14 +44,18 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
-def write_csv(path: str | Path, header, rows) -> None:
-    """The header, then one line per row of values in header order, each
-    ending in a bare newline, written atomically."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+def write_csv(path: str | Path, header, row_format: str, rows) -> None:
+    """The header, then row_format % row for each row (a tuple of values in
+    header order), each line ending in a bare newline, written atomically.
+    Nothing is quoted: a field holding a comma, a double quote or a line
+    break raises ValueError naming the path, and nothing is written."""
+    lines = [",".join(header), *map(row_format.__mod__, rows)]
+    text = "\n".join(lines) + "\n"
+    if (text.count("\n") != len(lines) or '"' in text or "\r" in text
+            or text.count(",") != len(lines) * (len(header) - 1)):
+        raise ValueError(f"{path}: a field holds a comma, a double quote or "
+                         f"a line break, which write_csv does not quote")
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def dict_hash(d: dict) -> str:

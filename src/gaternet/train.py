@@ -489,8 +489,8 @@ def run_phase(
             "mean_gate_activation": "" if gate_field is None else gate_field,
             "lr": lr, "dropout_rate": last_rate,
         })
-        write_csv(metrics_path, METRIC_COLUMNS,
-                  [[r[k] for k in METRIC_COLUMNS] for r in rows])
+        write_csv(metrics_path, METRIC_COLUMNS, "%s,%s,%s,%s,%s,%s,%s",
+                  [tuple(r[k] for k in METRIC_COLUMNS) for r in rows])
         save_checkpoint(ckpt_path, _state(model, opt), {
             "format": 1, "phase": phase, "epochs_done": epoch + 1, "step": step,
             "seed": cfg.seed, "spec_hash": spec_hash,

@@ -5,12 +5,15 @@ sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
 masked gated conv from layers primitives, the discretizer composed from
 six graph nodes that semhash_forward is checked against, an rng stand-in
-that pins every training sample to one discretizer branch, and the thin-SVD
-PCA that pca_reduce is checked against.
+that pins every training sample to one discretizer branch, the thin-SVD
+PCA that pca_reduce is checked against, and the quoting csv.writer form
+that persist.write_csv's row templates are checked against.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -280,3 +283,15 @@ def pca_svd_reference(x: Array, k: int) -> PCAResult:
     return PCAResult(reduced=xc @ components.T, components=components,
                      explained_variance_ratio=ratios, mean=mean,
                      rank=int((s > tol).sum()))
+
+
+def csv_writer_reference(header, rows) -> bytes:
+    """The bytes of a CSV written through csv.writer with bare-newline line
+    ends: the header, then each row of values in header order. csv.writer
+    quotes a field that holds a comma, a double quote or a line break, and
+    writes every other value as str() (None as an empty field)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")

@@ -6,12 +6,15 @@ independent eigendecomposition of the covariance matrix and against the
 thin-SVD oracle."""
 
 import csv
+import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaternet.analyze as analyze_mod
 from gaternet.analyze import (
     ALWAYS_OFF,
     ALWAYS_ON,
@@ -30,7 +33,7 @@ from gaternet.analyze import (
     write_taxonomy_csv,
 )
 from gaternet.persist import CheckpointError, load_checkpoint, save_checkpoint
-from oracles import pca_svd_reference
+from oracles import csv_writer_reference, pca_svd_reference
 
 
 def random_log(seed: int, n: int = 12, c: int = 13, p: float = 0.5) -> GateLog:
@@ -497,6 +500,80 @@ class TestCsvExports:
         assert [int(r["label"]) for r in rows] == log.labels.tolist()
         got = np.array([[float(r[f"pc{j}"]) for j in range(3)] for r in rows])
         assert np.allclose(got, result.reduced, rtol=1e-7, atol=1e-12)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_writers_match_csv_writer_oracle(self, tmp_path_factory, data):
+        """Each writer's bytes equal those of the former csv.writer form:
+        values from .tolist(), floats preformatted as f"{v:.8e}". Logs
+        repeat a few distinct rows and often hold constant columns, so k
+        can exceed the rank and many reduced values are 0.0; negating the
+        reduction turns those into -0.0."""
+        n = data.draw(st.integers(1, 40), label="n")
+        c = data.draw(st.integers(1, 24), label="c")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        distinct = rng.random((data.draw(st.integers(1, 6), label="distinct"),
+                               c)) < rng.uniform(0, 1, c)
+        log = GateLog(
+            gates=distinct[rng.integers(len(distinct), size=n)].astype(np.uint8),
+            labels=rng.integers(-3, 1000, n),
+            layer_ids=np.sort(rng.integers(0, 5, c)),
+            filter_ids=np.arange(c),
+        )
+        k = data.draw(st.integers(1, min(n, c)), label="pca_k")
+        bins = data.draw(st.integers(1, 12), label="bins")
+        negate = data.draw(st.booleans(), label="negate")
+        out = tmp_path_factory.mktemp("csv")
+
+        tax = classify_gates(log)
+        on_hist = on_count_histogram(log, tax, bins).histogram
+        fired_hist = fired_count_per_sample(log, bins).histogram
+        write_taxonomy_csv(out / "taxonomy.csv", log, tax)
+        write_layer_distribution_csv(out / "layers.csv", tax)
+        write_histogram_csv(out / "on.csv", on_hist)
+        write_histogram_csv(out / "fired.csv", fired_hist)
+        pca = analyze_mod.pca_reduce
+
+        def maybe_negated(*args):
+            result = pca(*args)
+            return (dataclasses.replace(result, reduced=-result.reduced)
+                    if negate else result)
+
+        with mock.patch.object(analyze_mod, "pca_reduce", maybe_negated), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the rank warning when k > rank
+            result = export_usage_vectors(log, k, out / "usage.csv")
+
+        def e8(values):
+            return [f"{v:.8e}" for v in values]
+
+        hist_header = ["bin_lo", "bin_hi", "count"]
+        on_edges = e8(on_hist.edges.tolist())
+        fired_edges = e8(fired_hist.edges.tolist())
+        want = {
+            "taxonomy.csv": csv_writer_reference(
+                ["gate_index", "layer_id", "filter_id", "category"],
+                zip(range(c), log.layer_ids.tolist(), log.filter_ids.tolist(),
+                    (CATEGORIES[cat] for cat in tax.categories.tolist()))),
+            "layers.csv": csv_writer_reference(
+                ["layer_id", "total", *CATEGORIES,
+                 *(f"frac_{name}" for name in CATEGORIES)],
+                [[layer, sum(counts), *counts, *e8(fracs)]
+                 for layer, counts, fracs in zip(tax.layers.tolist(),
+                                                 tax.counts.tolist(),
+                                                 tax.fractions.tolist())]),
+            "on.csv": csv_writer_reference(hist_header, zip(
+                on_edges[:-1], on_edges[1:], on_hist.counts.tolist())),
+            "fired.csv": csv_writer_reference(hist_header, zip(
+                fired_edges[:-1], fired_edges[1:], fired_hist.counts.tolist())),
+            "usage.csv": csv_writer_reference(
+                ["label", *(f"pc{i}" for i in range(k))],
+                [[label, *e8(vec)] for label, vec in
+                 zip(log.labels.tolist(), result.reduced.tolist())]),
+        }
+        for name, blob in want.items():
+            assert (out / name).read_bytes() == blob, name
 
 
 class TestCollect:

@@ -101,10 +101,16 @@ class TestSpecs:
     def test_every_model_needs_a_gated_conv_and_a_gater_conv(self):
         with pytest.raises(ValueError,
                            match="^backbone needs at least one gated conv$"):
-            GaterNet(small_spec(gated=False), seed=3)
-        pool_only = dataclasses.replace(small_spec(), gater=(LayerSpec("pool"),))
+            small_spec(gated=False)
         with pytest.raises(ValueError, match="^gater needs at least one conv$"):
-            GaterNet(pool_only, seed=3)
+            dataclasses.replace(small_spec(), gater=(LayerSpec("pool"),))
+
+    def test_spec_without_gater_conv_never_reaches_init_params(self):
+        # init_params scales the head by 1 / sqrt(feature_size), which a
+        # gater without a conv would make a divide by zero
+        with pytest.raises(ValueError, match="^gater needs at least one conv$"):
+            init_params(dataclasses.replace(small_spec(), gater=()),
+                        np.random.default_rng(0))
 
     def test_validate_spec_needs_gater_for_gates(self):
         with pytest.raises(ValueError, match="gater"):
@@ -151,10 +157,6 @@ class TestGateMap:
         assert list(gmap.filter_ids) == list(range(8)) + list(range(4))
         assert gmap.slices == {2: (0, 8), 3: (8, 12)}
         assert (gmap.layer_ids[9], gmap.filter_ids[9]) == (3, 1)
-
-    def test_ungated_spec_is_empty(self):
-        gmap = build_gate_map(small_spec(gated=False))
-        assert gmap.total == 0
 
 
 class TestInitParams:
@@ -650,7 +652,7 @@ class TestGaterNetForward:
 
 
 @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()),
-                min_size=1, max_size=4))
+                min_size=1, max_size=4).filter(lambda ls: any(g for _, g in ls)))
 def test_gate_map_total_matches_spec(layers):
     backbone = tuple(
         LayerSpec("conv", filters=f, gated=g) for f, g in layers

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaternet.persist import (
@@ -15,6 +15,7 @@ from gaternet.persist import (
     save_checkpoint,
     write_csv,
 )
+from oracles import csv_writer_reference
 
 
 def sample_tensors() -> dict[str, np.ndarray]:
@@ -181,12 +182,59 @@ class TestAtomicWrite:
 
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
-        write_csv(tmp_path / "x.csv", ["i", "s", "f", "e"], [
+        write_csv(tmp_path / "x.csv", ["i", "s", "f", "e"], "%d,%s,%s,%s", [
             (1, "x", 0.1, ""),
-            [-2, "y,z", 1e-05, 3.0],
+            (-2, "y z", 1e-05, 3.0),
         ])
         assert (tmp_path / "x.csv").read_bytes() == (
-            b"i,s,f,e\n1,x,0.1,\n-2,\"y,z\",1e-05,3.0\n")
+            b"i,s,f,e\n1,x,0.1,\n-2,y z,1e-05,3.0\n")
+
+    @pytest.mark.parametrize("header, row_format, row", [
+        (["i", "s"], "%d,%s", (1, "y,z")),
+        (["i", "s"], "%d,%s", (1, 'say "x"')),
+        (["i", "s"], "%d,%s", (1, "a\rb")),
+        (["i", "s"], "%d,%s", (1, "a\nb")),
+        (["s"], "%s", ("a\nb",)),
+        (["i", "s,t"], "%d,%s", (1, "x")),
+    ])
+    def test_refuses_a_field_that_needs_quoting(self, tmp_path, header,
+                                                row_format, row):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(ValueError, match="x.csv"):
+            write_csv(path, header, row_format, [(0, "ok")[:len(header)], row])
+        assert path.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(
+        st.integers(-10**20, 10**20),
+        st.floats(width=64) | st.floats(width=32),
+        st.text(st.characters(blacklist_characters=',"\r\n',
+                              blacklist_categories=("Cs",))),
+        st.sampled_from(["", "joint", "pretrain_gater"]),
+    ), max_size=8))
+    def test_str_template_matches_csv_writer(self, tmp_path_factory, rows):
+        """A "%s" column holds what csv.writer wrote for ints, floats and
+        strings that need no quoting, "" included: the metrics and sweep
+        CSVs' contract."""
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        header = ["n", "x", "text", "phase"]
+        write_csv(path, header, "%s,%s,%s,%s", rows)
+        assert path.read_bytes() == csv_writer_reference(header, rows)
+
+    @given(st.floats(allow_subnormal=True))
+    @example(-0.0)
+    @example(0.0)
+    @example(float("nan"))
+    @example(-float("nan"))
+    @example(float("inf"))
+    @example(-float("inf"))
+    @example(5e-324)
+    @example(-2.2250738585072009e-308)
+    def test_percent_e_matches_format_spec(self, v):
+        """The %-template form writes every float as f"{v:.8e}" did."""
+        assert "%.8e" % v == f"{v:.8e}"
 
 
 class TestDictHash:

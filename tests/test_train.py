@@ -28,7 +28,7 @@ from gaternet.train import (
     evaluate,
     restore,
 )
-from oracles import gradient_routing_check
+from oracles import csv_writer_reference, gradient_routing_check
 
 
 def tiny_spec() -> ModelSpec:
@@ -351,6 +351,13 @@ class TestRunPhase:
         float(rows[0]["train_loss"])
         float(rows[0]["mean_gate_activation"])
         float(rows[0]["lr"])
+
+    def test_metrics_csv_matches_csv_writer_oracle(self, tmp_path):
+        spec, splits = tiny_spec(), tiny_splits()
+        for phase in PHASES:  # pretrain_gater writes "" for the gate column
+            res = run_phase(spec, tiny_cfg(phase), splits, tmp_path)
+            assert res.metrics_path.read_bytes() == csv_writer_reference(
+                METRIC_COLUMNS, [[r[k] for k in METRIC_COLUMNS] for r in res.rows])
 
     def test_rerun_is_bit_identical(self, tmp_path):
         spec, cfg = tiny_spec(), tiny_cfg("pretrain_backbone")
