@@ -31,9 +31,9 @@ from gaternet.analyze import (
 )
 from gaternet.config import ConfigError, RunConfig, load_config
 from gaternet.data import DataError, load_dataset, load_eval_split
-from gaternet.model import conv_macs
+from gaternet.model import GaterNet, conv_macs
 from gaternet.persist import CheckpointError
-from gaternet.train import PHASES, evaluate, load_model, run_phase, start_checkpoints
+from gaternet.train import PHASES, evaluate, restore, run_phase, start_checkpoints
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +101,8 @@ def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     if args.dump_gates:
         _out_path(args.dump_gates, "--dump-gates", want_dir=False)
-    model, phase = load_model(cfg.model, args.ckpt)
+    model = GaterNet(cfg.model)
+    phase = restore(model, args.ckpt)["phase"]
     if args.dump_gates and phase != "joint":
         raise CheckpointError(
             f"--dump-gates needs a joint-phase checkpoint; this one is from {phase}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from gaternet.data import DataError, DatasetDescriptor
-from gaternet.model import LayerSpec, ModelSpec, validate_spec
+from gaternet.model import LayerSpec, ModelSpec
 from gaternet.train import PHASES, ConfigError, TrainConfig
 
 
@@ -99,7 +99,7 @@ def _parse_layer(raw: dict, where: str) -> LayerSpec:
 def _parse_model(raw: dict) -> ModelSpec:
     sec = _Section(raw, "model")
     try:
-        spec = ModelSpec(
+        fields = dict(
             input_shape=sec.take("input_shape", want=[int]),
             num_classes=sec.take("num_classes", want=int),
             backbone=tuple(
@@ -112,13 +112,12 @@ def _parse_model(raw: dict) -> ModelSpec:
             ),
             bottleneck=sec.take("bottleneck", 1, int),
         )
-        sec.finish()
-        validate_spec(spec)
+        sec.finish()  # an unknown key may be the typo behind a spec error
+        return ModelSpec(**fields)
     except ConfigError:
         raise
     except (TypeError, ValueError) as e:
         raise ConfigError(f"model: {e}") from e
-    return spec
 
 
 def _parse_dataset(raw: dict, base_dir: Path) -> DatasetDescriptor:

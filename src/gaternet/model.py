@@ -8,7 +8,8 @@ batchnorm -> relu. The gater's pooled features go through a bottleneck head
 gated backbone filters; one semhash op binarizes those scores (noisy
 and straight-through in training, a plain threshold in eval; see
 semhash) and each gated conv's post-activation channels are multiplied
-by their gate.
+by their gate. Every model also holds the probe, a linear classifier on
+the gater's pooled features that only the pretrain_gater phase trains.
 
 Every conv, gated or not, in training and in eval, is one im2col GEMM
 (layers.conv2d); a gated conv then multiplies each post-relu channel by
@@ -87,7 +88,12 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete architecture description; hashable source of truth."""
+    """Complete architecture description; hashable source of truth.
+
+    A spec is valid once built: both stacks pass trace_shapes (an error
+    names the stack) and the backbone ends in an fc layer of width
+    num_classes.
+    """
 
     input_shape: tuple[int, int, int]
     num_classes: int
@@ -115,6 +121,16 @@ class ModelSpec:
             raise ValueError("backbone needs at least one gated conv")
         if not any(l.kind == "conv" for l in self.gater):
             raise ValueError("gater needs at least one conv")
+        for name, layers in (("backbone", self.backbone), ("gater", self.gater)):
+            try:
+                trace_shapes(layers, self.input_shape)
+            except ValueError as e:
+                raise ValueError(f"{name} {e}") from None
+        last = self.backbone[-1]
+        if last.kind != "fc" or last.width != self.num_classes:
+            raise ValueError(
+                f"backbone must end in an fc layer of width {self.num_classes}"
+            )
 
     @property
     def gated_filter_total(self) -> int:
@@ -157,7 +173,7 @@ def build_gate_map(spec: ModelSpec) -> GateIndexMap:
     )
 
 
-def trace_shapes(layers: tuple[LayerSpec, ...], input_shape, num_classes=None):
+def trace_shapes(layers: tuple[LayerSpec, ...], input_shape):
     """Walk a stack, validating geometry; returns (entry shapes, final shape).
 
     Entry shapes are (C, H, W) tuples, or ("flat", width) once flattened.
@@ -191,17 +207,7 @@ def trace_shapes(layers: tuple[LayerSpec, ...], input_shape, num_classes=None):
             width = int(np.prod(shape)) if len(shape) == 3 else shape[1]
             shape = ("flat", layer.width)
             entries[-1] = ("flat_in", width)
-    if num_classes is not None:
-        if not layers or layers[-1].kind != "fc" or layers[-1].width != num_classes:
-            raise ValueError(
-                f"backbone must end in an fc layer of width {num_classes}"
-            )
     return entries, shape
-
-
-def validate_spec(spec: ModelSpec) -> None:
-    trace_shapes(spec.backbone, spec.input_shape, spec.num_classes)
-    trace_shapes(spec.gater, spec.input_shape)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
@@ -226,16 +232,16 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 
 def init_params(
-    spec: ModelSpec,
-    rng: np.random.Generator,
-    include_probe: bool = False,
+    spec: ModelSpec, rng: np.random.Generator,
 ) -> tuple[dict[str, Tensor], dict[str, Array]]:
     """Allocate every trainable tensor and batchnorm buffer.
 
     Draw order is fixed (backbone, gater, head, probe) so a seed pins the
-    full initialization. Conv and hidden fc weights use He scaling; the
-    classifier and head use 1/sqrt(fan_in); the head's output bias starts
-    at +1 so training begins with most gates on.
+    full initialization; the probe (the pretrain_gater phase's classifier
+    on the gater features) is drawn last, so no other tensor's init
+    depends on it. Conv and hidden fc weights use He scaling; the
+    classifier, head and probe use 1/sqrt(fan_in); the head's output bias
+    starts at +1 so training begins with most gates on.
     """
     params: dict[str, Tensor] = {}
     buffers: dict[str, Array] = {}
@@ -284,9 +290,8 @@ def init_params(
     add_bn("head.bn", b)
     params["head.W2"] = normal((b, c), 1.0 / np.sqrt(b))
     params["head.b2"] = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
-    if include_probe:
-        params["probe.W"] = normal((h, spec.num_classes), 1.0 / np.sqrt(h))
-        params["probe.b"] = zeros(spec.num_classes)
+    params["probe.W"] = normal((h, spec.num_classes), 1.0 / np.sqrt(h))
+    params["probe.b"] = zeros(spec.num_classes)
     return params, buffers
 
 
@@ -370,20 +375,11 @@ class GaterNet:
     from the training thread, or a loaded snapshot elsewhere.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        seed: int = 0,
-        include_probe: bool = False,
-    ):
-        validate_spec(spec)
+    def __init__(self, spec: ModelSpec, seed: int = 0):
         self.spec = spec
         self.gate_map = build_gate_map(spec)
         rng = np.random.default_rng(seed)
-        self.params, self.buffers = init_params(spec, rng, include_probe)
-        self.probe = None
-        if include_probe:
-            self.probe = (self.params["probe.W"], self.params["probe.b"])
+        self.params, self.buffers = init_params(spec, rng)
 
     def _bn(self, name: str) -> BatchNormParams:
         return BatchNormParams(
@@ -452,9 +448,8 @@ class GaterNet:
 
     def forward_probe(self, x: Tensor, training: bool) -> Tensor:
         """Gater features through the temporary pretraining classifier."""
-        if self.probe is None:
-            raise ValueError("model was built without a probe head")
-        return fully_connected(self.gater_features(x, training), *self.probe)
+        f = self.gater_features(x, training)
+        return fully_connected(f, self.params["probe.W"], self.params["probe.b"])
 
     def forward(
         self,
@@ -478,13 +473,3 @@ class GaterNet:
                 selected = gate_dropout(selected, dropout_rate, rng)
             logits = self._run_stack("backbone", self.spec.backbone, x, training, selected)
         return logits, bundle
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def trainable(self, prefixes: tuple[str, ...] | None = None) -> dict[str, Tensor]:
-        if prefixes is None:
-            return dict(self.params)
-        return {
-            k: v for k, v in self.params.items()
-            if any(k.startswith(p + ".") or k == p for p in prefixes)
-        }

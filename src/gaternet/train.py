@@ -162,20 +162,6 @@ def total_loss(
     return ce + l1_gate_penalty(selected_gates, lambda_)
 
 
-def sgd_step(
-    param: Array, grad: Array, velocity: Array,
-    lr: float, momentum: float, weight_decay: float,
-) -> None:
-    """v <- momentum * v + grad + wd * param; param <- param - lr * v."""
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    velocity *= momentum
-    velocity += grad
-    if weight_decay:
-        velocity += weight_decay * param
-    param -= lr * velocity
-
-
 class SGD:
     """Momentum SGD over named tensors.
 
@@ -200,11 +186,19 @@ class SGD:
             t.zero_grad()
 
     def step(self, lr: float) -> None:
+        """In place, per parameter: v <- momentum * v + grad + wd * param;
+        param <- param - lr * v."""
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         for name, t in self.params.items():
             if t.grad is None:
                 continue
-            wd = self.weight_decay if t.data.ndim > 1 else 0.0
-            sgd_step(t.data, t.grad, self.velocity[name], lr, self.momentum, wd)
+            v = self.velocity[name]
+            v *= self.momentum
+            v += t.grad
+            if self.weight_decay and t.data.ndim > 1:
+                v += self.weight_decay * t.data
+            t.data -= lr * v
 
 
 @dataclass
@@ -278,10 +272,11 @@ def restore(model: GaterNet, ckpt_path: str | Path,
     Refuses a container that is not a training checkpoint (meta format 1
     and a known phase), was saved for another model spec, or whose
     metadata differs from any key: value of require, all before any tensor
-    is copied. Targets the names of _state(model, opt) under prefixes (all
-    of them when prefixes is None; opt.* names are under "opt"). Each
-    target must be present in the checkpoint with its exact shape and
-    dtype; tensors the checkpoint holds beyond the targets are ignored.
+    is copied. Targets the names of _state(model, opt) whose first dotted
+    part is in prefixes (all of them when prefixes is None; opt.* names
+    are under "opt"). Each target must be present in the checkpoint with
+    its exact shape and dtype; tensors the checkpoint holds beyond the
+    targets are ignored.
     """
     tensors, meta = load_checkpoint(ckpt_path)
     if meta.get("format") != 1 or meta.get("phase") not in PHASES:
@@ -302,7 +297,7 @@ def restore(model: GaterNet, ckpt_path: str | Path,
     targets = _state(model, opt)
     if prefixes is not None:
         targets = {k: v for k, v in targets.items()
-                   if any(k.startswith(p + ".") for p in prefixes)}
+                   if k.split(".", 1)[0] in prefixes}
     for name, dst in targets.items():
         src = tensors.get(name)
         if src is None:
@@ -314,20 +309,6 @@ def restore(model: GaterNet, ckpt_path: str | Path,
             )
         dst[...] = src
     return meta
-
-
-def load_model(spec: ModelSpec, ckpt_path: str | Path) -> tuple[GaterNet, str]:
-    """The model a training checkpoint holds, and the phase that wrote it.
-    Every tensor is restored, so the init seed does not show."""
-    # Only a pretrain_gater checkpoint holds the probe head, and only its
-    # metadata names the phase, so that phase is restored a second time
-    # into a model built with a probe.
-    model = GaterNet(spec)
-    phase = restore(model, ckpt_path)["phase"]
-    if phase == "pretrain_gater":
-        model = GaterNet(spec, include_probe=True)
-        restore(model, ckpt_path)
-    return model, phase
 
 
 def start_checkpoints(
@@ -402,12 +383,13 @@ def run_phase(
     spec_hash = dict_hash(spec_to_dict(spec))
     cfg_hash = dict_hash(cfg.to_dict())
 
-    model = GaterNet(spec, seed=cfg.seed, include_probe=(phase == "pretrain_gater"))
+    model = GaterNet(spec, seed=cfg.seed)
     if start is not None:
         restore(model, start[0], ("backbone",))
         restore(model, start[1], ("gater",))
 
-    trained = model.trainable(_TRAINED_PREFIXES[phase])
+    trained = {k: t for k, t in model.params.items()
+               if k.split(".", 1)[0] in _TRAINED_PREFIXES[phase]}
     opt = SGD(trained, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     steps_per_epoch = max(1, -(-len(splits.train_x) // cfg.batch_size))

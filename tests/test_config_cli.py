@@ -1,15 +1,17 @@
 """Config parsing (strict keys, path checks, fail-fast hyperparameters)
 and the command-line interface end to end."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaternet.analyze import GateLog, load_gate_log, save_gate_log
 from gaternet.cli import main
@@ -17,6 +19,7 @@ from gaternet.config import ConfigError, load_config
 from gaternet.data import load_dataset
 from gaternet.model import GaterNet, conv_macs, spec_to_dict
 from gaternet.persist import dict_hash, load_checkpoint, save_checkpoint
+from gaternet.tensor import Tensor
 from gaternet.train import PHASES, TrainConfig
 
 SYNTHETIC_SMALL = (Path(__file__).resolve().parent.parent / "configs"
@@ -110,6 +113,32 @@ def write_config(tmp_path, doc, name="run.json") -> str:
     return str(path)
 
 
+_GEOMETRY_LAYER = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("conv"), "filters": st.integers(1, 3),
+        "kernel": st.integers(1, 5), "stride": st.integers(1, 3),
+        "padding": st.integers(0, 2)}),
+    st.fixed_dictionaries({"kind": st.just("pool"), "window": st.integers(1, 3)}),
+)
+
+
+def _stack_side(side: int, layers) -> int | None:
+    """The side a conv/pool stack leaves of a side x side input, counted
+    window position by window position; None where a conv has no position
+    or a pool window does not tile its input."""
+    for layer in layers:
+        if layer["kind"] == "conv":
+            padded = side + 2 * layer["padding"]
+            side = len(range(0, padded - layer["kernel"] + 1, layer["stride"]))
+            if side == 0:
+                return None
+        elif side % layer["window"]:
+            return None
+        else:
+            side //= layer["window"]
+    return side
+
+
 class TestLoadConfig:
     def test_valid_document(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
@@ -145,6 +174,15 @@ class TestLoadConfig:
         mutate(doc)
         with pytest.raises(ConfigError, match=f"unknown key .* in {where}"
                            .replace("[", r"\[").replace("]", r"\]")):
+            load_config(write_config(tmp_path, doc))
+
+    def test_unknown_model_key_is_reported_before_spec_errors(self, tmp_path):
+        # the typo may be what broke the spec, so it is named first
+        doc = base_config(tmp_path)
+        doc["model"]["bottlenek"] = 3
+        doc["model"]["gater"].append({"kind": "pool", "window": 3})
+        with pytest.raises(ConfigError,
+                           match="^unknown key 'bottlenek' in model$"):
             load_config(write_config(tmp_path, doc))
 
     @pytest.mark.parametrize("drop", [
@@ -335,6 +373,43 @@ class TestLoadConfig:
         doc["model"]["backbone"][0] = {"kind": "dense", "filters": 4}
         with pytest.raises(ConfigError, match="kind"):
             load_config(write_config(tmp_path, doc))
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(4, 12), stack=st.sampled_from(["backbone", "gater"]),
+           layers=st.lists(_GEOMETRY_LAYER, min_size=1, max_size=4).filter(
+               lambda ls: any(l["kind"] == "conv" for l in ls)))
+    def test_spec_geometry_is_checked_at_load(self, tmp_path_factory, side,
+                                              stack, layers):
+        # the drawn conv/pool stack is the backbone (its convs gated, then
+        # the classifier) or the gater; the other stack fits any input
+        tmp_path = tmp_path_factory.mktemp("geometry")
+        doc = base_config(tmp_path)
+        doc["dataset"]["image_size"] = side
+        model = doc["model"]
+        model["input_shape"] = [3, side, side]
+        model["backbone"] = [{"kind": "conv", "filters": 2, "gated": True},
+                             {"kind": "fc", "width": 3}]
+        model["gater"] = [{"kind": "conv", "filters": 2}]
+        if stack == "backbone":
+            model["backbone"] = ([dict(l, gated=True) if l["kind"] == "conv"
+                                  else l for l in layers]
+                                 + [{"kind": "fc", "width": 3}])
+        else:
+            model["gater"] = layers
+        cfg_path = write_config(tmp_path, doc)
+        if _stack_side(side, layers) is not None:
+            net = GaterNet(load_config(cfg_path).model)
+            x = np.random.default_rng(side).standard_normal(
+                (2, 3, side, side)).astype(np.float32)
+            logits, _ = net.forward(Tensor(x), training=False)
+            assert logits.shape == (2, 3)
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["train", "--config", cfg_path, "--phase", "joint",
+                         "--from-scratch"]) == 2
+        assert err.getvalue().startswith(f"config error: model: {stack} layer ")
+        assert not (tmp_path / "run").exists()
 
 
 class TestCli:
@@ -535,6 +610,33 @@ class TestCli:
         assert main(["train", "--config", cfg_path, "--phase", "joint"]) == 3
         assert capsys.readouterr().err.startswith("checkpoint error:")
         assert loads == []
+
+    def test_checkpoint_without_probe(self, tmp_path, capsys):
+        # a checkpoint written before every model held the probe: eval and
+        # --resume need every tensor, --backbone-ckpt only backbone.*
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        run = tmp_path / "run"
+        for phase in ("pretrain-backbone", "pretrain-gater"):
+            assert main(["train", "--config", cfg_path, "--phase", phase]) == 0
+        tensors, meta = load_checkpoint(run / "pretrain_backbone.ckpt")
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, {k: v for k, v in tensors.items()
+                              if not k.startswith("probe.")}, meta)
+        capsys.readouterr()
+        for argv in (["eval", "--config", cfg_path, "--ckpt", str(old)],
+                     ["train", "--config", cfg_path, "--phase",
+                      "pretrain-backbone", "--resume", str(old)]):
+            assert main(argv) == 3, argv
+            assert capsys.readouterr() == (
+                "", f"checkpoint error: {old}: missing tensor probe.W\n")
+        for name, backbone in (("new", run / "pretrain_backbone.ckpt"),
+                               ("old", old)):
+            assert main(["train", "--config", cfg_path, "--phase", "joint",
+                         "--backbone-ckpt", str(backbone), "--gater-ckpt",
+                         str(run / "pretrain_gater.ckpt"),
+                         "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "old" / "joint.ckpt").read_bytes()
+                == (tmp_path / "new" / "joint.ckpt").read_bytes())
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))

@@ -32,7 +32,6 @@ from gaternet.model import (
     spec_from_dict,
     spec_to_dict,
     trace_shapes,
-    validate_spec,
 )
 from gaternet.tensor import Tensor
 from oracles import masked_reference, param_count
@@ -112,20 +111,38 @@ class TestSpecs:
             init_params(dataclasses.replace(small_spec(), gater=()),
                         np.random.default_rng(0))
 
-    def test_validate_spec_needs_gater_for_gates(self):
-        with pytest.raises(ValueError, match="gater"):
-            validate_spec(ModelSpec(
-                (3, 8, 8), 3,
-                (LayerSpec("conv", filters=4, gated=True),
-                 LayerSpec("fc", width=3)),
-                (), 2,
-            ))
+    @pytest.mark.parametrize("stack,layers,message", [
+        ("backbone", (LayerSpec("conv", filters=4, gated=True),
+                      LayerSpec("pool", window=3), LayerSpec("fc", width=3)),
+         "backbone layer 1: pool window 3 does not divide 8x8"),
+        ("backbone", (LayerSpec("conv", filters=4, gated=True, kernel=11,
+                                padding=1), LayerSpec("fc", width=3)),
+         "backbone layer 0: conv kernel 11 does not fit 8x8"),
+        ("gater", (LayerSpec("conv", filters=4), LayerSpec("pool"),
+                   LayerSpec("pool", window=3)),
+         "gater layer 2: pool window 3 does not divide 4x4"),
+        ("gater", (LayerSpec("pool", window=4), LayerSpec("conv", filters=4,
+                                                         kernel=5, padding=1)),
+         "gater layer 1: conv kernel 5 does not fit 2x2"),
+    ])
+    def test_geometry_error_names_its_stack(self, stack, layers, message):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(small_spec(), **{stack: layers})
+        assert str(err.value) == message
+
+    def test_backbone_must_end_in_classifier(self):
+        for last in (LayerSpec("conv", filters=3), LayerSpec("fc", width=5)):
+            with pytest.raises(
+                    ValueError,
+                    match="^backbone must end in an fc layer of width 3$"):
+                dataclasses.replace(
+                    small_spec(), backbone=small_spec().backbone[:-1] + (last,))
 
 
 class TestTraceShapes:
     def test_known_walk(self):
         spec = small_spec()
-        entries, final = trace_shapes(spec.backbone, (3, 8, 8), 3)
+        entries, final = trace_shapes(spec.backbone, (3, 8, 8))
         assert entries == [
             (3, 8, 8), (6, 8, 8), (6, 4, 4), (8, 4, 4), (4, 4, 4),
             ("flat_in", 16),
@@ -141,11 +158,10 @@ class TestTraceShapes:
         with pytest.raises(ValueError, match="divide"):
             trace_shapes((LayerSpec("pool", window=2),), (3, 5, 4))
 
-    def test_backbone_must_end_in_classifier(self):
-        with pytest.raises(ValueError, match="fc"):
-            trace_shapes((LayerSpec("conv", filters=2),), (3, 8, 8), 3)
-        with pytest.raises(ValueError, match="fc"):
-            trace_shapes((LayerSpec("fc", width=5),), (3, 8, 8), 3)
+    def test_conv_after_flatten(self):
+        with pytest.raises(ValueError, match="^layer 1: conv after flatten"):
+            trace_shapes((LayerSpec("fc", width=5), LayerSpec("conv", filters=2)),
+                         (3, 8, 8))
 
 
 class TestGateMap:
@@ -173,8 +189,7 @@ class TestInitParams:
 
     def test_naming_and_shapes(self):
         spec = small_spec()
-        params, buffers = init_params(spec, np.random.default_rng(0),
-                                      include_probe=True)
+        params, buffers = init_params(spec, np.random.default_rng(0))
         assert params["backbone.0.filters"].shape == (6, 3, 3, 3)
         assert params["backbone.2.filters"].shape == (8, 6, 3, 3)
         assert params["backbone.5.W"].shape == (16, 3)
@@ -218,7 +233,7 @@ class TestParamCount:
         assert report.backbone == backbone
         assert report.gater == gater
         assert report.head == head
-        assert report.probe == 0
+        assert report.probe == 5 * 3 + 3  # W 5*3 + b 3
         assert report.total == backbone + gater + head
         assert report.head_weight_count == 15 + 36  # (h + c) * b = (5+12)*3
         assert report.head_single_layer_weight_count == 5 * 12
@@ -231,7 +246,7 @@ class TestParamCount:
         assert report.head_single_layer_weight_count == h * c
 
     def test_probe_excluded_from_total(self):
-        model = GaterNet(small_spec(), seed=0, include_probe=True)
+        model = GaterNet(small_spec(), seed=0)
         report = param_count(model)
         assert report.probe == 5 * 3 + 3
         assert report.total == report.backbone + report.gater + report.head
@@ -590,13 +605,13 @@ class TestGaterNetForward:
         with pytest.raises(ValueError):
             model.forward(x, training=True)
 
-    def test_probe_requires_flag(self):
+    def test_every_model_has_the_probe(self):
         model = GaterNet(small_spec(), seed=0)
         x = Tensor(np.zeros((2, 3, 8, 8), np.float32))
-        with pytest.raises(ValueError):
-            model.forward_probe(x, training=False)
-        with_probe = GaterNet(small_spec(), seed=0, include_probe=True)
-        assert with_probe.forward_probe(x, training=False).shape == (2, 3)
+        assert model.forward_probe(x, training=False).shape == (2, 3)
+        # drawn last, so every other tensor's init bits do not depend on it
+        names = list(model.params)
+        assert names[-2:] == ["probe.W", "probe.b"]
 
     def test_gater_head_width(self):
         model = GaterNet(small_spec(), seed=0)
@@ -606,16 +621,6 @@ class TestGaterNetForward:
         assert f.shape == (3, 5)
         scores = model.gater_head(f, training=False)
         assert scores.shape == (3, 12)
-
-    def test_trainable_prefix_filter(self):
-        model = GaterNet(small_spec(), seed=0, include_probe=True)
-        bb = model.trainable(("backbone",))
-        assert bb and all(k.startswith("backbone.") for k in bb)
-        gp = model.trainable(("gater", "probe"))
-        assert any(k.startswith("gater.") for k in gp)
-        assert any(k.startswith("probe.") for k in gp)
-        assert not any(k.startswith("head.") for k in gp)
-        assert set(model.trainable(None)) == set(model.params)
 
     def test_train_forward_backward_touches_all_joint_params(self):
         model = GaterNet(small_spec(), seed=0)

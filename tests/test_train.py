@@ -21,10 +21,11 @@ from gaternet.train import (
     SGD,
     TrainConfig,
     l1_gate_penalty,
+    _TRAINED_PREFIXES,
     run_phase,
-    sgd_step,
     total_loss,
     _epoch_rng,
+    _state,
     evaluate,
     restore,
 )
@@ -199,27 +200,34 @@ class TestGradientRouting:
 
 
 class TestSgd:
+    @staticmethod
+    def _steps(weight_decay, grads):
+        """SGD on one 2-D weight (so decay applies) starting at 1.0, lr 0.25
+        and momentum 0.5; the (velocity, weight) after each step."""
+        w = Tensor(np.ones((1, 1), np.float32))
+        opt = SGD({"w": w}, momentum=0.5, weight_decay=weight_decay)
+        out = []
+        for g in grads:
+            w.grad = np.full((1, 1), g, np.float32)
+            opt.step(0.25)
+            out.append((opt.velocity["w"][0, 0], w.data[0, 0]))
+        return out
+
     def test_two_step_recurrence_exact(self):
         # dyadic values keep every intermediate exactly representable
-        p = np.array([1.0])
-        v = np.zeros(1)
-        sgd_step(p, np.array([0.5]), v, lr=0.25, momentum=0.5, weight_decay=0.0)
-        assert v[0] == 0.5 and p[0] == 0.875
-        sgd_step(p, np.array([0.25]), v, lr=0.25, momentum=0.5, weight_decay=0.0)
-        assert v[0] == 0.5 and p[0] == 0.75
+        assert self._steps(0.0, [0.5, 0.25]) == [(0.5, 0.875), (0.5, 0.75)]
 
     def test_weight_decay_enters_velocity(self):
-        p = np.array([1.0])
-        v = np.zeros(1)
-        sgd_step(p, np.array([0.5]), v, lr=0.25, momentum=0.5, weight_decay=0.25)
-        assert v[0] == 0.75 and p[0] == 0.8125
-        sgd_step(p, np.array([0.25]), v, lr=0.25, momentum=0.5, weight_decay=0.25)
-        assert v[0] == 0.828125 and p[0] == 0.60546875
+        assert self._steps(0.25, [0.5, 0.25]) == [(0.75, 0.8125),
+                                                  (0.828125, 0.60546875)]
 
     def test_lr_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sgd_step(np.array([1.0]), np.array([1.0]), np.zeros(1),
-                     lr=0.0, momentum=0.9, weight_decay=0.0)
+        w = Tensor(np.ones((2, 2), np.float32))
+        w.grad = np.ones((2, 2), np.float32)
+        for lr in (0.0, -0.1):
+            with pytest.raises(ValueError, match="learning rate"):
+                SGD({"w": w}).step(lr)
+        assert np.all(w.data == 1.0)
 
     def test_optimizer_exempts_vectors_from_decay(self):
         w = Tensor(np.ones((2, 2), np.float32))
@@ -268,7 +276,7 @@ class TestEpochRng:
 
 @pytest.mark.parametrize("phase", PHASES)
 def test_evaluate_records_no_graph(phase, monkeypatch):
-    model = GaterNet(tiny_spec(), seed=0, include_probe=True)
+    model = GaterNet(tiny_spec(), seed=0)
     outputs = []
     forward = train_mod.phase_forward
 
@@ -305,7 +313,25 @@ class TestRunPhase:
         res = run_phase(tiny_spec(), tiny_cfg("pretrain_gater"),
                         tiny_splits(), tmp_path)
         assert all(row["mean_gate_activation"] == "" for row in res.rows)
-        assert res.model.probe is not None
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_phase_trains_only_its_groups(self, tmp_path, phase):
+        # every tensor outside the phase's groups keeps its init bits, and
+        # the optimizer (opt.* in the checkpoint) holds exactly the
+        # parameters inside them
+        spec, cfg = tiny_spec(), tiny_cfg(phase, epochs=1)
+        res = run_phase(spec, cfg, tiny_splits(), tmp_path,
+                        from_scratch=phase == "joint")
+        groups = _TRAINED_PREFIXES[phase]
+        init, trained = _state(GaterNet(spec, seed=cfg.seed)), _state(res.model)
+        assert init.keys() == trained.keys()
+        changed = {k.split(".", 1)[0] for k in init
+                   if not np.array_equal(init[k], trained[k])}
+        assert changed == set(groups)
+        tensors, _ = load_checkpoint(res.checkpoint_path)
+        assert ({k for k in tensors if k.startswith("opt.")}
+                == {f"opt.{k}" for k in res.model.params
+                    if k.split(".", 1)[0] in groups})
 
     def test_joint_from_scratch(self, tmp_path):
         cfg = tiny_cfg("joint")
