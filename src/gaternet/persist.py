@@ -15,8 +15,8 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,19 @@ class CheckpointError(RuntimeError):
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write payload to <name>.<random>.tmp beside path, then rename it over
+    path. The temp file is created with mode 0o666, which the umask trims
+    as it does for open(path, "w"), so the target gets the permissions a
+    plain write would give it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(payload)

@@ -276,7 +276,8 @@ def restore(model: GaterNet, ckpt_path: str | Path,
     part is in prefixes (all of them when prefixes is None; opt.* names
     are under "opt"). Each target must be present in the checkpoint with
     its exact shape and dtype; tensors the checkpoint holds beyond the
-    targets are ignored.
+    targets are ignored. Every target is checked before any is copied, so
+    a refused restore leaves the model and optimizer unchanged.
     """
     tensors, meta = load_checkpoint(ckpt_path)
     if meta.get("format") != 1 or meta.get("phase") not in PHASES:
@@ -307,7 +308,8 @@ def restore(model: GaterNet, ckpt_path: str | Path,
                 f"{ckpt_path}: tensor {name} is {src.dtype} {src.shape}, "
                 f"model needs {dst.dtype} {dst.shape}"
             )
-        dst[...] = src
+    for name, dst in targets.items():
+        dst[...] = tensors[name]
     return meta
 
 

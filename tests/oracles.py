@@ -3,6 +3,7 @@
 A finite-difference gradient checker, the gradient-routing proof for the
 sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
+reshape-mean average pool that layers.avg_pool2d is checked against, the
 masked gated conv from layers primitives, the discretizer composed from
 six graph nodes that semhash_forward is checked against, an rng stand-in
 that pins every training sample to one discretizer branch, the thin-SVD
@@ -249,6 +250,15 @@ def loop_conv2d(x: Array, p: Conv2dParams) -> Array:
                 )
                 out += tmp
     return out
+
+
+def avg_pool_reference(x: Tensor, window: int) -> Tensor:
+    """Non-overlapping average pooling as two graph nodes: a reshape to
+    [N, C, H/window, window, W/window, window] and numpy's mean over the
+    two window axes, whose backward autodiff builds from the mean's and
+    the reshape's."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // window, window, w // window, window).mean(axis=(3, 5))
 
 
 def masked_reference(x, p, bn, gates):

@@ -32,7 +32,7 @@ from gaternet.layers import (
     _extract_patches,
 )
 from gaternet.tensor import Tensor, no_grad
-from oracles import grad_check, loop_conv2d
+from oracles import avg_pool_reference, grad_check, loop_conv2d
 
 
 def naive_conv2d(x, w, stride, padding):
@@ -397,6 +397,34 @@ class TestActivationsAndPooling:
         assert np.allclose(got, want)
         with pytest.raises(ValueError):
             avg_pool2d(Tensor(np.zeros((1, 1, 5, 4))), 2)
+
+    @given(n=st.integers(1, 3), c=st.integers(1, 3), window=st.integers(1, 4),
+           ph=st.integers(1, 5), pw=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_avg_pool2d_matches_reshape_mean(self, n, c, window, ph, pw, dtype,
+                                             seed):
+        """Forward and gradient against the reshape-mean oracle: byte-equal
+        wherever the pooled width is above 1. At pooled width 1 numpy's mean
+        sums each window as one contiguous run, in another order, so there
+        the forward agrees within the dtype's rounding."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, ph * window, pw * window)).astype(dtype)
+        g = rng.standard_normal((n, c, ph, pw)).astype(dtype)
+        got_x = Tensor(x, requires_grad=True)
+        ref_x = Tensor(x, requires_grad=True)
+        got = avg_pool2d(got_x, window)
+        ref = avg_pool_reference(ref_x, window)
+        assert got.dtype == ref.dtype == dtype
+        if pw > 1:
+            assert got.data.tobytes() == ref.data.tobytes()
+        else:
+            scale = avg_pool_reference(Tensor(np.abs(x)), window).data
+            bound = 2 * window**2 * np.finfo(dtype).eps * scale
+            assert np.all(np.abs(got.data - ref.data) <= bound)
+        (got * Tensor(g)).sum().backward()
+        (ref * Tensor(g)).sum().backward()
+        assert got_x.grad.tobytes() == ref_x.grad.tobytes()
 
     def test_pool_grads(self):
         x = Tensor(np.random.default_rng(9).standard_normal((2, 3, 4, 4)),

@@ -1,5 +1,7 @@
 """Checkpoint container format: exact round-trips and corruption rejection."""
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -178,6 +180,25 @@ class TestAtomicWrite:
     def test_makes_parent_dirs(self, tmp_path):
         atomic_write_bytes(tmp_path / "a" / "b" / "x.bin", b"z")
         assert (tmp_path / "a" / "b" / "x.bin").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077],
+                             ids=["022", "027", "077"])
+    def test_mode_is_a_plain_open_mode(self, tmp_path, umask):
+        """Under a fixed umask, a new file and an overwritten one both get
+        the mode open(path, "w") gives, 0o666 without the umask bits."""
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.bin", "w"):
+                pass
+            atomic_write_bytes(tmp_path / "x.bin", b"one")
+            first = stat.S_IMODE((tmp_path / "x.bin").stat().st_mode)
+            (tmp_path / "x.bin").chmod(0o600)
+            atomic_write_bytes(tmp_path / "x.bin", b"two")
+            second = stat.S_IMODE((tmp_path / "x.bin").stat().st_mode)
+        finally:
+            os.umask(old)
+        assert first == second == 0o666 & ~umask
+        assert stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == first
 
 
 class TestWriteCsv:

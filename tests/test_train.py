@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaternet.model as model_mod
 import gaternet.train as train_mod
+from gaternet.config import load_config
 from gaternet.data import DatasetDescriptor, load_dataset
-from gaternet.layers import softmax_cross_entropy
+from gaternet.layers import avg_pool2d, softmax_cross_entropy
 from gaternet.model import GaterNet, LayerSpec, ModelSpec
 from gaternet.persist import CheckpointError, load_checkpoint, save_checkpoint
 from gaternet.tensor import Tensor
@@ -30,6 +32,8 @@ from gaternet.train import (
     restore,
 )
 from oracles import csv_writer_reference, gradient_routing_check
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def tiny_spec() -> ModelSpec:
@@ -293,6 +297,46 @@ def test_evaluate_records_no_graph(phase, monkeypatch):
         assert not out.requires_grad and out._parents == ()
 
 
+# Graph nodes one joint training step on the synthetic_small model records:
+# 45 in the 9 conv blocks (conv, batchnorm and relu; a gate slice, reshape
+# and multiply in the 6 gated ones), 5 pools, and 16 in the gater's global
+# pool and head, semhash, gate dropout, the classifier and the loss. A
+# merged or split op moves this number.
+JOINT_STEP_GRAPH_NODES = 66
+
+
+def test_joint_step_graph(monkeypatch):
+    """Walks the graph of one joint step on synthetic_small: each of the
+    five pools is one node whose only parent is its input, and the step
+    records JOINT_STEP_GRAPH_NODES nodes."""
+    cfg = load_config(REPO / "configs" / "synthetic_small.json")
+    model = GaterNet(cfg.model, seed=0)
+    pools = []
+
+    def recording_pool(x, window):
+        out = avg_pool2d(x, window)
+        pools.append((x, out))
+        return out
+
+    monkeypatch.setattr(model_mod, "avg_pool2d", recording_pool)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((8, 3, 16, 16)).astype(np.float32))
+    logits, gates = train_mod.phase_forward(model, "joint", x, True, rng, 0.05)
+    loss = total_loss(logits, rng.integers(0, 4, 8), gates, 0.1)
+
+    nodes, seen, stack = 0, set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes += t._backward_fn is not None
+            stack.extend(t._parents)
+    assert len(pools) == 5
+    for pool_in, pool_out in pools:
+        assert id(pool_out) in seen and pool_out._parents == (pool_in,)
+    assert nodes == JOINT_STEP_GRAPH_NODES
+
+
 class TestRunPhase:
     def test_pretrain_backbone(self, tmp_path):
         res = run_phase(tiny_spec(), tiny_cfg("pretrain_backbone"),
@@ -494,6 +538,33 @@ class TestRunPhase:
         save_checkpoint(pb.checkpoint_path, tensors, meta)
         with pytest.raises(CheckpointError, match="head.b2"):
             restore(GaterNet(spec, seed=0), pb.checkpoint_path)
+
+    @pytest.mark.parametrize("edit", [None, lambda a: a[:1]],
+                             ids=["missing", "shape"])
+    def test_refused_restore_changes_nothing(self, tmp_path, edit):
+        """A checkpoint refused only at its last target, the last optimizer
+        velocity, leaves every parameter, buffer and velocity bit-identical."""
+        spec, splits = tiny_spec(), tiny_splits()
+        res = run_phase(spec, tiny_cfg("joint", epochs=1), splits, tmp_path,
+                        from_scratch=True)
+        model = GaterNet(spec, seed=99)
+        opt = SGD({k: t for k, t in model.params.items()
+                   if k.split(".", 1)[0] in _TRAINED_PREFIXES["joint"]})
+        last = list(_state(model, opt))[-1]
+        assert last.startswith("opt.")
+        tensors, meta = load_checkpoint(res.checkpoint_path)
+        if edit is None:
+            del tensors[last]
+        else:
+            tensors[last] = edit(tensors[last])
+        save_checkpoint(res.checkpoint_path, tensors, meta)
+        before = {k: v.copy() for k, v in _state(model, opt).items()}
+        with pytest.raises(CheckpointError, match=last.replace(".", r"\.")):
+            restore(model, res.checkpoint_path, opt=opt)
+        after = _state(model, opt)
+        assert after.keys() == before.keys()
+        for name, arr in before.items():
+            assert after[name].tobytes() == arr.tobytes(), name
 
     def test_checkpoint_restores_eval_behavior_bitwise(self, tmp_path):
         spec, splits = tiny_spec(), tiny_splits()
