@@ -228,5 +228,7 @@ def main(argv=None) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return 4
     except Exception as e:  # noqa: BLE001 - CLI boundary
-        print(f"error: {e}", file=sys.stderr)
+        # the type too: some exceptions (MemoryError) have no message
+        what = f"{type(e).__name__}: {e}" if str(e) else type(e).__name__
+        print(f"error: {what}", file=sys.stderr)
         return 1

@@ -98,18 +98,21 @@ def _parse_layer(raw: dict, where: str) -> LayerSpec:
 
 def _parse_model(raw: dict) -> ModelSpec:
     sec = _Section(raw, "model")
+
+    def stack(key: str, default=_MISSING) -> tuple[LayerSpec, ...]:
+        layers = sec.take(key, default)
+        if not isinstance(layers, (list, tuple)):
+            raise ConfigError(
+                f"model.{key} must be a list of layer objects, got {layers!r}")
+        return tuple(_parse_layer(l, f"model.{key}[{i}]")
+                     for i, l in enumerate(layers))
+
     try:
         fields = dict(
             input_shape=sec.take("input_shape", want=[int]),
             num_classes=sec.take("num_classes", want=int),
-            backbone=tuple(
-                _parse_layer(l, f"model.backbone[{i}]")
-                for i, l in enumerate(sec.take("backbone"))
-            ),
-            gater=tuple(
-                _parse_layer(l, f"model.gater[{i}]")
-                for i, l in enumerate(sec.take("gater", ()))
-            ),
+            backbone=stack("backbone"),
+            gater=stack("gater", ()),
             bottleneck=sec.take("bottleneck", 1, int),
         )
         sec.finish()  # an unknown key may be the typo behind a spec error

@@ -134,7 +134,16 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     filters need a gradient and a graph is being recorded, the forward
     builds the whole batch's patches once and the backward reuses them for
     the filters' gradient, then drops them (a second backward over the same
-    graph builds them again)."""
+    graph builds them again).
+
+    The filters' gradient is (patches @ g.T).T, not g @ patches.T: the
+    same sums over the oh*ow*N columns, with the long [C*kh*kw, oh*ow*N]
+    patch matrix as the left operand, which OpenBLAS runs faster (7.2 ->
+    5.1 ms summed over the 9 conv shapes of a synthetic_small joint step
+    at batch 64, one BLAS thread). The two forms agree within rounding
+    (tests/oracles.py's conv_weight_grad_reference is the old one); in
+    float32 they gave the same bytes on 499 of 500 random shapes and on
+    every synthetic_small shape, in float64 on about 19 of 20."""
     oh, ow = conv_output_hw(x.shape, p)
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = p.filters.shape
@@ -157,7 +166,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         if p.filters.requires_grad:
             if kept is None:
                 kept = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
-            p.filters._accumulate((g_flat @ kept.T).reshape(c_out, c_in, kh, kw))
+            p.filters._accumulate((kept @ g_flat.T).T.reshape(c_out, c_in, kh, kw))
             kept = None
         if x.requires_grad:
             dpatch = (w_flat.T @ g_flat).reshape(c_in, kh, kw, oh, ow, n)

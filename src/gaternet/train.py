@@ -14,6 +14,7 @@ trains everything end to end with the scheduled gate dropout.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -213,6 +214,42 @@ class PhaseResult:
     model: GaterNet
 
 
+# glibc's mallopt parameter numbers (malloc.h) and the values pin_heap
+# gives them. 32 MiB is glibc's cap on the mmap threshold on 64-bit hosts,
+# so every block a synthetic_small step allocates comes from the heap (the
+# largest, the 16->16 conv's kept patches at batch 64, is 9.4 MB). free()
+# returns the top of the heap to the kernel once it exceeds the trim
+# threshold. A joint step at batch 64 grows the heap by ~41 MB and leaves
+# ~26 MB free at its top; at batch 256, ~167 MB and ~45 MB (mallinfo2).
+# 256 MiB keeps all of that, and the heap still never grows past what a
+# step reaches.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_THRESHOLDS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
+
+
+@functools.cache
+def pin_heap() -> None:
+    """Keep the blocks a training step frees in this process's heap.
+
+    Every step frees its graph. By default glibc's dynamic thresholds hand
+    those pages back to the kernel and the next step faults them in again
+    (~4k minor faults per synthetic_small joint step at batch 64). This
+    sets both of glibc's thresholds once per process: setting only one
+    turns the dynamic mmap threshold off and made the step slower. The
+    cost is that RSS stays at its high-water mark after training. Changes
+    nothing where the C library has no mallopt (not glibc)."""
+    import ctypes  # here: processes that never train do not load it
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_THRESHOLDS:
+        if mallopt(param, value) != 1:
+            log.warning("mallopt(%d, %d) failed; the heap is not pinned", param, value)
+
+
 def _epoch_rng(seed: int, phase: str, epoch: int) -> np.random.Generator:
     """One stream per (seed, phase, epoch): resuming at an epoch boundary
     replays the identical shuffle, augmentation, noise and dropout draws."""
@@ -382,6 +419,7 @@ def run_phase(
     phase = cfg.phase
     start = start_checkpoints(phase, out_dir, backbone_ckpt, gater_ckpt,
                               resume_ckpt, from_scratch)
+    pin_heap()
     spec_hash = dict_hash(spec_to_dict(spec))
     cfg_hash = dict_hash(cfg.to_dict())
 

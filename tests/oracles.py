@@ -3,6 +3,7 @@
 A finite-difference gradient checker, the gradient-routing proof for the
 sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
+filters' gradient in the GEMM orientation conv2d's backward used before, the
 reshape-mean average pool that layers.avg_pool2d is checked against, the
 masked gated conv from layers primitives, the discretizer composed from
 six graph nodes that semhash_forward is checked against, an rng stand-in
@@ -21,7 +22,14 @@ from typing import Callable
 import numpy as np
 
 from gaternet.analyze import PCAResult
-from gaternet.layers import Conv2dParams, batchnorm, conv2d, conv_output_hw, relu
+from gaternet.layers import (
+    Conv2dParams,
+    _extract_patches,
+    batchnorm,
+    conv2d,
+    conv_output_hw,
+    relu,
+)
 from gaternet.model import GaterNet
 from gaternet.semhash import _sat_sigmoid_data, _sat_sigmoid_grad
 from gaternet.tensor import Array, Tensor, apply_op
@@ -250,6 +258,18 @@ def loop_conv2d(x: Array, p: Conv2dParams) -> Array:
                 )
                 out += tmp
     return out
+
+
+def conv_weight_grad_reference(x: Array, p: Conv2dParams, g: Array) -> Array:
+    """d(sum(conv2d(x, p) * g)) / d(filters) as one GEMM g_flat @ patches.T
+    over conv2d's own im2col patches: [c_out, oh*ow*N] times
+    [oh*ow*N, C*kh*kw], the orientation conv2d's backward used before it
+    put the patch matrix on the left."""
+    oh, ow = conv_output_hw(x.shape, p)
+    c_out, c_in, kh, kw = p.filters.shape
+    patches = _extract_patches(x, kh, kw, p.stride, p.padding, oh, ow)
+    g_flat = g.transpose(1, 2, 3, 0).reshape(c_out, -1)
+    return (g_flat @ patches.T).reshape(c_out, c_in, kh, kw)
 
 
 def avg_pool_reference(x: Tensor, window: int) -> Tensor:

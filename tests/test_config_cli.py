@@ -288,6 +288,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"dataset\.train_paths must be"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("key", ["backbone", "gater"])
+    def test_layer_stack_must_be_a_list(self, tmp_path, key):
+        doc = base_config(tmp_path)
+        doc["model"][key] = 3
+        with pytest.raises(ConfigError) as e:
+            load_config(write_config(tmp_path, doc))
+        assert str(e.value) == f"model.{key} must be a list of layer objects, got 3"
+
     @given(st.data())
     def test_wrong_typed_value_fails_at_load(self, tmp_path_factory, data):
         path, want = data.draw(st.sampled_from(TYPED_KEYS), label="key")
@@ -637,6 +645,20 @@ class TestCli:
                          "--out-dir", str(tmp_path / name)]) == 0
         assert ((tmp_path / "old" / "joint.ckpt").read_bytes()
                 == (tmp_path / "new" / "joint.ckpt").read_bytes())
+
+    @pytest.mark.parametrize("exc, err", [
+        (MemoryError(), "error: MemoryError\n"),
+        (RuntimeError("boom"), "error: RuntimeError: boom\n"),
+    ])
+    def test_unexpected_error_exits_1_naming_its_type(self, tmp_path, capsys,
+                                                      monkeypatch, exc, err):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr("gaternet.cli.cmd_analyze", fail)
+        assert main(["analyze", "--gatelog", str(tmp_path / "g.glog"),
+                     "--out", str(tmp_path / "an")]) == 1
+        assert capsys.readouterr().err == err
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))

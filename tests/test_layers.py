@@ -32,7 +32,12 @@ from gaternet.layers import (
     _extract_patches,
 )
 from gaternet.tensor import Tensor, no_grad
-from oracles import avg_pool_reference, grad_check, loop_conv2d
+from oracles import (
+    avg_pool_reference,
+    conv_weight_grad_reference,
+    grad_check,
+    loop_conv2d,
+)
 
 
 def naive_conv2d(x, w, stride, padding):
@@ -172,6 +177,34 @@ class TestConv2dGemm:
             assert got.shape == want.shape
             assert got.dtype == np.float32 and got.flags.c_contiguous
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from([0, 1, 2]), n=st.integers(1, 70),
+           c_in=st.integers(1, 12), c_out=st.integers(1, 33),
+           seed=st.integers(0, 2**32 - 1))
+    def test_filter_grad_matches_old_gemm_orientation(self, kernel, stride,
+                                                      padding, n, c_in, c_out,
+                                                      seed):
+        """The filters' gradient, now (patches @ g.T).T, against the former
+        g @ patches.T within float32 rounding: both sum the same
+        oh*ow*N products, in orders BLAS picks per orientation."""
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(max(kernel - 2 * padding, 1), 12, size=2)
+        x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+        p = _conv_params(c_out, c_in, kernel, seed=seed, stride=stride,
+                         padding=padding)
+        y = conv2d(Tensor(x), p)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        (y * Tensor(g)).sum().backward()
+        want = conv_weight_grad_reference(x, p, g)
+        assert p.filters.grad.dtype == np.float32
+        assert p.filters.grad.shape == want.shape
+        # |error| of a k-term float32 dot product <= k * eps * sum |a_i b_i|
+        k = y.shape[0] * y.shape[2] * y.shape[3]
+        scale = conv_weight_grad_reference(np.abs(x), p, np.abs(g))
+        bound = 2 * k * np.finfo(np.float32).eps * scale
+        assert np.all(np.abs(p.filters.grad - want) <= bound)
 
     def test_same_input_gives_identical_bits(self):
         # a batch of two forward blocks and a partial one

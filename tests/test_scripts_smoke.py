@@ -8,6 +8,7 @@ would run it."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,10 @@ def test_synthetic_pipeline(tmp_path, tiny_config):
     assert log.gates.shape == (32, 144)
     for name in ANALYSIS_CSVS:
         assert (out / "analysis" / name).is_file(), name
+    # the script's own getrusage report: one line per command, then a total
+    usage = r" wall \d+\.\d\d s, user \d+\.\d\d s, sys \d+\.\d\d s, minor faults \d+$"
+    labels = re.findall(r"^(\w+):" + usage, proc.stdout, re.M)
+    assert labels == ["train", "train", "train", "eval", "analyze", "total"], proc.stdout
 
 
 def test_sparsity_sweep(tmp_path, tiny_config):

@@ -1,10 +1,16 @@
 """Training machinery: schedules, the sparse-gate loss, gradient routing,
 momentum SGD, and the per-phase loop with its checkpoint/resume contract."""
 
+import ctypes
 import dataclasses
 import json
+import logging
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -335,6 +341,91 @@ def test_joint_step_graph(monkeypatch):
     for pool_in, pool_out in pools:
         assert id(pool_out) in seen and pool_out._parents == (pool_in,)
     assert nodes == JOINT_STEP_GRAPH_NODES
+
+
+# Minor page faults one synthetic_small joint step at batch 64 may take
+# once run_phase has pinned the heap; with glibc's dynamic thresholds it
+# took ~4k per step in this probe.
+JOINT_STEP_FAULT_BOUND = 200
+
+# Run in a child process so that no earlier test has set the heap's state:
+# a run_phase (which pins the heap), then a warm-up joint step and a
+# measured one, whose minor faults (getrusage of the child itself) it prints.
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from gaternet import train
+from gaternet.config import load_config
+from gaternet.data import load_dataset
+from gaternet.tensor import Tensor
+
+cfg = load_config(sys.argv[1])
+splits = load_dataset(cfg.dataset, cfg.seed)
+model = train.run_phase(cfg.model, cfg.make_phase_config("joint"), splits,
+                        sys.argv[2], from_scratch=True).model
+opt = train.SGD(model.params, momentum=0.9)
+rng = np.random.default_rng(0)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    logits, gates = train.phase_forward(model, "joint", Tensor(splits.train_x),
+                                        True, rng, 0.05)
+    loss = train.total_loss(logits, splits.train_y, gates, 0.1)
+    opt.zero_grad()
+    loss.backward()
+    opt.step(0.01)
+    del logits, gates, loss
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt (not glibc)")
+def test_joint_step_does_not_refault_its_heap(tmp_path):
+    doc = json.loads((REPO / "configs" / "synthetic_small.json").read_text())
+    doc["dataset"].update(train_size=64, eval_size=32)  # one step of 64
+    doc["train"]["phases"]["joint"]["epochs"] = 1
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, str(cfg_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= JOINT_STEP_FAULT_BOUND
+
+
+class _Mallopt:
+    """A mallopt stand-in that records its calls and returns ret."""
+
+    def __init__(self, ret: int):
+        self.ret = ret
+        self.calls: list[tuple[int, int]] = []
+
+    def __call__(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return self.ret
+
+
+@pytest.mark.parametrize("ret, warnings", [(1, 0), (0, 2)])
+def test_pin_heap_sets_both_thresholds(monkeypatch, caplog, ret, warnings):
+    """M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to 256 MiB,
+    each call checked: a refused one (return value 0) is logged."""
+    mallopt = _Mallopt(ret)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    with caplog.at_level(logging.WARNING, logger="gaternet.train"):
+        train_mod.pin_heap.__wrapped__()
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 256 << 20)]
+    assert len(caplog.records) == warnings
+
+
+def test_pin_heap_is_a_silent_no_op_without_mallopt(monkeypatch, caplog):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    with caplog.at_level(logging.DEBUG):
+        assert train_mod.pin_heap.__wrapped__() is None
+    assert caplog.records == []
 
 
 class TestRunPhase:
