@@ -1,5 +1,14 @@
 """CNN building blocks: conv2d, batchnorm, activations, pooling, FC, loss.
 
+Layout. Every 4-D activation has the shape [N, C, H, W] over
+channel-major memory: .data is the transpose(3, 0, 1, 2) view of a
+C-contiguous [C, H, W, N] array, the layout of conv2d's GEMM output.
+numpy's elementwise ops, empty_like (so every gradient) and avg_pool2d
+keep it, batchnorm reduces over contiguous memory, and no conv copies its
+input or output into another layout. Only the input batch is NCHW (the
+first conv's im2col transposes it once), and the flatten before the
+first fc reads values in NCHW order, so fc weights keep their meaning.
+
 conv2d is one im2col GEMM whose sums run in BLAS order, in training and
 in eval alike. It equals a scalar loop convolution (tests/oracles.py's
 loop_conv2d) within float32 rounding, not bit for bit; for one input it
@@ -23,6 +32,12 @@ only within float32 rounding. It replaced that reshape-mean, a reshape
 and a mean node whose length-window inner reduction at a stride made each
 pool cost about 20 times a relu over the same array, and GaterNet pools
 in both of its stacks (five pools per forward in synthetic_small).
+
+gate_channels is the gated conv's per-(sample, channel) multiply as one
+op over the channel-major memory. The broadcast x * gates.reshape(N, C,
+1, 1) (tests/oracles.py's gate_reference) computes the same products, but
+numpy returns them in C order, which would undo the layout after every
+gated conv.
 """
 
 from __future__ import annotations
@@ -121,20 +136,22 @@ def conv_output_hw(shape: tuple, p: Conv2dParams) -> tuple[int, int]:
 # its im2col patches over blocks of at most this many samples, because the
 # patch matrix is kh*kw times the size of its input and sets the process's
 # peak memory: on a 64-image gated eval of the synthetic_small model, peak
-# RSS rose 17% with full-batch patches and 9% with 32-sample blocks, and
-# stayed within 1% with 16, at no cost in time. A training forward builds
-# full-batch patches once and keeps them for the filters' gradient.
+# RSS was 19% above one-sample blocks with full-batch patches, 6% with
+# 32-sample blocks and 1% with 16, with no time difference beyond noise.
+# A training forward builds full-batch patches once and keeps them for the
+# filters' gradient.
 FORWARD_BLOCK = 16
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """2-D convolution (cross-correlation) over [N, C, H, W] input: filters
-    @ im2col patches, in BLAS summation order (see module
-    docstring). Both gradients are GEMMs over the whole batch. When the
-    filters need a gradient and a graph is being recorded, the forward
-    builds the whole batch's patches once and the backward reuses them for
-    the filters' gradient, then drops them (a second backward over the same
-    graph builds them again).
+    @ im2col patches, in BLAS summation order (see module docstring). The
+    output is the GEMM's [C_out, oh, ow, N] result seen as NCHW, with no
+    copy; the input may be in either layout. Both gradients are GEMMs over
+    the whole batch. When the filters need a gradient and a graph is being
+    recorded, the forward builds the whole batch's patches once and the
+    backward reuses them for the filters' gradient, then drops them (a
+    second backward over the same graph builds them again).
 
     The filters' gradient is (patches @ g.T).T, not g @ patches.T: the
     same sums over the oh*ow*N columns, with the long [C*kh*kw, oh*ow*N]
@@ -150,15 +167,18 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     s, pad = p.stride, p.padding
     w_flat = p.filters.data.reshape(c_out, -1)
     keep = p.filters.requires_grad and recording()
-    block = max(n, 1) if keep else FORWARD_BLOCK
     kept = None  # the whole batch's patches, while backward may need them
-    out = np.empty((n, c_out, oh, ow), dtype=x.dtype)
-    for lo in range(0, n, block):
-        xb = x.data[lo : lo + block]
-        patches = _extract_patches(xb, kh, kw, s, pad, oh, ow)
-        out[lo : lo + len(xb)] = (w_flat @ patches).reshape(
-            c_out, oh, ow, len(xb)).transpose(3, 0, 1, 2)
+    if keep or n <= FORWARD_BLOCK:
+        patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
+        out = (w_flat @ patches).reshape(c_out, oh, ow, n)
         kept = patches if keep else None
+    else:
+        out = np.empty((c_out, oh, ow, n), dtype=x.dtype)
+        for lo in range(0, n, FORWARD_BLOCK):
+            xb = x.data[lo : lo + FORWARD_BLOCK]
+            out[..., lo : lo + len(xb)] = (
+                w_flat @ _extract_patches(xb, kh, kw, s, pad, oh, ow)
+            ).reshape(c_out, oh, ow, len(xb))
 
     def backward(g: Array) -> None:
         nonlocal kept
@@ -178,7 +198,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
                     )
             x._accumulate(dxp[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2))
 
-    return apply_op(out, (x, p.filters), backward)
+    return apply_op(out.transpose(3, 0, 1, 2), (x, p.filters), backward)
 
 
 def _extract_patches(
@@ -186,8 +206,9 @@ def _extract_patches(
 ) -> Array:
     """im2col: [N, C, H, W] -> [C*kh*kw, oh*ow*N], rows in (c, ki, kj) order
     and columns in (i, j, n) order, one strided slice copy per kernel
-    offset out of a padded [C, H, W, N] copy of x. With the sample axis
-    innermost, each slice copy moves runs of N contiguous values."""
+    offset out of a padded [C, H, W, N] copy of x, which for a channel-major
+    x reads contiguous memory. With the sample axis innermost, each slice
+    copy moves runs of N contiguous values."""
     n, c, h, w = x.shape
     xt = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
     xt[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
@@ -258,6 +279,24 @@ def relu(x: Tensor) -> Tensor:
     return apply_op(np.maximum(x.data, 0), (x,), backward)
 
 
+def gate_channels(x: Tensor, gates: Tensor) -> Tensor:
+    """x [N, C, H, W] with each (sample, channel) map times its gate in
+    gates [N, C], in x's layout. The output and x's gradient have the bits
+    of the broadcast form (module docstring); the gates' gradient sums the
+    same products over (H, W) in another order."""
+    if x.ndim != 4 or gates.shape != x.shape[:2]:
+        raise ValueError(f"gates {gates.shape} do not match input {x.shape}")
+    xt = x.data.transpose(1, 2, 3, 0)
+    gt = gates.data.T[:, None, None, :]
+
+    def backward(g: Array) -> None:
+        gy = g.transpose(1, 2, 3, 0)
+        x._accumulate((gy * gt).transpose(3, 0, 1, 2))
+        gates._accumulate((gy * xt).sum(axis=(1, 2)).T)
+
+    return apply_op((xt * gt).transpose(3, 0, 1, 2), (x, gates), backward)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     out_data = _stable_sigmoid(x.data)
 
@@ -294,7 +333,7 @@ def avg_pool2d(x: Tensor, window: int) -> Tensor:
     d = x.data
 
     def row_sum(i: int) -> Array:
-        s = d[:, :, i::k, 0::k].copy()
+        s = d[:, :, i::k, 0::k].copy(order="K")
         for j in range(1, k):
             s += d[:, :, i::k, j::k]
         return s

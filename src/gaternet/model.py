@@ -13,9 +13,13 @@ the gater's pooled features that only the pretrain_gater phase trains.
 
 Every conv, gated or not, in training and in eval, is one im2col GEMM
 (layers.conv2d); a gated conv then multiplies each post-relu channel by
-its gate, so gating picks filters and saves no FLOPs. conv_macs counts
-the multiply-adds that gating multiplies by zero. An eval forward runs
-under tensor.no_grad and records no graph.
+its gate in one op (layers.gate_channels), so gating picks filters and
+saves no FLOPs. conv_macs counts the multiply-adds that gating multiplies
+by zero. An eval forward runs under tensor.no_grad and records no graph.
+
+Activations have NCHW shapes over channel-major [C, H, W, N] memory (see
+layers); fc weights and checkpoints keep their NCHW meaning. A model too
+large to allocate is a ConfigError naming ModelSpec.param_count.
 
 The bottleneck keeps the head at (h + c) * b weights instead of the h * c
 a single FC layer would need.
@@ -37,12 +41,17 @@ from gaternet.layers import (
     conv2d,
     conv_out_size,
     fully_connected,
+    gate_channels,
     global_avg_pool,
     relu,
 )
 from gaternet.semhash import GateBundle, gate_dropout, semhash_forward
 
 LAYER_KINDS = ("conv", "pool", "fc")
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent run configuration."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,20 @@ class ModelSpec:
     def feature_size(self) -> int:
         """h: gater feature width after global average pooling."""
         return [l for l in self.gater if l.kind == "conv"][-1].filters
+
+    @property
+    def param_count(self) -> int:
+        """Trainable values init_params allocates: each conv's filters and
+        batchnorm gamma and beta, each fc, the head and the probe."""
+        n = 0
+        for layers in (self.backbone, self.gater):
+            for layer, entry in zip(layers, trace_shapes(layers, self.input_shape)[0]):
+                if layer.kind == "conv":
+                    n += layer.filters * (entry[0] * layer.kernel**2 + 2)
+                elif layer.kind == "fc":
+                    n += (entry[1] + 1) * layer.width
+        h, c, b = self.feature_size, self.gated_filter_total, self.bottleneck
+        return n + (h + 3) * b + (b + 1) * c + (h + 1) * self.num_classes
 
 
 @dataclass(frozen=True)
@@ -306,23 +329,20 @@ def gated_conv_forward(
 
     gates is [N, out_channels], or None for an ungated conv; binary gates
     switch channels fully on or off, soft gates (the training-time alpha
-    branch) scale them. The conv is conv2d in both modes, so the result is
-    relu(bn(conv2d(x))) * gates bit for bit, a gated-off channel is
-    exactly 0, and an all-on gate row reproduces the ungated layer bit for
-    bit because multiplying by 1.0 is exact.
+    branch) scale them. The conv is conv2d in both modes and the multiply
+    is layers.gate_channels, one op over the channel-major activation, so
+    the result is relu(bn(conv2d(x))) * gates bit for bit, a gated-off
+    channel is exactly 0, and an all-on gate row reproduces the ungated
+    layer bit for bit because multiplying by 1.0 is exact. Gates of the
+    wrong shape are refused before the conv runs.
     """
-    if gates is not None:
-        n, ch = gates.shape
-        if ch != p.out_channels:
-            raise ValueError(
-                f"gate width {ch} does not match conv out_channels {p.out_channels}"
-            )
-        if x.shape[0] != n:
-            raise ValueError(f"gate batch {n} does not match input batch {x.shape[0]}")
+    if gates is not None and gates.shape != (x.shape[0], p.out_channels):
+        raise ValueError(f"gates {gates.shape} do not match batch {x.shape[0]} "
+                         f"and out_channels {p.out_channels}")
     y = conv2d(x, p)
     y = batchnorm(y, bn, training)
     y = relu(y)
-    return y if gates is None else y * gates.reshape(n, ch, 1, 1)
+    return y if gates is None else gate_channels(y, gates)
 
 
 def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
@@ -377,9 +397,13 @@ class GaterNet:
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         self.spec = spec
-        self.gate_map = build_gate_map(spec)
-        rng = np.random.default_rng(seed)
-        self.params, self.buffers = init_params(spec, rng)
+        try:
+            self.gate_map = build_gate_map(spec)
+            self.params, self.buffers = init_params(spec, np.random.default_rng(seed))
+        except MemoryError:
+            raise ConfigError(
+                f"model: too large to allocate ({spec.param_count:,} parameters)"
+            ) from None
 
     def _bn(self, name: str) -> BatchNormParams:
         return BatchNormParams(

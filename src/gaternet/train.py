@@ -23,7 +23,7 @@ import numpy as np
 
 from gaternet.data import DatasetSplits, augment
 from gaternet.layers import softmax_cross_entropy
-from gaternet.model import GaterNet, ModelSpec, spec_to_dict
+from gaternet.model import ConfigError, GaterNet, ModelSpec, spec_to_dict
 from gaternet.persist import (
     CheckpointError,
     dict_hash,
@@ -34,10 +34,6 @@ from gaternet.persist import (
 from gaternet.tensor import Array, Tensor, assert_all_finite, no_grad
 
 log = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
 
 
 PHASES = ("pretrain_backbone", "pretrain_gater", "joint")

@@ -5,6 +5,7 @@ sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
 filters' gradient in the GEMM orientation conv2d's backward used before, the
 reshape-mean average pool that layers.avg_pool2d is checked against, the
+broadcast gate multiply that layers.gate_channels is checked against, the
 masked gated conv from layers primitives, the discretizer composed from
 six graph nodes that semhash_forward is checked against, an rng stand-in
 that pins every training sample to one discretizer branch, the thin-SVD
@@ -281,12 +282,19 @@ def avg_pool_reference(x: Tensor, window: int) -> Tensor:
     return x.reshape(n, c, h // window, window, w // window, window).mean(axis=(3, 5))
 
 
+def gate_reference(y: Tensor, gates: Tensor) -> Tensor:
+    """y [N, C, H, W] times gates [N, C] as two graph nodes: a reshape of
+    the gates to [N, C, 1, 1] and a broadcast multiply, whose gates'
+    gradient autodiff sums over (H, W) of the NCHW product."""
+    n, c = gates.shape
+    return y * gates.reshape(n, c, 1, 1)
+
+
 def masked_reference(x, p, bn, gates):
     """The masked gated conv from layers primitives, in eval mode:
     relu(bn(conv2d(x))) * g."""
     y = batchnorm(conv2d(Tensor(x), p), bn, False)
-    n, c = gates.shape
-    return (relu(y) * Tensor(gates).reshape(n, c, 1, 1)).data
+    return gate_reference(relu(y), Tensor(gates)).data
 
 
 def pca_svd_reference(x: Array, k: int) -> PCAResult:

@@ -7,6 +7,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,7 @@ from gaternet.persist import dict_hash, load_checkpoint, save_checkpoint
 from gaternet.tensor import Tensor
 from gaternet.train import PHASES, TrainConfig
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SYNTHETIC_SMALL = (Path(__file__).resolve().parent.parent / "configs"
                    / "synthetic_small.json")
 # train_config_hash of each synthetic_small phase; checkpoints carry it, so
@@ -659,6 +664,35 @@ class TestCli:
         assert main(["analyze", "--gatelog", str(tmp_path / "g.glog"),
                      "--out", str(tmp_path / "an")]) == 1
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_model_too_large_to_allocate_exits_2(self, tmp_path, command):
+        """A layer too wide to allocate is a configuration error that names
+        the spec's parameter count. The command runs in a child process
+        whose address space is capped at 4 GiB, so the allocation is
+        refused at once."""
+        doc = base_config(tmp_path)
+        doc["model"]["backbone"][0]["filters"] = 10**12
+        cfg_path = write_config(tmp_path, doc)
+        count = load_config(cfg_path).model.param_count
+        argv = {"train": ["--phase", "pretrain-backbone"],
+                "eval": ["--ckpt", str(tmp_path / "none.ckpt")]}[command]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        cap = 4 * 2**30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaternet", command, "--config", cfg_path,
+             *argv], env=env, preexec_fn=limit, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"config error: model: too large to allocate ({count:,} parameters)\n")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))

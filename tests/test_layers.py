@@ -25,16 +25,19 @@ from gaternet.layers import (
     batchnorm,
     conv2d,
     fully_connected,
+    gate_channels,
     global_avg_pool,
     relu,
     sigmoid,
     softmax_cross_entropy,
     _extract_patches,
 )
+from gaternet.model import gated_conv_forward
 from gaternet.tensor import Tensor, no_grad
 from oracles import (
     avg_pool_reference,
     conv_weight_grad_reference,
+    gate_reference,
     grad_check,
     loop_conv2d,
 )
@@ -175,7 +178,9 @@ class TestConv2dGemm:
             blocked = conv2d(Tensor(x), p).data
         for got in (recorded, blocked):
             assert got.shape == want.shape
-            assert got.dtype == np.float32 and got.flags.c_contiguous
+            # NCHW shape over channel-major [C, H, W, N] memory
+            assert got.dtype == np.float32
+            assert got.transpose(1, 2, 3, 0).flags.c_contiguous
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     @settings(max_examples=60, deadline=None)
@@ -475,6 +480,89 @@ class TestActivationsAndPooling:
         assert np.allclose(y.data, [[1.5, 1.5, 8.0]])
         assert grad_check(lambda t: (fully_connected(t, w, b)
                                      * fully_connected(t, w, b)).sum(), x) < 1e-6
+
+
+def _channel_major(x):
+    """The values of NCHW x in channel-major [C, H, W, N] memory, as an
+    NCHW view: the layout conv2d returns."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+class TestGateChannels:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 9), c=st.integers(1, 6), h=st.integers(1, 5),
+           w=st.integers(1, 5), soft=st.booleans(), channel_major=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_broadcast_multiply(self, n, c, h, w, soft, channel_major,
+                                        dtype, seed):
+        """Forward and the input's gradient byte-equal to the reshape and
+        broadcast multiply of oracles.gate_reference, over binary and soft
+        gates and either input layout. The gates' gradient sums the same
+        products over (H, W) in channel-major order, so it agrees within
+        the dtype's rounding."""
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((n, c, h, w)).astype(dtype)
+        if channel_major:
+            y = _channel_major(y)
+        gates = rng.random((n, c)).astype(dtype)
+        if not soft:
+            gates = (gates < 0.5).astype(dtype)
+        g = rng.standard_normal((n, c, h, w)).astype(dtype)
+        got_y, ref_y = Tensor(y, requires_grad=True), Tensor(y, requires_grad=True)
+        got_g = Tensor(gates, requires_grad=True)
+        ref_g = Tensor(gates, requires_grad=True)
+        got = gate_channels(got_y, got_g)
+        ref = gate_reference(ref_y, ref_g)
+        assert got._parents == (got_y, got_g)
+        assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+        if channel_major:  # the op keeps its input's layout
+            assert got.data.transpose(1, 2, 3, 0).flags.c_contiguous
+        assert got.data.tobytes() == ref.data.tobytes()
+        (got * Tensor(g)).sum().backward()
+        (ref * Tensor(g)).sum().backward()
+        assert got_y.grad.tobytes() == ref_y.grad.tobytes()
+        bound = 2 * h * w * np.finfo(dtype).eps * np.abs(g * y).sum(axis=(2, 3))
+        assert np.all(np.abs(got_g.grad - ref_g.grad) <= bound)
+
+    def test_shape_mismatch_is_refused(self):
+        y = Tensor(np.ones((4, 3, 2, 2), np.float32))
+        for shape in [(4, 2), (3, 3), (1, 3), (4, 1), (4, 3, 1)]:
+            with pytest.raises(ValueError, match="do not match input"):
+                gate_channels(y, Tensor(np.ones(shape, np.float32)))
+        with pytest.raises(ValueError, match="do not match input"):
+            gate_channels(Tensor(np.ones((4, 3, 2), np.float32)),
+                          Tensor(np.ones((4, 3), np.float32)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from([0, 1]),
+           n=st.integers(1, 2 * FORWARD_BLOCK + 1), c_in=st.integers(1, 5),
+           c_out=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_eval_bytes_do_not_depend_on_input_layout(self, kernel, stride,
+                                                      padding, n, c_in, c_out,
+                                                      seed):
+        """In eval, conv2d and the gated conv give the same bytes for an
+        NCHW-contiguous input and for the same values stored channel-major:
+        the patches hold the same values, and eval batchnorm, relu and the
+        gate multiply are elementwise."""
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(max(kernel - 2 * padding, 1), 8, size=2)
+        x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+        p = _conv_params(c_out, c_in, kernel, seed=seed, stride=stride,
+                         padding=padding)
+        bn = BatchNormParams(
+            gamma=Tensor(rng.uniform(-1.5, 1.5, c_out).astype(np.float32)),
+            beta=Tensor(rng.standard_normal(c_out).astype(np.float32)),
+            running_mean=rng.standard_normal(c_out).astype(np.float32),
+            running_var=rng.uniform(0.5, 2.0, c_out).astype(np.float32),
+        )
+        gates = Tensor((rng.random((n, c_out)) < 0.5).astype(np.float32))
+        with no_grad():
+            for f in (lambda t: conv2d(t, p),
+                      lambda t: gated_conv_forward(t, p, bn, gates, False)):
+                nchw = f(Tensor(x)).data
+                assert nchw.tobytes() == f(Tensor(_channel_major(x))).data.tobytes()
 
 
 class TestSoftmaxCrossEntropy:

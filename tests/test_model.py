@@ -22,6 +22,7 @@ from gaternet.layers import (
     relu,
 )
 from gaternet.model import (
+    ConfigError,
     GaterNet,
     LayerSpec,
     ModelSpec,
@@ -250,6 +251,26 @@ class TestParamCount:
         report = param_count(model)
         assert report.probe == 5 * 3 + 3
         assert report.total == report.backbone + report.gater + report.head
+
+    def test_spec_count_is_what_init_allocates(self):
+        """ModelSpec.param_count, from the spec alone, is every trainable
+        value a GaterNet allocates, the probe's included."""
+        for spec in (small_spec(), _skip_spec()):
+            model = GaterNet(spec, seed=0)
+            report = param_count(model)
+            assert spec.param_count == report.total + report.probe
+            assert spec.param_count == sum(t.data.size for t in model.params.values())
+
+    def test_memory_error_while_building_is_a_config_error(self, monkeypatch):
+        def refuse(spec, rng):
+            raise MemoryError
+
+        monkeypatch.setattr(model_mod, "init_params", refuse)
+        spec = small_spec()
+        with pytest.raises(ConfigError) as info:
+            GaterNet(spec)
+        assert str(info.value) == (
+            f"model: too large to allocate ({spec.param_count:,} parameters)")
 
 
 def _conv_setup(cout, seed, cin=3, size=6, batch=4):

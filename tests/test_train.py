@@ -304,11 +304,11 @@ def test_evaluate_records_no_graph(phase, monkeypatch):
 
 
 # Graph nodes one joint training step on the synthetic_small model records:
-# 45 in the 9 conv blocks (conv, batchnorm and relu; a gate slice, reshape
-# and multiply in the 6 gated ones), 5 pools, and 16 in the gater's global
+# 39 in the 9 conv blocks (conv, batchnorm and relu; a gate slice and one
+# gate node in the 6 gated ones), 5 pools, and 16 in the gater's global
 # pool and head, semhash, gate dropout, the classifier and the loss. A
 # merged or split op moves this number.
-JOINT_STEP_GRAPH_NODES = 66
+JOINT_STEP_GRAPH_NODES = 60
 
 
 def test_joint_step_graph(monkeypatch):
@@ -341,6 +341,42 @@ def test_joint_step_graph(monkeypatch):
     for pool_in, pool_out in pools:
         assert id(pool_out) in seen and pool_out._parents == (pool_in,)
     assert nodes == JOINT_STEP_GRAPH_NODES
+
+
+def test_joint_step_activations_stay_channel_major():
+    """Every 4-D activation of one synthetic_small joint step, and the
+    gradient its backward receives, sits in channel-major [C, H, W, N]
+    memory behind its NCHW shape: 27 in the 9 conv blocks (conv, batchnorm,
+    relu), the 6 gate nodes and the 5 pools. A copy or broadcast that
+    flips the layout would put a transpose back into every conv."""
+    cfg = load_config(REPO / "configs" / "synthetic_small.json")
+    model = GaterNet(cfg.model, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((8, 3, 16, 16)).astype(np.float32))
+    logits, gates = train_mod.phase_forward(model, "joint", x, True, rng, 0.05)
+    loss = total_loss(logits, rng.integers(0, 4, 8), gates, 0.1)
+    acts, seen, stack = [], set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t.ndim == 4 and t._backward_fn is not None:
+                acts.append(t)
+            stack.extend(t._parents)
+    assert len(acts) == 38
+    grads = []
+    for t in acts:
+        name = t._backward_fn.__qualname__
+        assert t.data.transpose(1, 2, 3, 0).flags.c_contiguous, name
+
+        def checked(g, fn=t._backward_fn, name=name):
+            grads.append((name, g.transpose(1, 2, 3, 0).flags.c_contiguous))
+            fn(g)
+
+        t._backward_fn = checked
+    loss.backward()
+    assert len(grads) == 38
+    assert [name for name, ok in grads if not ok] == []
 
 
 # Minor page faults one synthetic_small joint step at batch 64 may take
