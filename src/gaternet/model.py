@@ -12,10 +12,11 @@ by their gate. Every model also holds the probe, a linear classifier on
 the gater's pooled features that only the pretrain_gater phase trains.
 
 Every conv, gated or not, in training and in eval, is one im2col GEMM
-(layers.conv2d); a gated conv then multiplies each post-relu channel by
-its gate in one op (layers.gate_channels), so gating picks filters and
-saves no FLOPs. conv_macs counts the multiply-adds that gating multiplies
-by zero. An eval forward runs under tensor.no_grad and records no graph.
+(layers.conv2d) followed by one epilogue op (layers.bn_relu_gate:
+batchnorm, relu and, in a gated conv, each channel times its gate), so
+gating picks filters and saves no FLOPs. conv_macs counts the
+multiply-adds that gating multiplies by zero. An eval forward runs under
+tensor.no_grad and records no graph.
 
 Activations have NCHW shapes over channel-major [C, H, W, N] memory (see
 layers); fc weights and checkpoints keep their NCHW meaning. A model too
@@ -38,10 +39,10 @@ from gaternet.layers import (
     Conv2dParams,
     avg_pool2d,
     batchnorm,
+    bn_relu_gate,
     conv2d,
     conv_out_size,
     fully_connected,
-    gate_channels,
     global_avg_pool,
     relu,
 )
@@ -325,24 +326,22 @@ def gated_conv_forward(
     gates: Tensor | None,
     training: bool,
 ) -> Tensor:
-    """conv -> batchnorm -> relu, then per-channel gate multiply.
+    """conv -> batchnorm -> relu, then per-channel gate multiply: conv2d,
+    then layers.bn_relu_gate, two graph nodes.
 
     gates is [N, out_channels], or None for an ungated conv; binary gates
     switch channels fully on or off, soft gates (the training-time alpha
-    branch) scale them. The conv is conv2d in both modes and the multiply
-    is layers.gate_channels, one op over the channel-major activation, so
-    the result is relu(bn(conv2d(x))) * gates bit for bit, a gated-off
-    channel is exactly 0, and an all-on gate row reproduces the ungated
-    layer bit for bit because multiplying by 1.0 is exact. Gates of the
-    wrong shape are refused before the conv runs.
+    branch) scale them. The conv is conv2d in both modes, and the
+    epilogue's forward has the bits of the composed form, so the result is
+    relu(bn(conv2d(x))) * gates bit for bit, a gated-off channel is
+    exactly 0, and an all-on gate row reproduces the ungated layer bit for
+    bit because multiplying by 1.0 is exact. Gates of the wrong shape are
+    refused before the conv runs.
     """
     if gates is not None and gates.shape != (x.shape[0], p.out_channels):
         raise ValueError(f"gates {gates.shape} do not match batch {x.shape[0]} "
                          f"and out_channels {p.out_channels}")
-    y = conv2d(x, p)
-    y = batchnorm(y, bn, training)
-    y = relu(y)
-    return y if gates is None else gate_channels(y, gates)
+    return bn_relu_gate(conv2d(x, p), bn, gates, training)
 
 
 def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:

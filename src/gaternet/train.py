@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import logging
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -253,6 +254,19 @@ def _epoch_rng(seed: int, phase: str, epoch: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+@contextmanager
+def _fits_at(batch_size: int):
+    """A MemoryError raised inside is a ConfigError naming the batch size:
+    a spec whose parameters fit (GaterNet checks those) may still have
+    activations that do not."""
+    try:
+        yield
+    except MemoryError as e:
+        why = f" ({e})" if str(e) else ""
+        raise ConfigError(f"model: activations at batch size {batch_size} "
+                          f"do not fit in memory{why}") from None
+
+
 def phase_forward(model: GaterNet, phase: str, x: Tensor, training: bool,
                   rng: np.random.Generator | None = None,
                   dropout_rate: float = 0.0) -> tuple[Tensor, Tensor | None]:
@@ -270,10 +284,11 @@ def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
              batch_size: int) -> tuple[float, float | None, Array | None]:
     """Eval-mode accuracy; in joint also the uint8 [N, c] eval gates and
     their mean as an exact count ratio (both None in the other phases).
-    Runs under no_grad, so no phase records a graph."""
+    Runs under no_grad, so no phase records a graph. A batch too large for
+    memory is a ConfigError."""
     correct = 0
     rows = []
-    with no_grad():
+    with no_grad(), _fits_at(batch_size):
         for lo in range(0, len(x), batch_size):
             xb, yb = Tensor(x[lo : lo + batch_size]), y[lo : lo + batch_size]
             logits, gates = phase_forward(model, phase, xb, training=False)
@@ -409,7 +424,9 @@ def run_phase(
     The metrics CSV and checkpoint are rewritten atomically per epoch, so
     an interrupted run leaves the previous epoch's files intact and can be
     resumed with resume_ckpt. backbone_ckpt, gater_ckpt and from_scratch
-    act as start_checkpoints says, which checks them before any work.
+    act as start_checkpoints says, which checks them before any work. A
+    training step or evaluation too large for memory is a ConfigError
+    naming the batch size.
     """
     out_dir = Path(out_dir)
     phase = cfg.phase
@@ -486,12 +503,14 @@ def run_phase(
                     xb[i] = augment(xb[i], rng, desc.random_crop, desc.mirror)
             yb = splits.train_y[idx]
             rate = cfg.dropout_rate(step, steps_per_epoch)
-            logits, gates = phase_forward(model, phase, Tensor(xb), True, rng, rate)
-            loss = total_loss(logits, yb, gates, cfg.lambda_)
-            assert_all_finite(loss, f"{phase} loss at step {step}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step(lr)
+            with _fits_at(cfg.batch_size):
+                logits, gates = phase_forward(model, phase, Tensor(xb), True,
+                                              rng, rate)
+                loss = total_loss(logits, yb, gates, cfg.lambda_)
+                assert_all_finite(loss, f"{phase} loss at step {step}")
+                opt.zero_grad()
+                loss.backward()
+                opt.step(lr)
             losses.append(loss.item())
             del logits, gates, loss  # free this step's graph before the next
             step += 1

@@ -5,13 +5,13 @@ sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
 filters' gradient in the GEMM orientation conv2d's backward used before, the
 reshape-mean average pool that layers.avg_pool2d is checked against, the
-broadcast gate multiply that layers.gate_channels is checked against, the
-masked gated conv from layers primitives, the discretizer composed from
-six graph nodes that semhash_forward is checked against, an rng stand-in
-that pins every training sample to one discretizer branch, the thin-SVD
-PCA that pca_reduce is checked against, and the quoting csv.writer form
-that persist.write_csv's row templates are checked against.
-"""
+conv epilogue composed of batchnorm, relu and a broadcast gate multiply
+that layers.bn_relu_gate is checked against, the masked gated conv built
+on it, the discretizer composed from six graph nodes that semhash_forward
+is checked against, an rng stand-in that pins every training sample to
+one discretizer branch, the thin-SVD PCA that pca_reduce is checked
+against, and the quoting csv.writer form that persist.write_csv's row
+templates are checked against."""
 
 from __future__ import annotations
 
@@ -24,9 +24,11 @@ import numpy as np
 
 from gaternet.analyze import PCAResult
 from gaternet.layers import (
+    BN_EPS,
+    BN_MOMENTUM,
+    BatchNormParams,
     Conv2dParams,
     _extract_patches,
-    batchnorm,
     conv2d,
     conv_output_hw,
     relu,
@@ -290,11 +292,53 @@ def gate_reference(y: Tensor, gates: Tensor) -> Tensor:
     return y * gates.reshape(n, c, 1, 1)
 
 
+def batchnorm_reference(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
+    """Batchnorm of x [N, C, H, W] over (N, H, W) as one graph node, the
+    form layers.batchnorm had before a conv's batchnorm moved into
+    bn_relu_gate: the same forward expressions, and Ioffe & Szegedy's
+    backward written with means of g * gamma, which bn_relu_gate does not
+    use. Training updates p's running statistics."""
+    axes, pshape = (0, 2, 3), (1, p.channels, 1, 1)
+    if training:
+        mu = x.data.mean(axis=axes, keepdims=True)
+        diff = x.data - mu
+        var = (diff * diff).mean(axis=axes, keepdims=True)
+        m = BN_MOMENTUM
+        p.running_mean[...] = m * p.running_mean + (1.0 - m) * mu.reshape(-1)
+        p.running_var[...] = m * p.running_var + (1.0 - m) * var.reshape(-1)
+    else:
+        mu = p.running_mean.reshape(pshape).astype(x.dtype, copy=False)
+        var = p.running_var.reshape(pshape).astype(x.dtype, copy=False)
+    std = np.sqrt(var + BN_EPS)
+    xhat = (x.data - mu) / std
+    gamma = p.gamma.data.reshape(pshape)
+    out = gamma * xhat + p.beta.data.reshape(pshape)
+
+    def backward(g: Array) -> None:
+        p.gamma._accumulate((g * xhat).sum(axis=axes))
+        p.beta._accumulate(g.sum(axis=axes))
+        if x.requires_grad:
+            gx = g * gamma
+            if training:
+                gx = (gx - gx.mean(axis=axes, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+            x._accumulate(gx / std)
+
+    return apply_op(out, (x, p.gamma, p.beta), backward)
+
+
+def conv_block_reference(x: Tensor, bn: BatchNormParams, gates: Tensor | None,
+                         training: bool) -> Tensor:
+    """layers.bn_relu_gate composed of three graph nodes (two without
+    gates): batchnorm_reference, relu and gate_reference."""
+    y = relu(batchnorm_reference(x, bn, training))
+    return y if gates is None else gate_reference(y, gates)
+
+
 def masked_reference(x, p, bn, gates):
-    """The masked gated conv from layers primitives, in eval mode:
+    """The masked gated conv from reference primitives, in eval mode:
     relu(bn(conv2d(x))) * g."""
-    y = batchnorm(conv2d(Tensor(x), p), bn, False)
-    return gate_reference(relu(y), Tensor(gates)).data
+    return conv_block_reference(conv2d(Tensor(x), p), bn, Tensor(gates), False).data
 
 
 def pca_svd_reference(x: Array, k: int) -> PCAResult:

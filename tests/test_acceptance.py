@@ -30,6 +30,7 @@ from gaternet.layers import (
     Conv2dParams,
     avg_pool2d,
     batchnorm,
+    bn_relu_gate,
     conv2d,
     fully_connected,
     global_avg_pool,
@@ -45,7 +46,7 @@ from gaternet.model import (
 )
 from gaternet.persist import load_checkpoint
 from gaternet.semhash import gate_dropout, semhash_forward
-from gaternet.tensor import Tensor
+from gaternet.tensor import Tensor, no_grad
 from gaternet.train import (
     TrainConfig,
     run_phase,
@@ -53,6 +54,7 @@ from gaternet.train import (
 )
 from oracles import (
     PinnedBranchRng,
+    batchnorm_reference,
     grad_check,
     gradient_routing_check,
     masked_reference,
@@ -105,13 +107,25 @@ def _op_cases(seed: int):
 
     bn_gamma = Tensor(f32(4) * 0.2 + 1.0)
     bn_beta = Tensor(f32(4) * 0.2)
-    bn_x = Tensor(f32(3, 4, 2, 2))
-    bn_mix = _mix(seed + 1, (3, 4, 2, 2))
+    bn_x = Tensor(f32(6, 4))
+    bn_mix = _mix(seed + 1, (6, 4))
 
     def bn_params(gamma, beta):
         return BatchNormParams(gamma=gamma, beta=beta,
                                running_mean=np.zeros(4, np.float32),
                                running_var=np.ones(4, np.float32))
+
+    # the conv epilogue: beta +-8 keeps every pre-relu value clear of the
+    # kink (|xhat| <= sqrt(11) over 12 values per channel, and |gamma| < 2),
+    # so two channels pass the relu and two are cut
+    blk_beta = Tensor(bn_beta.data + np.float32([8, -8, 8, -8]))
+    blk_x = Tensor(f32(3, 4, 2, 2))
+    blk_gates = Tensor(rng.uniform(0.2, 1.0, (3, 4)).astype(np.float32))
+    blk_mix = _mix(seed + 7, (3, 4, 2, 2))
+
+    def block(x=blk_x, gamma=bn_gamma, beta=blk_beta, gates=blk_gates):
+        return (bn_relu_gate(x, bn_params(gamma, beta), gates, True)
+                * blk_mix).sum()
 
     relu_x = f32(40) * 2.0
     relu_excl = np.abs(relu_x) < 0.05  # stay away from the kink at zero
@@ -145,6 +159,10 @@ def _op_cases(seed: int):
         ("batchnorm/beta",
          lambda t: (batchnorm(bn_x, bn_params(bn_gamma, t), True)
                     * bn_mix).sum(), bn_beta, None),
+        ("bn_relu_gate/input", lambda t: block(x=t), blk_x, None),
+        ("bn_relu_gate/gamma", lambda t: block(gamma=t), bn_gamma, None),
+        ("bn_relu_gate/beta", lambda t: block(beta=t), blk_beta, None),
+        ("bn_relu_gate/gates", lambda t: block(gates=t), blk_gates, None),
         ("relu", lambda t: (relu(t) * Tensor(np.abs(relu_x) + 0.5)).sum(),
          Tensor(relu_x), relu_excl),
         ("sigmoid", lambda t: (sigmoid(t) * _mix(seed + 5, sat_x.shape)).sum(),
@@ -182,19 +200,29 @@ def _composite_fd_worst(model, name, x, labels, seed, n_coords=5,
     The pieces are bounded by relu zeros and saturating-sigmoid clip
     breakpoints; batch norm parks pre-activations near zero, so the FD
     window often straddles a relu kink and the quotient is biased. Each
-    evaluation therefore records the region pattern of every relu and
+    evaluation therefore records the region pattern of every relu input
+    (for a conv block, its batchnorm output, recomputed by the oracle
+    batchnorm, whose bytes bn_relu_gate's forward shares) and of every
     saturating-sigmoid input, and a coordinate is skipped exactly when
     the two endpoints disagree on any region. On clean coordinates the
     mapping is smooth across the whole window and a wrong analytic
     gradient has nothing to hide behind.
     """
     real_relu = model_mod.relu
+    real_block = model_mod.bn_relu_gate
     real_sat = semhash_mod._sat_sigmoid_data
     trace: list | None = None
 
     def recording_relu(t):
         trace.append(t.data > 0)
         return real_relu(t)
+
+    def recording_block(t, bn, gates, training):
+        stats = dataclasses.replace(bn, running_mean=bn.running_mean.copy(),
+                                    running_var=bn.running_var.copy())
+        with no_grad():
+            trace.append(batchnorm_reference(t, stats, training).data > 0)
+        return real_block(t, bn, gates, training)
 
     def recording_sat(x):
         trace.append(np.digitize(x, (-SATURATION, SATURATION)))
@@ -205,6 +233,7 @@ def _composite_fd_worst(model, name, x, labels, seed, n_coords=5,
         trace = []
         if record:
             model_mod.relu = recording_relu
+            model_mod.bn_relu_gate = recording_block
             semhash_mod._sat_sigmoid_data = recording_sat
         try:
             logits, bundle = model.forward(
@@ -213,6 +242,7 @@ def _composite_fd_worst(model, name, x, labels, seed, n_coords=5,
             return total_loss(logits, labels, bundle.selected, 0.1), trace
         finally:
             model_mod.relu = real_relu
+            model_mod.bn_relu_gate = real_block
             semhash_mod._sat_sigmoid_data = real_sat
 
     loss, _ = loss_eval()

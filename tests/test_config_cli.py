@@ -694,6 +694,36 @@ class TestCli:
             f"config error: model: too large to allocate ({count:,} parameters)\n")
         assert not (tmp_path / "run").exists()
 
+    def test_activations_too_large_to_allocate_exit_2(self, tmp_path):
+        """A layer whose parameters fit but whose activations at the batch
+        size do not is a configuration error that names the batch size.
+        The command runs in a child process whose address space is capped
+        at 4 GiB, so the first conv's [20000, 8, 8, 1024] float32 output
+        (5.2 GB; the parameters take about 6 MB) is refused at once."""
+        doc = base_config(tmp_path)
+        doc["dataset"]["train_size"] = 1024
+        doc["train"]["batch_size"] = 1024
+        doc["model"]["backbone"][0]["filters"] = 20000
+        cfg_path = write_config(tmp_path, doc)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        cap = 4 * 2**30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaternet", "train", "--config", cfg_path,
+             "--phase", "pretrain-backbone"], env=env, preexec_fn=limit,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "config error: model: activations at batch size 1024 do not fit "
+            "in memory (Unable to allocate "), proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "run" / "pretrain_backbone.ckpt").exists()
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["eval", "--config", cfg_path,

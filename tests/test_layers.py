@@ -23,9 +23,9 @@ from gaternet.layers import (
     Conv2dParams,
     avg_pool2d,
     batchnorm,
+    bn_relu_gate,
     conv2d,
     fully_connected,
-    gate_channels,
     global_avg_pool,
     relu,
     sigmoid,
@@ -36,8 +36,8 @@ from gaternet.model import gated_conv_forward
 from gaternet.tensor import Tensor, no_grad
 from oracles import (
     avg_pool_reference,
+    conv_block_reference,
     conv_weight_grad_reference,
-    gate_reference,
     grad_check,
     loop_conv2d,
 )
@@ -282,6 +282,11 @@ class TestConv2dGemm:
 
 
 class TestBatchNorm:
+    """layers.batchnorm on the head's 2-D input, and the conv batchnorm
+    inside layers.bn_relu_gate on 4-D input (gates None), whose relu is
+    either part of the expected value or kept off every value by a
+    large beta."""
+
     def _params(self, c, dtype=np.float32, seed=0):
         rng = np.random.default_rng(seed)
         return BatchNormParams(
@@ -297,13 +302,13 @@ class TestBatchNorm:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
         p = self._params(3)
-        got = batchnorm(Tensor(x), p, training=True).data
+        got = bn_relu_gate(Tensor(x), p, None, training=True).data
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         diff = x - mean
         var = (diff * diff).mean(axis=(0, 2, 3), keepdims=True)  # biased
         xhat = diff / np.sqrt(var + np.float32(BN_EPS))
         want = p.gamma.data.reshape(1, 3, 1, 1) * xhat + p.beta.data.reshape(1, 3, 1, 1)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.maximum(want, 0))
         assert got.dtype == np.float32
 
     def test_train_output_is_normalized(self):
@@ -311,8 +316,8 @@ class TestBatchNorm:
         x = rng.standard_normal((8, 4, 6, 6)).astype(np.float64) * 3 + 5
         p = self._params(4, dtype=np.float64)
         p.gamma.data[...] = 1.0
-        p.beta.data[...] = 0.0
-        y = batchnorm(Tensor(x), p, training=True).data
+        p.beta.data[...] = 100.0  # no value reaches the relu's kink
+        y = bn_relu_gate(Tensor(x), p, None, training=True).data - 100.0
         assert np.allclose(y.mean(axis=(0, 2, 3)), 0, atol=1e-10)
         assert np.allclose(y.var(axis=(0, 2, 3)), 1, atol=1e-6)
 
@@ -321,7 +326,7 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
         p = self._params(2)
         rm0, rv0 = p.running_mean.copy(), p.running_var.copy()
-        batchnorm(Tensor(x), p, training=True)
+        bn_relu_gate(Tensor(x), p, None, training=True)
         bm = x.mean(axis=(0, 2, 3))
         bv = x.var(axis=(0, 2, 3))  # biased
         m = np.float32(BN_MOMENTUM)
@@ -335,12 +340,12 @@ class TestBatchNorm:
         p.running_mean[...] = [1.0, -1.0]
         p.running_var[...] = [4.0, 0.25]
         rm, rv = p.running_mean.copy(), p.running_var.copy()
-        got = batchnorm(Tensor(x), p, training=False).data
+        got = bn_relu_gate(Tensor(x), p, None, training=False).data
         xhat = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(
             rv.reshape(1, 2, 1, 1) + np.float32(BN_EPS))
         want = (p.gamma.data.reshape(1, 2, 1, 1) * xhat
                 + p.beta.data.reshape(1, 2, 1, 1))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.maximum(want, 0))
         assert np.array_equal(p.running_mean, rm)
         assert np.array_equal(p.running_var, rv)
 
@@ -360,8 +365,9 @@ class TestBatchNorm:
            c=st.integers(1, 3), hw=st.integers(1, 3),
            seed=st.integers(0, 2**16))
     def test_gradients_both_modes(self, four_d, training, n, c, hw, seed):
-        # every branch of the closed-form backward: 2-D and 4-D input, batch
-        # or running statistics
+        # every branch of the closed-form backwards: batchnorm's 2-D and
+        # bn_relu_gate's 4-D input, batch or running statistics; beta + 50
+        # keeps every 4-D value clear of the relu's kink
         rng = np.random.default_rng(seed)
         shape = (n, c, hw, hw) if four_d else (n, c)
         axes = (0, 2, 3) if four_d else (0,)
@@ -373,24 +379,39 @@ class TestBatchNorm:
         p = self._params(c, dtype=np.float64, seed=seed + 1)
         p.running_mean[...] = rng.standard_normal(c)
         p.running_var[...] = rng.uniform(0.5, 2.0, c)
+        if four_d:
+            p.beta.data[...] += 50.0
         mix = Tensor(rng.standard_normal(shape))
 
         def loss(x, gamma, beta):
             # in training the EMA side effect does not reach the value
             bn = BatchNormParams(gamma, beta, p.running_mean, p.running_var)
-            return (batchnorm(x, bn, training) * mix).sum()
+            y = (bn_relu_gate(x, bn, None, training) if four_d
+                 else batchnorm(x, bn, training))
+            return (y * mix).sum()
 
         assert grad_check(lambda t: loss(t, p.gamma, p.beta), x) < 1e-6
         assert grad_check(lambda t: loss(x, t, p.beta), p.gamma) < 1e-6
         assert grad_check(lambda t: loss(x, p.gamma, t), p.beta) < 1e-6
 
     def test_one_graph_node_over_x_gamma_beta(self):
-        x = Tensor(np.random.default_rng(8).standard_normal((4, 3, 2, 2)),
-                   requires_grad=True)
+        rng = np.random.default_rng(8)
+        x2 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        x4 = Tensor(rng.standard_normal((4, 3, 2, 2)), requires_grad=True)
+        gates = Tensor(rng.random((4, 3)), requires_grad=True)
         p = self._params(3, dtype=np.float64)
         for training in (True, False):
-            y = batchnorm(x, p, training)
-            assert y._parents == (x, p.gamma, p.beta)
+            assert batchnorm(x2, p, training)._parents == (x2, p.gamma, p.beta)
+            y = bn_relu_gate(x4, p, None, training)
+            assert y._parents == (x4, p.gamma, p.beta)
+            y = bn_relu_gate(x4, p, gates, training)
+            assert y._parents == (x4, p.gamma, p.beta, gates)
+
+    def test_batchnorm_is_2d_only(self):
+        p = self._params(3)
+        for shape in [(4, 3, 2, 2), (3,), (4, 3, 2)]:
+            with pytest.raises(ValueError, match="batchnorm expects 2-D input"):
+                batchnorm(Tensor(np.ones(shape, np.float32)), p, True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -488,51 +509,115 @@ def _channel_major(x):
     return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
-class TestGateChannels:
-    @settings(max_examples=80, deadline=None)
+def _bn_copies(c, dtype, rng, k):
+    """k BatchNormParams with equal values and separate arrays."""
+    gamma = rng.uniform(-1.5, 1.5, c).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    mean = rng.standard_normal(c).astype(dtype)
+    var = rng.uniform(0.5, 2.0, c).astype(dtype)
+    return [BatchNormParams(Tensor(gamma.copy(), requires_grad=True),
+                            Tensor(beta.copy(), requires_grad=True),
+                            mean.copy(), var.copy()) for _ in range(k)]
+
+
+class TestBnReluGate:
+    @settings(max_examples=120, deadline=None)
     @given(n=st.integers(1, 9), c=st.integers(1, 6), h=st.integers(1, 5),
-           w=st.integers(1, 5), soft=st.booleans(), channel_major=st.booleans(),
+           w=st.integers(1, 5), gating=st.sampled_from(["binary", "soft", "none"]),
+           training=st.booleans(), channel_major=st.booleans(),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_broadcast_multiply(self, n, c, h, w, soft, channel_major,
-                                        dtype, seed):
-        """Forward and the input's gradient byte-equal to the reshape and
-        broadcast multiply of oracles.gate_reference, over binary and soft
-        gates and either input layout. The gates' gradient sums the same
-        products over (H, W) in channel-major order, so it agrees within
-        the dtype's rounding."""
+    def test_matches_composed_reference(self, n, c, h, w, gating, training,
+                                        channel_major, dtype, seed):
+        """Output and running statistics byte-equal to
+        oracles.conv_block_reference (batchnorm, relu and the broadcast gate
+        multiply as separate nodes), in both modes, with binary, soft and
+        no gates, over either input layout, and under no_grad, where the op
+        runs in place in one new buffer. The gradients sum the same
+        products in another order, and the input's gradient uses another
+        closed form, so they agree within the dtype's rounding: with dy the
+        gradient reaching the relu's output times its mask, per channel
+        S1 = sum|dy| and S2 = sum|dy * xhat| over its M = N*H*W values,
+        |ddbeta| <= 2*M*eps*S1, |ddgamma| <= 2*(M+1)*eps*S2 and |ddx| <=
+        8*eps*|gamma/std|*(|dy| + S1 + |xhat|*S2), and the gates' gradient
+        within 2*H*W*eps*sum|g * relu output| over (H, W)."""
         rng = np.random.default_rng(seed)
-        y = rng.standard_normal((n, c, h, w)).astype(dtype)
+        x = (rng.standard_normal((n, c, h, w)) * 2 + 0.5).astype(dtype)
         if channel_major:
-            y = _channel_major(y)
-        gates = rng.random((n, c)).astype(dtype)
-        if not soft:
-            gates = (gates < 0.5).astype(dtype)
+            x = _channel_major(x)
+        bn, ref_bn, plain_bn, free_bn = _bn_copies(c, dtype, rng, 4)
+        gates = None
+        if gating != "none":
+            gates = rng.random((n, c)).astype(dtype)
+            if gating == "binary":
+                gates = (gates < 0.5).astype(dtype)
         g = rng.standard_normal((n, c, h, w)).astype(dtype)
-        got_y, ref_y = Tensor(y, requires_grad=True), Tensor(y, requires_grad=True)
-        got_g = Tensor(gates, requires_grad=True)
-        ref_g = Tensor(gates, requires_grad=True)
-        got = gate_channels(got_y, got_g)
-        ref = gate_reference(ref_y, ref_g)
-        assert got._parents == (got_y, got_g)
+
+        def run(op, p):
+            xt = Tensor(x, requires_grad=True)
+            gt = None if gates is None else Tensor(gates, requires_grad=True)
+            out = op(xt, p, gt, training)
+            (out * Tensor(g)).sum().backward()
+            return out, xt, gt
+
+        got, x_got, g_got = run(bn_relu_gate, bn)
+        ref, x_ref, g_ref = run(conv_block_reference, ref_bn)
+        assert got._parents == (x_got, bn.gamma, bn.beta) + (
+            () if g_got is None else (g_got,))
         assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
-        if channel_major:  # the op keeps its input's layout
+        if channel_major:  # the op keeps the channel-major layout
             assert got.data.transpose(1, 2, 3, 0).flags.c_contiguous
         assert got.data.tobytes() == ref.data.tobytes()
-        (got * Tensor(g)).sum().backward()
-        (ref * Tensor(g)).sum().backward()
-        assert got_y.grad.tobytes() == ref_y.grad.tobytes()
-        bound = 2 * h * w * np.finfo(dtype).eps * np.abs(g * y).sum(axis=(2, 3))
-        assert np.all(np.abs(got_g.grad - ref_g.grad) <= bound)
+        assert bn.running_mean.tobytes() == ref_bn.running_mean.tobytes()
+        assert bn.running_var.tobytes() == ref_bn.running_var.tobytes()
+        x_before = x.copy()
+        with no_grad():
+            free = bn_relu_gate(Tensor(x), free_bn, None if gates is None
+                                else Tensor(gates), training)
+        assert free.data.tobytes() == ref.data.tobytes()
+        assert free_bn.running_mean.tobytes() == ref_bn.running_mean.tobytes()
+        assert np.array_equal(x, x_before)
+        if channel_major:
+            assert free.data.transpose(1, 2, 3, 0).flags.c_contiguous
+
+        eps = np.finfo(dtype).eps
+        axes = (0, 2, 3)
+        x64, m = x.astype(np.float64), n * h * w
+        if training:
+            mu, var = x64.mean(axis=axes), x64.var(axis=axes)
+        else:
+            mu, var = bn.running_mean.astype(np.float64), bn.running_var
+        std = np.sqrt(var.astype(np.float64) + BN_EPS)[None, :, None, None]
+        xhat = np.abs(x64 - mu[None, :, None, None]) / std
+        gate4 = 1.0 if gates is None else gates[:, :, None, None]
+        # |g| through the gate and the relu mask; out is 0 where either is
+        dy = np.abs(g * gate4) * (ref.data != 0)
+        s1 = dy.sum(axis=axes)
+        s2 = (dy * xhat).sum(axis=axes)
+        assert np.all(np.abs(bn.beta.grad - ref_bn.beta.grad) <= 2 * m * eps * s1)
+        assert np.all(np.abs(bn.gamma.grad - ref_bn.gamma.grad)
+                      <= 2 * (m + 1) * eps * s2)
+        k = np.abs(bn.gamma.data.astype(np.float64))[None, :, None, None] / std
+        bound = 8 * eps * k * (dy + s1[None, :, None, None]
+                               + xhat * s2[None, :, None, None])
+        assert np.all(np.abs(x_got.grad - x_ref.grad) <= bound)
+        if gates is not None:
+            relu_out = conv_block_reference(Tensor(x), plain_bn, None, training)
+            bound = 2 * h * w * eps * np.abs(g * relu_out.data).sum(axis=(2, 3))
+            assert np.all(np.abs(g_got.grad - g_ref.grad) <= bound)
 
     def test_shape_mismatch_is_refused(self):
+        bn = _bn_copies(3, np.float32, np.random.default_rng(0), 1)[0]
         y = Tensor(np.ones((4, 3, 2, 2), np.float32))
         for shape in [(4, 2), (3, 3), (1, 3), (4, 1), (4, 3, 1)]:
             with pytest.raises(ValueError, match="do not match input"):
-                gate_channels(y, Tensor(np.ones(shape, np.float32)))
-        with pytest.raises(ValueError, match="do not match input"):
-            gate_channels(Tensor(np.ones((4, 3, 2), np.float32)),
-                          Tensor(np.ones((4, 3), np.float32)))
+                bn_relu_gate(y, bn, Tensor(np.ones(shape, np.float32)), True)
+        with pytest.raises(ValueError, match="expects 4-D input"):
+            bn_relu_gate(Tensor(np.ones((4, 3), np.float32)), bn,
+                         Tensor(np.ones((4, 3), np.float32)), False)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            bn_relu_gate(Tensor(np.ones((4, 2, 2, 2), np.float32)), bn, None,
+                         False)
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),

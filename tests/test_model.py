@@ -16,10 +16,8 @@ from gaternet.layers import (
     BatchNormParams,
     Conv2dParams,
     avg_pool2d,
-    batchnorm,
     conv2d,
     fully_connected,
-    relu,
 )
 from gaternet.model import (
     ConfigError,
@@ -35,7 +33,7 @@ from gaternet.model import (
     trace_shapes,
 )
 from gaternet.tensor import Tensor
-from oracles import masked_reference, param_count
+from oracles import conv_block_reference, masked_reference, param_count
 
 
 def small_spec(gated=True) -> ModelSpec:
@@ -369,9 +367,8 @@ class TestMaskedVsSelective:
         x, p, bn = _conv_setup(8, seed=43)
         ungated = gated_conv_forward(
             Tensor(x), p, bn, Tensor(np.ones((4, 8), np.float32)), False).data
-        from gaternet.layers import batchnorm, conv2d, relu
         _, _, bn2 = _conv_setup(8, seed=43)
-        plain = relu(batchnorm(conv2d(Tensor(x), p), bn2, False)).data
+        plain = conv_block_reference(conv2d(Tensor(x), p), bn2, None, False).data
         assert np.array_equal(ungated, plain)
 
     def test_selective_rejects_soft_gates(self):
@@ -498,7 +495,7 @@ def _masked_forward(model, x):
             if g is not None:
                 h = Tensor(masked_reference(h.data, p, bn, g))
             else:
-                h = relu(batchnorm(conv2d(h, p), bn, False))
+                h = conv_block_reference(conv2d(h, p), bn, None, False)
         elif layer.kind == "pool":
             h = avg_pool2d(h, layer.window)
         else:

@@ -20,7 +20,7 @@ import gaternet.train as train_mod
 from gaternet.config import load_config
 from gaternet.data import DatasetDescriptor, load_dataset
 from gaternet.layers import avg_pool2d, softmax_cross_entropy
-from gaternet.model import GaterNet, LayerSpec, ModelSpec
+from gaternet.model import ConfigError, GaterNet, LayerSpec, ModelSpec
 from gaternet.persist import CheckpointError, load_checkpoint, save_checkpoint
 from gaternet.tensor import Tensor
 from gaternet.train import (
@@ -303,12 +303,27 @@ def test_evaluate_records_no_graph(phase, monkeypatch):
         assert not out.requires_grad and out._parents == ()
 
 
+def test_evaluate_out_of_memory_is_a_config_error(monkeypatch):
+    """A MemoryError in an eval batch is a ConfigError naming the batch
+    size (the training step's case runs in tests/test_config_cli.py)."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9 GiB")
+
+    monkeypatch.setattr(train_mod, "phase_forward", refuse)
+    splits = tiny_splits()
+    with pytest.raises(ConfigError) as err:
+        evaluate(GaterNet(tiny_spec(), seed=0), "joint", splits.eval_x,
+                 splits.eval_y, 16)
+    assert str(err.value) == ("model: activations at batch size 16 do not fit "
+                              "in memory (Unable to allocate 9 GiB)")
+
+
 # Graph nodes one joint training step on the synthetic_small model records:
-# 39 in the 9 conv blocks (conv, batchnorm and relu; a gate slice and one
-# gate node in the 6 gated ones), 5 pools, and 16 in the gater's global
-# pool and head, semhash, gate dropout, the classifier and the loss. A
-# merged or split op moves this number.
-JOINT_STEP_GRAPH_NODES = 60
+# 24 in the 9 conv blocks (conv and bn_relu_gate, plus a gate slice in the
+# 6 gated ones), 5 pools, and 16 in the gater's global pool and head,
+# semhash, gate dropout, the classifier and the loss. A merged or split op
+# moves this number.
+JOINT_STEP_GRAPH_NODES = 45
 
 
 def test_joint_step_graph(monkeypatch):
@@ -346,9 +361,10 @@ def test_joint_step_graph(monkeypatch):
 def test_joint_step_activations_stay_channel_major():
     """Every 4-D activation of one synthetic_small joint step, and the
     gradient its backward receives, sits in channel-major [C, H, W, N]
-    memory behind its NCHW shape: 27 in the 9 conv blocks (conv, batchnorm,
-    relu), the 6 gate nodes and the 5 pools. A copy or broadcast that
-    flips the layout would put a transpose back into every conv."""
+    memory behind its NCHW shape: 18 in the 9 conv blocks (conv2d and
+    bn_relu_gate, whose backward hands conv2d its gradient) and the 5
+    pools. A copy or broadcast that flips the layout would put a transpose
+    back into every conv."""
     cfg = load_config(REPO / "configs" / "synthetic_small.json")
     model = GaterNet(cfg.model, seed=0)
     rng = np.random.default_rng(0)
@@ -363,7 +379,9 @@ def test_joint_step_activations_stay_channel_major():
             if t.ndim == 4 and t._backward_fn is not None:
                 acts.append(t)
             stack.extend(t._parents)
-    assert len(acts) == 38
+    assert len(acts) == 23
+    assert sorted(t._backward_fn.__qualname__.split(".")[0] for t in acts) == (
+        ["avg_pool2d"] * 5 + ["bn_relu_gate"] * 9 + ["conv2d"] * 9)
     grads = []
     for t in acts:
         name = t._backward_fn.__qualname__
@@ -375,7 +393,7 @@ def test_joint_step_activations_stay_channel_major():
 
         t._backward_fn = checked
     loss.backward()
-    assert len(grads) == 38
+    assert len(grads) == 23
     assert [name for name, ok in grads if not ok] == []
 
 
