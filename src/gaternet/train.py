@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import functools
 import logging
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from gaternet.data import DatasetSplits, augment
+from gaternet.data import DatasetDescriptor, DatasetSplits, augment, load_dataset
 from gaternet.layers import softmax_cross_entropy
 from gaternet.model import ConfigError, GaterNet, ModelSpec, spec_to_dict
 from gaternet.persist import (
@@ -485,7 +487,6 @@ def run_phase(
                 f"{start_epoch * steps_per_epoch} ({steps_per_epoch} per epoch)"
             )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{phase}.ckpt"
     metrics_path = out_dir / f"metrics_{phase}.csv"
     desc = splits.descriptor
@@ -547,3 +548,40 @@ def run_phase(
         final_gate_activation=float(gate) if phase == "joint" else None,
         model=model,
     )
+
+
+class SweepRow(NamedTuple):
+    """One joint run of a sweep, in sweep.csv's column order."""
+    seed: int
+    lambda_: float
+    eval_acc: float
+    mean_gate_activation: float
+    ungated_baseline_acc: float
+
+
+def sweep(spec: ModelSpec, phases: dict[str, TrainConfig], dataset: DatasetDescriptor,
+          seeds: Sequence[int], lambdas: Sequence[float],
+          out_root: str | Path) -> Iterator[SweepRow]:
+    """The shared-pretrain lambda sweep, yielding a row as each joint run
+    finishes. Per seed, the backbone (the ungated baseline) and the gater
+    pretrain once in out_root/seed<s>/pretrain; one joint phase per lambda
+    then starts from them in out_root/seed<s>/lambda<l>. Every config is
+    built first: a negative seed or lambda is a ConfigError, and no run."""
+    if min(seeds, default=0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {min(seeds)}")
+    try:
+        runs = [(seed, [replace(phases[p], seed=seed) for p in PHASES[:2]],
+                 [replace(phases["joint"], seed=seed, lambda_=lam) for lam in lambdas])
+                for seed in seeds]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    for seed, (backbone_cfg, gater_cfg), joint_cfgs in runs:
+        splits = load_dataset(dataset, seed)
+        pre = Path(out_root, f"seed{seed}", "pretrain")
+        baseline = run_phase(spec, backbone_cfg, splits, pre).final_eval_acc
+        run_phase(spec, gater_cfg, splits, pre)
+        for cfg in joint_cfgs:
+            joint = run_phase(spec, cfg, splits, pre.parent / f"lambda{cfg.lambda_}",
+                              pre / "pretrain_backbone.ckpt", pre / "pretrain_gater.ckpt")
+            yield SweepRow(seed, cfg.lambda_, joint.final_eval_acc,
+                           joint.final_gate_activation, baseline)

@@ -52,6 +52,7 @@ from gaternet.train import (
     run_phase,
     total_loss,
 )
+from gaternet.train import sweep as run_sweep
 from oracles import (
     PinnedBranchRng,
     batchnorm_reference,
@@ -459,8 +460,12 @@ SWEEP_LAMBDAS = (0.0, 0.1, 1.0)
 SWEEP_SEEDS = (0, 1, 2)
 
 
-def sweep_spec() -> ModelSpec:
-    return ModelSpec(
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """train.sweep over three seeds and three lambdas; the plain pretrained
+    backbone is the ungated baseline."""
+    t0 = time.monotonic()
+    spec = ModelSpec(
         input_shape=(3, 16, 16),
         num_classes=4,
         backbone=(
@@ -481,48 +486,15 @@ def sweep_spec() -> ModelSpec:
         ),
         bottleneck=4,
     )
-
-
-@pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    """Three seeds; per seed both pretraining phases run once, then one
-    joint run per lambda. The plain pretrained backbone doubles as the
-    ungated baseline."""
-    t0 = time.monotonic()
-    spec = sweep_spec()
-    desc = DatasetDescriptor(kind="synthetic", num_classes=4,
-                             train_size=1024, eval_size=256,
-                             image_size=16, noise=1.0)
-    root = tmp_path_factory.mktemp("sweep")
-
-    def cfg(phase, seed, **kw):
-        base = dict(batch_size=64, momentum=0.9, weight_decay=1e-4, seed=seed)
-        base.update(kw)
-        return TrainConfig(phase=phase, **base)
-
-    rows = []
-    for seed in SWEEP_SEEDS:
-        splits = load_dataset(desc, seed)
-        pre = root / f"seed{seed}"
-        rb = run_phase(spec, cfg("pretrain_backbone", seed, epochs=6,
-                                 lr_schedule=((0, 0.05),)), splits, pre)
-        run_phase(spec, cfg("pretrain_gater", seed, epochs=6,
-                            lr_schedule=((0, 0.05),)), splits, pre)
-        for lam in SWEEP_LAMBDAS:
-            rj = run_phase(
-                spec,
-                cfg("joint", seed, epochs=14,
-                    lr_schedule=((0, 0.02), (10, 0.004)), lambda_=lam),
-                splits, pre / f"lambda{lam}",
-                backbone_ckpt=pre / "pretrain_backbone.ckpt",
-                gater_ckpt=pre / "pretrain_gater.ckpt",
-            )
-            rows.append({
-                "seed": seed, "lambda": lam,
-                "acc": rj.final_eval_acc,
-                "activation": rj.final_gate_activation,
-                "baseline_acc": rb.final_eval_acc,
-            })
+    desc = DatasetDescriptor(kind="synthetic", num_classes=4, train_size=1024,
+                             eval_size=256, image_size=16, noise=1.0)
+    phases = {phase: TrainConfig(phase, epochs, batch_size=64, lr_schedule=lrs,
+                                 weight_decay=1e-4)
+              for phase, epochs, lrs in (("pretrain_backbone", 6, ((0, 0.05),)),
+                                         ("pretrain_gater", 6, ((0, 0.05),)),
+                                         ("joint", 14, ((0, 0.02), (10, 0.004))))}
+    rows = list(run_sweep(spec, phases, desc, SWEEP_SEEDS, SWEEP_LAMBDAS,
+                          tmp_path_factory.mktemp("sweep")))
     return {"rows": rows, "elapsed": time.monotonic() - t0}
 
 
@@ -530,7 +502,7 @@ def sweep(tmp_path_factory):
 def test_criterion_06_sparsity_trend(sweep):
     means = []
     for lam in SWEEP_LAMBDAS:
-        acts = [r["activation"] for r in sweep["rows"] if r["lambda"] == lam]
+        acts = [r.mean_gate_activation for r in sweep["rows"] if r.lambda_ == lam]
         assert len(acts) == len(SWEEP_SEEDS)
         means.append(float(np.mean(acts)))
     for a, b in zip(means, means[1:]):
@@ -546,10 +518,9 @@ def test_criterion_06_sparsity_trend(sweep):
 
 @pytest.mark.slow
 def test_criterion_07_gated_vs_ungated(sweep):
-    gated = [r["acc"] for r in sweep["rows"] if r["lambda"] == 0.1]
-    baseline = [r["baseline_acc"] for r in sweep["rows"] if r["lambda"] == 0.1]
-    mean_gated = float(np.mean(gated))
-    mean_base = float(np.mean(baseline))
+    picked = [r for r in sweep["rows"] if r.lambda_ == 0.1]
+    mean_gated = float(np.mean([r.eval_acc for r in picked]))
+    mean_base = float(np.mean([r.ungated_baseline_acc for r in picked]))
     assert mean_gated >= mean_base - 0.005, (
         f"gated {mean_gated:.4f} fell more than 0.5pp below the ungated "
         f"baseline {mean_base:.4f}"

@@ -112,6 +112,16 @@ WRONG_TYPED = {
 }
 
 
+def run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m gaternet *argv` in a child process with a 4 GiB address space."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    cap = 4 * 2**30
+    return subprocess.run(
+        [sys.executable, "-m", "gaternet", *argv], env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True, text=True, timeout=120)
+
+
 def write_config(tmp_path, doc, name="run.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -677,18 +687,7 @@ class TestCli:
         count = load_config(cfg_path).model.param_count
         argv = {"train": ["--phase", "pretrain-backbone"],
                 "eval": ["--ckpt", str(tmp_path / "none.ckpt")]}[command]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        cap = 4 * 2**30
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "gaternet", command, "--config", cfg_path,
-             *argv], env=env, preexec_fn=limit, capture_output=True,
-            text=True, timeout=120)
+        proc = run_capped(command, "--config", cfg_path, *argv)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == (
             f"config error: model: too large to allocate ({count:,} parameters)\n")
@@ -704,25 +703,14 @@ class TestCli:
         doc["dataset"]["train_size"] = 1024
         doc["train"]["batch_size"] = 1024
         doc["model"]["backbone"][0]["filters"] = 20000
-        cfg_path = write_config(tmp_path, doc)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        cap = 4 * 2**30
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "gaternet", "train", "--config", cfg_path,
-             "--phase", "pretrain-backbone"], env=env, preexec_fn=limit,
-            capture_output=True, text=True, timeout=120)
+        proc = run_capped("train", "--config", write_config(tmp_path, doc),
+                          "--phase", "pretrain-backbone")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(
             "config error: model: activations at batch size 1024 do not fit "
             "in memory (Unable to allocate "), proc.stderr
         assert proc.stderr.count("\n") == 1
-        assert not (tmp_path / "run" / "pretrain_backbone.ckpt").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))

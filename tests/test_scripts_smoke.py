@@ -73,3 +73,17 @@ def test_sparsity_sweep(tmp_path, tiny_config):
         rows = list(reader)
     assert [(r["seed"], r["lambda"]) for r in rows] == [("0", "0.0"), ("0", "1.0")]
     assert b"\r" not in (out / "sweep.csv").read_bytes()  # "\n" like every CSV
+    # one pair of pretraining runs serves both lambdas, and is their baseline
+    pre = out / "seed0" / "pretrain"
+    assert sorted(p.name for p in pre.glob("*.ckpt")) == [
+        "pretrain_backbone.ckpt", "pretrain_gater.ckpt"]
+    with open(pre / "metrics_pretrain_backbone.csv", newline="") as f:
+        backbone_acc = list(csv.DictReader(f))[-1]["eval_acc"]
+    assert [r["ungated_baseline_acc"] for r in rows] == [backbone_acc] * 2
+    # a negative lambda or seed is refused before anything is written
+    for flags, err in ((("0.0", "-1", "--seeds", "0"), "lambda must be >= 0, got -1.0"),
+                       (("0.0", "--seeds", "0", "-1"), "seed must be >= 0, got -1")):
+        proc = run_script("sparsity_sweep.py", "--config", str(tiny_config),
+                          "--out-dir", str(tmp_path / "refused"), "--lambdas", *flags)
+        assert (proc.returncode, proc.stderr) == (2, f"config error: {err}\n")
+        assert not (tmp_path / "refused").exists()
