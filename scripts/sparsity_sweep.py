@@ -44,7 +44,8 @@ def main() -> None:
     except ConfigError as e:
         parser.exit(2, f"config error: {e}\n")
 
-    write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, "%s,%s,%s,%s,%s", rows)
+    write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, "%s,%s,%s,%s,%s",
+              [[r[i] for r in rows] for i in range(len(SWEEP_COLUMNS))])
 
     print("\nper-lambda means:")
     for lam in args.lambdas:

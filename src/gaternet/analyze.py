@@ -271,29 +271,25 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
 
 
 def write_taxonomy_csv(path: str | Path, log: GateLog, tax: GateTaxonomy) -> None:
-    rows = zip(range(log.num_gates), log.layer_ids.tolist(), log.filter_ids.tolist(),
-               (CATEGORIES[k] for k in tax.categories.tolist()))
     write_csv(path, ["gate_index", "layer_id", "filter_id", "category"],
-              "%d,%d,%d,%s", rows)
+              "%d,%d,%d,%s", [np.arange(log.num_gates), log.layer_ids,
+                              log.filter_ids, np.take(CATEGORIES, tax.categories)])
 
 
 def write_layer_distribution_csv(path: str | Path, tax: GateTaxonomy) -> None:
     header = ["layer_id", "total", *CATEGORIES, *(f"frac_{c}" for c in CATEGORIES)]
-    rows = zip(tax.layers.tolist(), tax.counts.sum(axis=1).tolist(),
-               *tax.counts.T.tolist(), *tax.fractions.T.tolist())
-    write_csv(path, header, "%d,%d,%d,%d,%d,%.8e,%.8e,%.8e", rows)
+    write_csv(path, header, "%d,%d,%d,%d,%d,%.8e,%.8e,%.8e",
+              [tax.layers, tax.counts.sum(axis=1), *tax.counts.T, *tax.fractions.T])
 
 
 def write_histogram_csv(path: str | Path, hist: Histogram) -> None:
-    edges = hist.edges.tolist()
     write_csv(path, ["bin_lo", "bin_hi", "count"], "%.8e,%.8e,%d",
-              zip(edges[:-1], edges[1:], hist.counts.tolist()))
+              [hist.edges[:-1], hist.edges[1:], hist.counts])
 
 
 def export_usage_vectors(log: GateLog, pca_k: int, path: str | Path) -> PCAResult:
     """Per-sample PCA-reduced usage vectors with labels, as CSV."""
     result = pca_reduce(log.gates, pca_k)
     write_csv(path, ["label", *(f"pc{i}" for i in range(pca_k))],
-              "%d" + ",%.8e" * pca_k,
-              zip(log.labels.tolist(), *result.reduced.T.tolist()))
+              "%d" + ",%.8e" * pca_k, [log.labels, *result.reduced.T])
     return result

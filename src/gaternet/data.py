@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gaternet.model import ConfigError
 from gaternet.tensor import Array
 
 CIFAR_RECORD = 3073
@@ -195,12 +196,19 @@ def augment(image: Array, rng: np.random.Generator,
 
 
 def load_dataset(desc: DatasetDescriptor, seed: int) -> DatasetSplits:
-    """Materialize the descriptor into in-memory train/eval splits."""
+    """Materialize the descriptor into in-memory train/eval splits. A
+    synthetic set too large to allocate is a ConfigError naming its sizes."""
     if desc.kind == "synthetic":
         total = desc.train_size + desc.eval_size
-        x, y = synthetic_dataset(seed, total, desc.num_classes,
-                                 desc.image_size, desc.noise)
-        x = normalize(x, desc.mean, desc.std)
+        try:
+            x, y = synthetic_dataset(seed, total, desc.num_classes,
+                                     desc.image_size, desc.noise)
+            x = normalize(x, desc.mean, desc.std)
+        except MemoryError:
+            raise ConfigError(
+                f"dataset: train_size {desc.train_size} + eval_size "
+                f"{desc.eval_size} synthetic images do not fit in memory"
+            ) from None
         return DatasetSplits(
             train_x=x[: desc.train_size], train_y=y[: desc.train_size],
             eval_x=x[desc.train_size :], eval_y=y[desc.train_size :],

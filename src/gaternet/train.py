@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lambda_ < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lambda_}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
@@ -528,7 +530,7 @@ def run_phase(
             "lr": lr, "dropout_rate": last_rate,
         })
         write_csv(metrics_path, METRIC_COLUMNS, "%s,%s,%s,%s,%s,%s,%s",
-                  [tuple(r[k] for k in METRIC_COLUMNS) for r in rows])
+                  [[r[k] for r in rows] for k in METRIC_COLUMNS])
         save_checkpoint(ckpt_path, _state(model, opt), {
             "format": 1, "phase": phase, "epochs_done": epoch + 1, "step": step,
             "seed": cfg.seed, "spec_hash": spec_hash,
@@ -566,9 +568,12 @@ def sweep(spec: ModelSpec, phases: dict[str, TrainConfig], dataset: DatasetDescr
     finishes. Per seed, the backbone (the ungated baseline) and the gater
     pretrain once in out_root/seed<s>/pretrain; one joint phase per lambda
     then starts from them in out_root/seed<s>/lambda<l>. Every config is
-    built first: a negative seed or lambda is a ConfigError, and no run."""
-    if min(seeds, default=0) < 0:
-        raise ConfigError(f"seed must be >= 0, got {min(seeds)}")
+    built first: a negative or repeated seed or lambda is a ConfigError,
+    and no run."""
+    for name, values in (("seed", seeds), ("lambda", lambdas)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{name} {repeated[0]} is given more than once")
     try:
         runs = [(seed, [replace(phases[p], seed=seed) for p in PHASES[:2]],
                  [replace(phases["joint"], seed=seed, lambda_=lam) for lam in lambdas])

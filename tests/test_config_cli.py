@@ -712,6 +712,21 @@ class TestCli:
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    def test_dataset_too_large_to_allocate_exits_2(self, tmp_path):
+        """A synthetic set too large to allocate is a configuration error
+        that names both split sizes. The command runs in a child process
+        whose address space is capped at 4 GiB, so the 10**12-image array
+        is refused at once."""
+        doc = base_config(tmp_path)
+        doc["dataset"]["train_size"] = 10**12
+        proc = run_capped("train", "--config", write_config(tmp_path, doc),
+                          "--phase", "pretrain-backbone")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            "config error: dataset: train_size 1000000000000 + eval_size 24 "
+            "synthetic images do not fit in memory\n")
+        assert not (tmp_path / "run").exists()
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["eval", "--config", cfg_path,

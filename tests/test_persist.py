@@ -201,14 +201,27 @@ class TestAtomicWrite:
         assert stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == first
 
 
+def float64_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every float64: drawn as a float (NaN, infinities and subnormals
+# included) or as a raw 64-bit pattern
+ANY_FLOAT64 = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+               | st.integers(0, 2**64 - 1).map(float64_from_bits))
+
+
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
         write_csv(tmp_path / "x.csv", ["i", "s", "f", "e"], "%d,%s,%s,%s", [
-            (1, "x", 0.1, ""),
-            (-2, "y z", 1e-05, 3.0),
-        ])
+            np.array([1, -2]), ["x", "y z"], [0.1, 1e-05], ["", 3.0]])
         assert (tmp_path / "x.csv").read_bytes() == (
             b"i,s,f,e\n1,x,0.1,\n-2,y z,1e-05,3.0\n")
+
+    def test_zero_rows_write_the_header(self, tmp_path):
+        write_csv(tmp_path / "x.csv", ["i", "x", "s"], "%d,%.8e,%s",
+                  [np.zeros(0, np.int64), np.zeros(0), []])
+        assert (tmp_path / "x.csv").read_bytes() == b"i,x,s\n"
 
     @pytest.mark.parametrize("header, row_format, row", [
         (["i", "s"], "%d,%s", (1, "y,z")),
@@ -223,9 +236,30 @@ class TestWriteCsv:
         path = tmp_path / "x.csv"
         path.write_bytes(b"old\n")
         with pytest.raises(ValueError, match="x.csv"):
-            write_csv(path, header, row_format, [(0, "ok")[:len(header)], row])
+            write_csv(path, header, row_format,
+                      [[first, v] for first, v in zip((0, "ok"), row)])
         assert path.read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+    @pytest.mark.parametrize("row_format, column, match", [
+        ("%f", [0.5], "unknown field spec '%f'"),
+        ("%.6e", [0.5], "unknown field spec '%.6e'"),
+        ("%5d", [1], "unknown field spec '%5d'"),
+        ("%d,%d", [1], "1 header fields, 2 specs"),
+        ("%d", np.array([0.5]), "%d needs an integer column, got dtype float64"),
+    ])
+    def test_refuses_a_spec_it_does_not_render(self, tmp_path, row_format,
+                                               column, match):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=match):
+            write_csv(path, ["x"], row_format, [column])
+        assert not path.exists()
+
+    def test_refuses_columns_of_different_lengths(self, tmp_path):
+        with pytest.raises(ValueError, match="columns of 2 and 1 rows"):
+            write_csv(tmp_path / "x.csv", ["a", "b"], "%d,%s",
+                      [np.arange(2), ["x"]])
+        assert not (tmp_path / "x.csv").exists()
 
     @settings(max_examples=200)
     @given(st.lists(st.tuples(
@@ -241,8 +275,37 @@ class TestWriteCsv:
         CSVs' contract."""
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         header = ["n", "x", "text", "phase"]
-        write_csv(path, header, "%s,%s,%s,%s", rows)
+        write_csv(path, header, "%s,%s,%s,%s",
+                  [[r[i] for r in rows] for i in range(len(header))])
         assert path.read_bytes() == csv_writer_reference(header, rows)
+
+    @settings(max_examples=200)
+    @given(st.lists(ANY_FLOAT64, min_size=1, max_size=16))
+    @example([0.0, -0.0])
+    @example([5e-324])
+    @example([1e22])
+    @example([1e23])
+    @example([99999999.95])  # scales onto a tie: 999999999.5
+    @example([0.5])
+    @example([999999999.7, -9.9999999996e-3])  # round up to 1.00000000
+    # one multiply by the inexact 10.0**23 would round these the wrong way
+    @example([8.655618035e31, 9.005390505e-15])
+    def test_e8_column_matches_percent_operator(self, tmp_path_factory, values):
+        """A %.8e column, formatted in numpy, is Python's '%.8e' % x for
+        every float64, byte for byte."""
+        path = tmp_path_factory.mktemp("csv") / "e.csv"
+        write_csv(path, ["x"], "%.8e", [np.array(values)])
+        assert path.read_text() == "".join(
+            ["x\n", *("%.8e\n" % x for x in values)])
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16))
+    @example([0, -1, 2**63 - 1, -2**63])
+    def test_int_column_matches_percent_operator(self, tmp_path_factory, values):
+        """A %d column of int64s, formatted in numpy, is Python's '%d' % v."""
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_csv(path, ["v"], "%d", [np.array(values, dtype=np.int64)])
+        assert path.read_text() == "".join(["v\n", *("%d\n" % v for v in values)])
 
     @given(st.floats(allow_subnormal=True))
     @example(-0.0)

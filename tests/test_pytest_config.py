@@ -1,7 +1,8 @@
 """The suite's own pytest configuration: under filterwarnings = error, a
 failing Hypothesis test is reported as one failure and the session goes
-on to the next test."""
+on to the next test; and numpy runs on one BLAS thread."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -36,3 +37,8 @@ def test_failing_hypothesis_test_is_a_plain_failure(tmp_path):
     assert proc.returncode == 1, out
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_blas_runs_one_thread():
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1", var
