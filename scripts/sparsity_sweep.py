@@ -3,8 +3,8 @@
 
 train.sweep runs the sweep: for each seed the two pretraining phases run
 once and are shared across the lambda values; each lambda then gets its
-own joint run. A negative seed or lambda is refused before any run
-(exit 2). The summary CSV has one row per (seed, lambda) plus per-lambda
+own joint run. A negative seed, or a negative or non-finite lambda, is
+refused before any run (exit 2). The summary CSV has one row per (seed, lambda) plus per-lambda
 means, making the activation-vs-lambda trend easy to eyeball: heavier L1
 pressure should never increase how many gates stay on.
 """

@@ -225,10 +225,6 @@ class PCAResult:
     mean: Array                      # float64 [d], the subtracted column means
     rank: int                        # of the centered data
 
-    @property
-    def rank_deficient(self) -> bool:
-        return len(self.components) > self.rank
-
 
 def pca_reduce(vectors: Array, k: int) -> PCAResult:
     """Project centered rows onto the top-k principal directions.
@@ -239,7 +235,7 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
     reproducible. Ratios are against the total variance of the data, so
     they sum to at most 1. Asking for more components than the data's
     rank is allowed: the trailing components carry zero variance and the
-    result is flagged rank_deficient.
+    result's rank is below its number of components.
     """
     x = np.asarray(vectors)
     if x.ndim != 2:

@@ -85,12 +85,19 @@ class DatasetSplits:
 
 
 def normalize(images: Array, mean, std) -> Array:
-    """(x - mean) / std per channel, on [N, C, H, W] float input."""
-    mean = np.asarray(mean, dtype=images.dtype).reshape(1, -1, 1, 1)
-    std = np.asarray(std, dtype=images.dtype).reshape(1, -1, 1, 1)
-    if np.any(std <= 0):
-        raise DataError("std entries must be positive")
-    return (images - mean) / std
+    """(x - mean) / std per channel, on [N, C, H, W] float input; a
+    DataError unless std is positive and std and every result are finite
+    in the images' dtype (an infinite std would zero every image)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.asarray(mean, dtype=images.dtype).reshape(1, -1, 1, 1)
+        s = np.asarray(std, dtype=images.dtype).reshape(1, -1, 1, 1)
+        if np.any(s <= 0):
+            raise DataError("std entries must be positive")
+        out = (images - m) / s
+    if not (np.isfinite(s).all() and np.isfinite(out).all()):
+        raise DataError(f"mean {tuple(mean)} and std {tuple(std)} give images "
+                        f"that are not finite in {images.dtype}")
+    return out
 
 
 def load_cifar10_binary(paths, mean, std) -> tuple[Array, Array]:
@@ -197,12 +204,17 @@ def augment(image: Array, rng: np.random.Generator,
 
 def load_dataset(desc: DatasetDescriptor, seed: int) -> DatasetSplits:
     """Materialize the descriptor into in-memory train/eval splits. A
-    synthetic set too large to allocate is a ConfigError naming its sizes."""
+    synthetic set too large to allocate, or whose noise overflows float32,
+    is a ConfigError naming the values."""
     if desc.kind == "synthetic":
         total = desc.train_size + desc.eval_size
         try:
-            x, y = synthetic_dataset(seed, total, desc.num_classes,
-                                     desc.image_size, desc.noise)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, y = synthetic_dataset(seed, total, desc.num_classes,
+                                         desc.image_size, desc.noise)
+            if not np.isfinite(x).all():
+                raise ConfigError(f"dataset: noise {desc.noise} gives images "
+                                  f"that are not finite in float32")
             x = normalize(x, desc.mean, desc.std)
         except MemoryError:
             raise ConfigError(

@@ -19,29 +19,22 @@ eval and the masked-vs-gated equivalence rely on. Its backward is two
 GEMMs, one of them over the patches (_extract_patches) that a training
 forward keeps for it, checked against finite differences.
 
-bn_relu_gate is a conv's epilogue, batchnorm over (N, H, W) -> relu ->
-per-channel gate multiply, as one graph node; the conv stays its own node.
-Its forward runs the expressions of that composition in their order, in
-place on the channel-major view and with x - mu computed once, so its
-output and running statistics have the bits of relu(batchnorm(x)) * gates
-(tests/oracles.py's conv_block_reference, separate nodes), in training
-and in eval. Where no graph is recorded (an eval forward under no_grad)
-it allocates only x - mu and runs every later step in that buffer. Its
-backward works on the [C, M] view, M = N*H*W: the relu mask is the sign
-of the relu output (exactly 0 or 1), the gates' gradient is one einsum
-over (H, W), and dgamma and dbeta are computed once and reused in the
-input's gradient, gamma/std * (dy - dbeta/M - xhat * dgamma/M), the
-closed form of Ioffe & Szegedy (2015). Those sums run in another order
-than the separate nodes' backwards, so gradients agree with them within
-rounding. Over the nine epilogues of a synthetic_small joint step at
-batch 64 (1 BLAS thread), forward plus backward took 20.3 and 21.6 ms in
-two runs, against 29.8 and 31.4 ms as separate batchnorm, relu and gate
-nodes.
-
-batchnorm is the same normalization for the gater head's 2-D input, one op
-over (x, gamma, beta): training and eval run the same normalize
-expression, over batch or running statistics, and its backward is the
-closed form, checked against finite differences.
+batchnorm (the gater head's 2-D bottleneck) and bn_relu_gate (a conv's
+epilogue: batchnorm over (N, H, W) -> relu -> per-channel gate multiply)
+are one graph node each and share one normalize (_bn_normalize) and one
+closed-form backward (_bn_backward, after Ioffe & Szegedy, 2015).
+bn_relu_gate runs the expressions of relu(batchnorm(x)) * gates in their
+order, so its output and running statistics have the bits of the composed
+form (tests/oracles.py's conv_block_reference, separate nodes), in
+training and in eval; with no graph recorded (eval under no_grad) every
+step after the normalize runs in x-hat's buffer. Its relu mask is the sign
+of the relu output (exactly 0 or 1) and the gates' gradient is one einsum
+over (H, W). Backward sums run in another order than the separate nodes'
+backwards, so gradients agree with them within rounding, checked against
+finite differences. Over the nine epilogues of a synthetic_small joint
+step at batch 64 (1 BLAS thread), forward plus backward took 20.3 and
+21.6 ms in two runs, against 29.8 and 31.4 ms as separate batchnorm, relu
+and gate nodes.
 
 avg_pool2d is one op whose forward adds window**2 strided slices of its
 input in one fixed order: each window row left to right, then the row
@@ -80,10 +73,6 @@ class Conv2dParams:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         if self.padding < 0:
             raise ValueError(f"padding must be >= 0, got {self.padding}")
-
-    @property
-    def out_channels(self) -> int:
-        return self.filters.shape[0]
 
 
 # batchnorm's running-average momentum and its variance epsilon
@@ -236,6 +225,50 @@ def _extract_patches(
     return cols.reshape(c * kh * kw, oh * ow * n)
 
 
+def _bn_normalize(xt: Array, p: BatchNormParams, training: bool
+                  ) -> tuple[Array, Array]:
+    """(xt - mu) / std over xt, a channel-first view [C, ...], in a fresh
+    buffer, and std (shape [C, 1, ...]). Training uses the batch mean and
+    biased variance (x - mu computed once) and updates p's running
+    averages in place; eval uses the running statistics."""
+    axes = tuple(range(1, xt.ndim))
+    if training:
+        mu = xt.mean(axis=axes, keepdims=True)
+        xhat = xt - mu
+        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        m = BN_MOMENTUM
+        p.running_mean[...] = m * p.running_mean + (1.0 - m) * mu.reshape(-1)
+        p.running_var[...] = m * p.running_var + (1.0 - m) * var.reshape(-1)
+    else:
+        cshape = (-1,) + (1,) * len(axes)
+        mu = p.running_mean.reshape(cshape).astype(xt.dtype, copy=False)
+        var = p.running_var.reshape(cshape).astype(xt.dtype, copy=False)
+        xhat = xt - mu
+    std = np.sqrt(var + BN_EPS)
+    xhat /= std
+    return xhat, std
+
+
+def _bn_backward(dy: Array, xhat: Array, std: Array, p: BatchNormParams,
+                 training: bool, x_grad: bool) -> Array | None:
+    """Batchnorm's backward over [C, M] views: accumulates dgamma and dbeta
+    into p, computed once and reused, then if x_grad returns the input's
+    gradient gamma/std * (dy - dbeta/M - xhat * dgamma/M) in dy's buffer
+    (the two subtractions in training only: eval statistics are constants)."""
+    c, m = dy.shape
+    dbeta = dy.sum(axis=1)
+    dgamma = np.einsum("cm,cm->c", dy, xhat)
+    p.gamma._accumulate(dgamma)
+    p.beta._accumulate(dbeta)
+    if not x_grad:
+        return None
+    if training:
+        dy -= (dbeta / m)[:, None]
+        dy -= xhat * (dgamma / m)[:, None]
+    dy *= (p.gamma.data.reshape(std.shape) / std).reshape(c, 1)
+    return dy
+
+
 def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     """Normalize each column of a 2-D [N, C] input over the batch (the
     gater head's bottleneck; a conv's batchnorm is part of bn_relu_gate).
@@ -251,37 +284,18 @@ def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
             f"batchnorm channel mismatch: input has {x.shape[1]}, params have "
             f"{p.channels}"
         )
-
-    if training:
-        mu = x.data.mean(axis=0, keepdims=True)
-        diff = x.data - mu
-        var = (diff * diff).mean(axis=0, keepdims=True)
-        _update_running(p, mu, var)
-    else:
-        mu = p.running_mean.reshape(1, -1).astype(x.dtype, copy=False)
-        var = p.running_var.reshape(1, -1).astype(x.dtype, copy=False)
-    std = np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu) / std
-    gamma = p.gamma.data.reshape(1, -1)
-    out = gamma * xhat + p.beta.data.reshape(1, -1)
+    xhat, std = _bn_normalize(x.data.T, p, training)
+    out = p.gamma.data[:, None] * xhat + p.beta.data[:, None]
 
     def backward(g: Array) -> None:
-        p.gamma._accumulate((g * xhat).sum(axis=0))
-        p.beta._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            gx = g * gamma
-            if training:
-                gx = (gx - gx.mean(axis=0, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=0, keepdims=True))
-            x._accumulate(gx / std)
+        # a [C, N] copy in g's memory order, so the sums over N run as
+        # they would over g
+        dx = _bn_backward(g.T.copy(order="K"), xhat, std, p, training,
+                          x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx.T)
 
-    return apply_op(out, (x, p.gamma, p.beta), backward)
-
-
-def _update_running(p: BatchNormParams, mu: Array, var: Array) -> None:
-    m = BN_MOMENTUM
-    p.running_mean[...] = m * p.running_mean + (1.0 - m) * mu.reshape(-1)
-    p.running_var[...] = m * p.running_var + (1.0 - m) * var.reshape(-1)
+    return apply_op(out.T, (x, p.gamma, p.beta), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -308,19 +322,8 @@ def bn_relu_gate(x: Tensor, bn: BatchNormParams, gates: Tensor | None,
         )
     if gates is not None and gates.shape != (n, c):
         raise ValueError(f"gates {gates.shape} do not match input {x.shape}")
+    xhat, std = _bn_normalize(x.data.transpose(1, 2, 3, 0), bn, training)
     cshape = (c, 1, 1, 1)
-    xt = x.data.transpose(1, 2, 3, 0)
-    if training:
-        mu = xt.mean(axis=(1, 2, 3), keepdims=True)
-        xhat = xt - mu
-        var = (xhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
-        _update_running(bn, mu, var)
-    else:
-        mu = bn.running_mean.reshape(cshape).astype(x.dtype, copy=False)
-        var = bn.running_var.reshape(cshape).astype(x.dtype, copy=False)
-        xhat = xt - mu
-    std = np.sqrt(var + BN_EPS)
-    xhat /= std
     gamma = bn.gamma.data.reshape(cshape)
     # with no graph to keep xhat and r for the backward, the rest runs in
     # xhat's buffer
@@ -343,17 +346,10 @@ def bn_relu_gate(x: Tensor, bn: BatchNormParams, gates: Tensor | None,
             dy *= gt
         # [C, M] views (copies unless x is channel-major)
         m = dy.size // c
-        dy2, xhat2 = dy.reshape(c, m), xhat.reshape(c, m)
-        dbeta = dy2.sum(axis=1)
-        dgamma = np.einsum("cm,cm->c", dy2, xhat2)
-        bn.gamma._accumulate(dgamma)
-        bn.beta._accumulate(dbeta)
-        if x.requires_grad:
-            if training:
-                dy2 -= (dbeta / m)[:, None]
-                dy2 -= xhat2 * (dgamma / m)[:, None]
-            dy2 *= (gamma / std).reshape(c, 1)
-            x._accumulate(dy2.reshape(dy.shape).transpose(3, 0, 1, 2))
+        dx = _bn_backward(dy.reshape(c, m), xhat.reshape(c, m), std, bn,
+                          training, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx.reshape(dy.shape).transpose(3, 0, 1, 2))
 
     parents = (x, bn.gamma, bn.beta) + (() if gates is None else (gates,))
     return apply_op(out.transpose(3, 0, 1, 2), parents, backward)

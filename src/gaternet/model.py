@@ -319,31 +319,6 @@ def init_params(
     return params, buffers
 
 
-def gated_conv_forward(
-    x: Tensor,
-    p: Conv2dParams,
-    bn: BatchNormParams,
-    gates: Tensor | None,
-    training: bool,
-) -> Tensor:
-    """conv -> batchnorm -> relu, then per-channel gate multiply: conv2d,
-    then layers.bn_relu_gate, two graph nodes.
-
-    gates is [N, out_channels], or None for an ungated conv; binary gates
-    switch channels fully on or off, soft gates (the training-time alpha
-    branch) scale them. The conv is conv2d in both modes, and the
-    epilogue's forward has the bits of the composed form, so the result is
-    relu(bn(conv2d(x))) * gates bit for bit, a gated-off channel is
-    exactly 0, and an all-on gate row reproduces the ungated layer bit for
-    bit because multiplying by 1.0 is exact. Gates of the wrong shape are
-    refused before the conv runs.
-    """
-    if gates is not None and gates.shape != (x.shape[0], p.out_channels):
-        raise ValueError(f"gates {gates.shape} do not match batch {x.shape[0]} "
-                         f"and out_channels {p.out_channels}")
-    return bn_relu_gate(conv2d(x, p), bn, gates, training)
-
-
 def conv_macs(spec: ModelSpec, gates: Array) -> tuple[int, int]:
     """Conv MACs of a gated forward over len(gates) samples (gater and
     backbone), and how many of them gating multiplies by zero.
@@ -441,7 +416,7 @@ class GaterNet:
                 if layer.gated and selected is not None:
                     lo, hi = self.gate_map.slices[i]
                     gates = selected[:, lo:hi]
-                h = gated_conv_forward(h, conv, bn, gates, training)
+                h = bn_relu_gate(conv2d(h, conv), bn, gates, training)
             elif layer.kind == "pool":
                 h = avg_pool2d(h, layer.window)
             else:

@@ -291,10 +291,3 @@ def apply_op(
         out._parents = parents
         out._backward_fn = backward_fn
     return out
-
-
-def assert_all_finite(x, where: str = "tensor") -> None:
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values in {where}")
-

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -34,7 +35,7 @@ from gaternet.persist import (
     save_checkpoint,
     write_csv,
 )
-from gaternet.tensor import Array, Tensor, assert_all_finite, no_grad
+from gaternet.tensor import Array, Tensor, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -75,6 +76,13 @@ class TrainConfig:
         )
         if self.phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
+        # NaN passes every range check below, so finiteness comes first
+        for name, value in (("lambda", self.lambda_), ("weight_decay", self.weight_decay),
+                            ("momentum", self.momentum), ("dropout_start", self.dropout_start),
+                            ("dropout_end", self.dropout_end),
+                            *(("learning rates", lr) for _, lr in self.lr_schedule)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -271,6 +279,11 @@ def _fits_at(batch_size: int):
                           f"do not fit in memory{why}") from None
 
 
+def _diverged(cfg: TrainConfig, lr: float, what: str) -> ConfigError:
+    return ConfigError(f"{cfg.phase}: {what} (lr {lr}, weight_decay "
+                       f"{cfg.weight_decay}, lambda {cfg.lambda_}): the run diverged")
+
+
 def phase_forward(model: GaterNet, phase: str, x: Tensor, training: bool,
                   rng: np.random.Generator | None = None,
                   dropout_rate: float = 0.0) -> tuple[Tensor, Tensor | None]:
@@ -430,7 +443,8 @@ def run_phase(
     resumed with resume_ckpt. backbone_ckpt, gater_ckpt and from_scratch
     act as start_checkpoints says, which checks them before any work. A
     training step or evaluation too large for memory is a ConfigError
-    naming the batch size.
+    naming the batch size, and so is a run whose loss or parameters go
+    non-finite.
     """
     out_dir = Path(out_dir)
     phase = cfg.phase
@@ -506,17 +520,24 @@ def run_phase(
                     xb[i] = augment(xb[i], rng, desc.random_crop, desc.mirror)
             yb = splits.train_y[idx]
             rate = cfg.dropout_rate(step, steps_per_epoch)
-            with _fits_at(cfg.batch_size):
+            # numpy's floating-point warnings are off: an overflow shows as
+            # a non-finite loss or parameter, reported once (_diverged)
+            with _fits_at(cfg.batch_size), np.errstate(all="ignore"):
                 logits, gates = phase_forward(model, phase, Tensor(xb), True,
                                               rng, rate)
                 loss = total_loss(logits, yb, gates, cfg.lambda_)
-                assert_all_finite(loss, f"{phase} loss at step {step}")
+                if not np.isfinite(loss.item()):
+                    raise _diverged(cfg, lr, f"non-finite loss at step {step}")
                 opt.zero_grad()
                 loss.backward()
                 opt.step(lr)
             losses.append(loss.item())
             del logits, gates, loss  # free this step's graph before the next
             step += 1
+        # the epoch's last update has no loss after it
+        if not all(np.isfinite(a).all() for a in (*(t.data for t in trained.values()),
+                                                  *model.buffers.values())):
+            raise _diverged(cfg, lr, f"non-finite parameters after step {step - 1}")
         train_loss = float(np.mean(losses))
         eval_acc, mean_gate, _ = evaluate(model, phase, splits.eval_x,
                                           splits.eval_y, cfg.batch_size)
@@ -568,8 +589,8 @@ def sweep(spec: ModelSpec, phases: dict[str, TrainConfig], dataset: DatasetDescr
     finishes. Per seed, the backbone (the ungated baseline) and the gater
     pretrain once in out_root/seed<s>/pretrain; one joint phase per lambda
     then starts from them in out_root/seed<s>/lambda<l>. Every config is
-    built first: a negative or repeated seed or lambda is a ConfigError,
-    and no run."""
+    built first: a negative or repeated seed or lambda, or a non-finite
+    lambda, is a ConfigError, and no run."""
     for name, values in (("seed", seeds), ("lambda", lambdas)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:

@@ -38,12 +38,7 @@ from gaternet.layers import (
     sigmoid,
     softmax_cross_entropy,
 )
-from gaternet.model import (
-    GaterNet,
-    LayerSpec,
-    ModelSpec,
-    gated_conv_forward,
-)
+from gaternet.model import GaterNet, LayerSpec, ModelSpec
 from gaternet.persist import load_checkpoint
 from gaternet.semhash import gate_dropout, semhash_forward
 from gaternet.tensor import Tensor, no_grad
@@ -332,7 +327,7 @@ def _conv_with_bn(seed: int, cout: int, cin: int):
 
 def test_criterion_02_masking_equivalence():
     t0 = time.monotonic()
-    # gated_conv_forward in eval, the production path, against the masked
+    # bn_relu_gate(conv2d(x)) in eval, the production path, against the masked
     # conv built from layers primitives: relu(bn(conv2d(x))) * gates
 
     # all 256 gate patterns of an 8-filter layer, one pattern per sample
@@ -341,7 +336,7 @@ def test_criterion_02_masking_equivalence():
     x = np.random.default_rng(0).standard_normal((256, 3, 6, 6)).astype(np.float32)
     p, bn = _conv_with_bn(1, 8, 3)
     masked = masked_reference(x, p, bn, patterns)
-    skipped = gated_conv_forward(Tensor(x), p, bn, Tensor(patterns), False).data
+    skipped = bn_relu_gate(conv2d(Tensor(x), p), bn, Tensor(patterns), False).data
     assert np.array_equal(masked, skipped), "exhaustive 8-filter patterns"
 
     # 100 random patterns on a 32-filter layer
@@ -350,7 +345,7 @@ def test_criterion_02_masking_equivalence():
     x2 = rng.standard_normal((100, 4, 5, 5)).astype(np.float32)
     p2, bn2 = _conv_with_bn(3, 32, 4)
     masked2 = masked_reference(x2, p2, bn2, gates)
-    skipped2 = gated_conv_forward(Tensor(x2), p2, bn2, Tensor(gates), False).data
+    skipped2 = bn_relu_gate(conv2d(Tensor(x2), p2), bn2, Tensor(gates), False).data
     assert np.array_equal(masked2, skipped2), "random 32-filter patterns"
 
     elapsed = time.monotonic() - t0

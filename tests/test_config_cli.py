@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaternet.analyze import GateLog, load_gate_log, save_gate_log
 from gaternet.cli import main
@@ -23,8 +23,8 @@ from gaternet.config import ConfigError, load_config
 from gaternet.data import load_dataset
 from gaternet.model import GaterNet, conv_macs, spec_to_dict
 from gaternet.persist import dict_hash, load_checkpoint, save_checkpoint
-from gaternet.tensor import Tensor
-from gaternet.train import PHASES, TrainConfig
+from gaternet.tensor import Tensor, no_grad
+from gaternet.train import PHASES, TrainConfig, restore, run_phase
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SYNTHETIC_SMALL = (Path(__file__).resolve().parent.parent / "configs"
@@ -135,6 +135,57 @@ _GEOMETRY_LAYER = st.one_of(
         "padding": st.integers(0, 2)}),
     st.fixed_dictionaries({"kind": st.just("pool"), "window": st.integers(1, 3)}),
 )
+
+
+# keys whose large values would allocate or run long; a mutation pushes
+# these only down, out of range, since a size that could allocate is a
+# child-process test under an address-space cap (run_capped)
+_SIZE_KEYS = {"train_size", "eval_size", "image_size", "input_shape", "filters",
+              "width", "bottleneck", "batch_size", "epochs"}
+_EXTREME_NUMBER = st.sampled_from([-2**63, -1, 0, -1e-300, 1e-300, 0.5, 1.0,
+                                   -1e300, 1e300, 2**64])
+_LOW_SIZE = st.sampled_from([-2**63, -1, 0])
+_ANY_JSON_TYPE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+
+
+def _key_paths(node, path=()):
+    """Every key or list-entry path under a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_config(draw, doc):
+    """doc with one key dropped, one value replaced by another JSON type,
+    or one number pushed out of range or to an extreme."""
+    def holder(path):
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        return node
+
+    def is_number(path):
+        value = holder(path)[path[-1]]
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    op = draw(st.sampled_from(["drop", "retype", "number"]), label="op")
+    path = draw(st.sampled_from([p for p in _key_paths(doc)
+                                 if op != "number" or is_number(p)]), label="path")
+    node = holder(path)
+    if op == "drop":
+        del node[path[-1]]
+    elif op == "retype":
+        node[path[-1]] = draw(_ANY_JSON_TYPE, label="value")
+    else:
+        size = any(part in _SIZE_KEYS for part in path)
+        node[path[-1]] = draw(_LOW_SIZE if size else _EXTREME_NUMBER, label="value")
+    return doc
 
 
 def _stack_side(side: int, layers) -> int | None:
@@ -435,7 +486,81 @@ class TestLoadConfig:
         assert not (tmp_path / "run").exists()
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(side=st.integers(4, 8),
+           backbone=st.lists(_GEOMETRY_LAYER, min_size=1, max_size=3),
+           gater=st.lists(_GEOMETRY_LAYER, min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_small_valid_specs_keep_the_contracts(self, tmp_path_factory, side,
+                                                  backbone, gater, seed):
+        """Three of the bit-exact contracts on small drawn specs: a one-epoch
+        joint rerun writes the same checkpoint bytes; that checkpoint
+        restored into a differently seeded GaterNet gives the same eval
+        logits and gates; and all-ones gates reproduce the ungated backbone
+        forward."""
+        assume(all(any(l["kind"] == "conv" for l in ls)
+                   and _stack_side(side, ls) is not None for ls in (backbone, gater)))
+        tmp_path = tmp_path_factory.mktemp("contracts")
+        doc = base_config(tmp_path)
+        doc["seed"] = seed
+        doc["dataset"].update(train_size=8, eval_size=4, image_size=side)
+        doc["model"].update(
+            input_shape=[3, side, side], gater=gater,
+            backbone=[dict(l, gated=True) if l["kind"] == "conv" else l
+                      for l in backbone] + [{"kind": "fc", "width": 3}])
+        doc["train"]["batch_size"] = 4
+        cfg = load_config(write_config(tmp_path, doc))
+        joint = dataclasses.replace(cfg.make_phase_config("joint"), epochs=1)
+        splits = load_dataset(cfg.dataset, cfg.seed)
+        runs = [run_phase(cfg.model, joint, splits, tmp_path / name,
+                          from_scratch=True) for name in ("a", "b")]
+        ckpt = runs[0].checkpoint_path
+        assert ckpt.read_bytes() == runs[1].checkpoint_path.read_bytes()
+
+        x = Tensor(splits.eval_x)
+        trained = runs[0].model
+        restored = GaterNet(cfg.model, seed=seed + 1)
+        restore(restored, ckpt)
+        (logits, bundle), (logits2, bundle2) = (
+            net.forward(x, training=False) for net in (trained, restored))
+        assert logits.data.tobytes() == logits2.data.tobytes()
+        assert bundle.selected.data.tobytes() == bundle2.selected.data.tobytes()
+
+        # a zero output layer and a positive bias put every gate on
+        trained.params["head.W2"].data[...] = 0.0
+        trained.params["head.b2"].data[...] = 1.0
+        logits, bundle = trained.forward(x, training=False)
+        assert np.all(bundle.selected.data == 1.0)
+        with no_grad():
+            plain = trained.forward_backbone(x, training=False)
+        assert logits.data.tobytes() == plain.data.tobytes()
+
+
 class TestCli:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_exits_with_a_typed_error(self, tmp_path_factory,
+                                                     data):
+        """A valid tiny config with one key dropped, retyped or pushed out of
+        range trains (exit 0) or fails with one line and exit 2, 3 or 4;
+        exit 1 is an unexpected exception."""
+        tmp_path = tmp_path_factory.mktemp("mutated")
+        doc = base_config(tmp_path)
+        doc["train"].update(momentum=0.9, **{"lambda": 0.1}, dropout_start=0.0,
+                            dropout_end=0.05)
+        doc = data.draw(_mutated_config(doc), label="config")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", write_config(tmp_path, doc),
+                         "--phase", "joint", "--from-scratch",
+                         "--out-dir", str(tmp_path / "out")])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert err.getvalue().startswith(
+                ("config error: ", "checkpoint error: ", "data error: "))
+
     def test_full_pipeline(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         out = tmp_path / "run"

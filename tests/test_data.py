@@ -17,6 +17,7 @@ from gaternet.data import (
     pad_crop,
     synthetic_dataset,
 )
+from gaternet.model import ConfigError
 
 
 def make_record(label: int, r00=None, g00=None, b_last=None, fill=0) -> bytes:
@@ -101,6 +102,16 @@ class TestNormalize:
     def test_rejects_bad_std(self):
         with pytest.raises(DataError):
             normalize(np.ones((1, 1, 2, 2), np.float32), (0.0,), (0.0,))
+
+    @pytest.mark.parametrize("mean,std", [
+        ((1e300,), (1.0,)),   # mean overflows float32
+        ((0.0,), (1e300,)),   # so does std, which would zero every image
+        ((0.0,), (1e-40,)),   # a subnormal std: the quotient overflows
+    ])
+    def test_rejects_values_that_overflow_float32(self, mean, std):
+        # refused with no numpy warning (the suite turns warnings into errors)
+        with pytest.raises(DataError, match="not finite in float32"):
+            normalize(np.ones((1, 1, 2, 2), np.float32), mean, std)
 
 
 class TestSynthetic:
@@ -221,6 +232,13 @@ class TestLoadDataset:
         again = load_dataset(desc, seed=9)
         assert np.array_equal(splits.train_x, again.train_x)
         assert np.array_equal(splits.eval_y, again.eval_y)
+
+    def test_synthetic_noise_that_overflows_float32_is_a_config_error(self):
+        desc = DatasetDescriptor(kind="synthetic", num_classes=3, train_size=4,
+                                 eval_size=2, image_size=4, noise=1e300)
+        with pytest.raises(ConfigError, match="^dataset: noise 1e[+]300 gives "
+                                              "images that are not finite"):
+            load_dataset(desc, seed=0)
 
     def test_cifar_splits(self, tmp_path):
         train, evalf = tmp_path / "train.bin", tmp_path / "eval.bin"

@@ -32,7 +32,6 @@ from gaternet.layers import (
     softmax_cross_entropy,
     _extract_patches,
 )
-from gaternet.model import gated_conv_forward
 from gaternet.tensor import Tensor, no_grad
 from oracles import (
     avg_pool_reference,
@@ -645,7 +644,7 @@ class TestBnReluGate:
         gates = Tensor((rng.random((n, c_out)) < 0.5).astype(np.float32))
         with no_grad():
             for f in (lambda t: conv2d(t, p),
-                      lambda t: gated_conv_forward(t, p, bn, gates, False)):
+                      lambda t: bn_relu_gate(conv2d(t, p), bn, gates, False)):
                 nchw = f(Tensor(x)).data
                 assert nchw.tobytes() == f(Tensor(_channel_major(x))).data.tobytes()
 

@@ -16,6 +16,7 @@ from gaternet.layers import (
     BatchNormParams,
     Conv2dParams,
     avg_pool2d,
+    bn_relu_gate,
     conv2d,
     fully_connected,
 )
@@ -26,7 +27,6 @@ from gaternet.model import (
     ModelSpec,
     build_gate_map,
     conv_macs,
-    gated_conv_forward,
     init_params,
     spec_from_dict,
     spec_to_dict,
@@ -347,7 +347,7 @@ class TestMaskedVsSelective:
         gates = (rng.random((4, 8)) < 0.5).astype(np.float32)
         _, _, bn2 = _conv_setup(8, seed=42)
         masked = masked_reference(x, p, bn, gates)
-        skipped = gated_conv_forward(Tensor(x), p, bn2, Tensor(gates), False).data
+        skipped = bn_relu_gate(conv2d(Tensor(x), p), bn2, Tensor(gates), False).data
         assert np.array_equal(masked, skipped)
 
     def test_training_matches_skip_reference(self):
@@ -358,15 +358,15 @@ class TestMaskedVsSelective:
             gates = (np.random.default_rng(seed).random((4, 8)) < 0.5).astype(
                 np.float32)
             want = _selective_train_reference(x, p, bn, gates)
-            got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), True).data
+            got = bn_relu_gate(conv2d(Tensor(x), p), bn, Tensor(gates), True).data
             off = np.broadcast_to(gates[:, :, None, None] == 0, got.shape)
             assert np.all(got[off] == 0)
             np.testing.assert_allclose(got[~off], want[~off], rtol=1e-5, atol=1e-5)
 
     def test_all_on_equals_ungated_bitwise(self):
         x, p, bn = _conv_setup(8, seed=43)
-        ungated = gated_conv_forward(
-            Tensor(x), p, bn, Tensor(np.ones((4, 8), np.float32)), False).data
+        ungated = bn_relu_gate(conv2d(Tensor(x), p), bn,
+                               Tensor(np.ones((4, 8), np.float32)), False).data
         _, _, bn2 = _conv_setup(8, seed=43)
         plain = conv_block_reference(conv2d(Tensor(x), p), bn2, None, False).data
         assert np.array_equal(ungated, plain)
@@ -379,11 +379,11 @@ class TestMaskedVsSelective:
     def test_gate_shape_validation(self):
         x, p, bn = _conv_setup(4, seed=45)
         with pytest.raises(ValueError):
-            gated_conv_forward(Tensor(x), p, bn,
-                               Tensor(np.ones((4, 5), np.float32)), False)
+            bn_relu_gate(conv2d(Tensor(x), p), bn,
+                         Tensor(np.ones((4, 5), np.float32)), False)
         with pytest.raises(ValueError):
-            gated_conv_forward(Tensor(x), p, bn,
-                               Tensor(np.ones((3, 4), np.float32)), False)
+            bn_relu_gate(conv2d(Tensor(x), p), bn,
+                         Tensor(np.ones((3, 4), np.float32)), False)
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape,message", [
@@ -401,7 +401,7 @@ class TestMaskedVsSelective:
         gates = np.zeros((2, 4), np.float32)
         gates[0, 0] = gates[1, 1] = 1.0
         with pytest.raises(ValueError, match=f"^{message}$"):
-            gated_conv_forward(Tensor(x), p, bn, Tensor(gates), training)
+            bn_relu_gate(conv2d(Tensor(x), p), bn, Tensor(gates), training)
 
     @pytest.mark.parametrize("side", ["skip", "dense"])
     @settings(max_examples=40, deadline=None)
@@ -440,7 +440,7 @@ class TestMaskedVsSelective:
             running_var=rng.uniform(0.5, 2.0, c_out).astype(np.float32),
         )
         want = masked_reference(x, p, bn, gates)
-        got = gated_conv_forward(Tensor(x), p, bn, Tensor(gates), False)
+        got = bn_relu_gate(conv2d(Tensor(x), p), bn, Tensor(gates), False)
         assert got.data.dtype == want.dtype
         assert got.data.tobytes() == want.tobytes()
 

@@ -80,8 +80,11 @@ def test_sparsity_sweep(tmp_path, tiny_config):
     with open(pre / "metrics_pretrain_backbone.csv", newline="") as f:
         backbone_acc = list(csv.DictReader(f))[-1]["eval_acc"]
     assert [r["ungated_baseline_acc"] for r in rows] == [backbone_acc] * 2
-    # a negative or repeated lambda or seed is refused before anything is written
+    # a negative, non-finite or repeated lambda or seed is refused before
+    # anything is written (argparse's float takes "nan" and "inf")
     for flags, err in ((("0.0", "-1", "--seeds", "0"), "lambda must be >= 0, got -1.0"),
+                       (("nan", "--seeds", "0"), "lambda must be finite, got nan"),
+                       (("0.0", "inf", "--seeds", "0"), "lambda must be finite, got inf"),
                        (("0.0", "--seeds", "0", "-1"), "seed must be >= 0, got -1"),
                        (("1.0", "1.0", "--seeds", "0"), "lambda 1.0 is given more than once"),
                        (("0.0", "--seeds", "0", "0"), "seed 0 is given more than once")):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaternet.tensor import Tensor, apply_op, assert_all_finite, no_grad
+from gaternet.tensor import Tensor, apply_op, no_grad
 from oracles import grad_check
 
 
@@ -278,15 +278,6 @@ class TestNoGrad:
         t.join(timeout=10)
         assert not t.is_alive()
         assert seen == {"train": True, "eval": False}
-
-
-class TestHelpers:
-    def test_assert_all_finite(self):
-        assert_all_finite(Tensor(np.ones(3)), "ok")
-        with pytest.raises(FloatingPointError, match="bad"):
-            assert_all_finite(Tensor(np.array([1.0, np.inf])), "bad")
-        with pytest.raises(FloatingPointError):
-            assert_all_finite(np.array([np.nan]), "nan input")
 
 
 @given(

@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -127,6 +128,21 @@ class TestTrainConfig:
         base.update(kw)
         with pytest.raises(ValueError):
             TrainConfig(**base)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field,name", [
+        ("lambda_", "lambda"), ("weight_decay", "weight_decay"),
+        ("momentum", "momentum"), ("dropout_start", "dropout_start"),
+        ("dropout_end", "dropout_end"), ("lr", "learning rates"),
+    ])
+    def test_rejects_non_finite_by_name(self, field, name, value):
+        # NaN fails every < and <= silently, so without its own check a NaN
+        # lambda, weight decay or rate would reach the first loss
+        kw = ({"lr_schedule": ((0, 0.05), (3, value))} if field == "lr"
+              else {field: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            tiny_cfg("joint", **kw)
 
 
 class TestGatePenalty:
@@ -317,6 +333,25 @@ def test_evaluate_out_of_memory_is_a_config_error(monkeypatch):
                  splits.eval_y, 16)
     assert str(err.value) == ("model: activations at batch size 16 do not fit "
                               "in memory (Unable to allocate 9 GiB)")
+
+
+@pytest.mark.parametrize("kw,what", [
+    ({"lr_schedule": ((0, 1e30),)}, "loss at step 1"),  # the first update overflows
+    ({"weight_decay": 1e30}, "loss at step 2"),
+    ({"lambda_": 1e300}, "loss at step 0"),     # the penalty overflows float32
+    # overflows only in the epoch's last update, which no loss follows
+    ({"weight_decay": 2.0**64}, "parameters after step 2"),
+], ids=["lr", "weight_decay", "lambda", "last-update"])
+def test_diverging_run_is_a_config_error(tmp_path, kw, what):
+    """A finite hyperparameter large enough to overflow the run is refused
+    once, naming the step, before that epoch's evaluation or checkpoint,
+    and with no numpy warning on the way (the suite turns warnings into
+    errors)."""
+    cfg = tiny_cfg("joint", **kw)
+    with pytest.raises(ConfigError, match=f"^joint: non-finite {what} "
+                                          r"\(lr .*\): the run diverged$"):
+        run_phase(tiny_spec(), cfg, tiny_splits(), tmp_path, from_scratch=True)
+    assert not (tmp_path / "joint.ckpt").exists()
 
 
 # Graph nodes one joint training step on the synthetic_small model records:
