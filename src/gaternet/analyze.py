@@ -14,7 +14,6 @@ exactly binary and deterministic.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,14 +114,15 @@ def load_gate_log(path: str | Path) -> GateLog:
 
 @dataclass(frozen=True)
 class GateTaxonomy:
-    """Per-gate category plus per-layer counts and fractions.
+    """Per-gate on-counts and category plus per-layer counts and fractions.
 
-    categories holds one code per gate (ALWAYS_ON / ALWAYS_OFF /
-    INPUT_DEPENDENT); layers lists the distinct layer ids in ascending
-    order, and counts[i, k] is how many of layer i's gates fall in
-    category k. Rows of fractions sum to 1.
+    on_counts holds how many samples turn each gate on, and categories one
+    code per gate (ALWAYS_ON / ALWAYS_OFF / INPUT_DEPENDENT); layers lists
+    the distinct layer ids in ascending order, and counts[i, k] is how many
+    of layer i's gates fall in category k. Rows of fractions sum to 1.
     """
 
+    on_counts: Array   # int64 [c]
     categories: Array  # int8 [c]
     layers: Array      # int64 [L]
     counts: Array      # int64 [L, 3]
@@ -147,8 +147,8 @@ def classify_gates(log: GateLog) -> GateTaxonomy:
     np.add.at(counts, (layer_index, categories), 1)
     totals = counts.sum(axis=1, keepdims=True)
     fractions = counts / totals
-    return GateTaxonomy(categories=categories, layers=layers, counts=counts,
-                        fractions=fractions)
+    return GateTaxonomy(on_counts=on_counts, categories=categories, layers=layers,
+                        counts=counts, fractions=fractions)
 
 
 @dataclass(frozen=True)
@@ -157,42 +157,25 @@ class Histogram:
     edges: Array   # float64 [bins + 1]
 
 
-@dataclass(frozen=True)
-class OnCountReport:
-    """How often each input-dependent gate fires across the eval set."""
-
-    gate_indices: Array  # int64, which gates are input-dependent
-    on_counts: Array     # int64, ones per such gate
-    histogram: Histogram
-
-
 def on_count_histogram(log: GateLog, tax: GateTaxonomy,
-                       bins: int = 100) -> OnCountReport:
-    """Histogram of per-gate on-counts, input-dependent gates only (as
-    classify_gates(log) sorts them into tax), over equal-width bins
-    spanning [0, num_samples]."""
+                       bins: int = 100) -> Histogram:
+    """Histogram of per-gate on-counts, input-dependent gates only (tax
+    is classify_gates(log)), over equal-width bins spanning
+    [0, num_samples]."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    n = log.num_samples
-    dep = np.flatnonzero(tax.categories == INPUT_DEPENDENT)
-    on_counts = log.gates[:, dep].sum(axis=0, dtype=np.int64)
-    counts, edges = np.histogram(on_counts, bins=bins, range=(0, n))
-    return OnCountReport(
-        gate_indices=dep.astype(np.int64),
-        on_counts=on_counts,
-        histogram=Histogram(counts=counts.astype(np.int64), edges=edges),
-    )
+    counts, edges = np.histogram(tax.on_counts[tax.categories == INPUT_DEPENDENT],
+                                 bins=bins, range=(0, log.num_samples))
+    return Histogram(counts=counts.astype(np.int64), edges=edges)
 
 
 @dataclass(frozen=True)
 class FiredCountReport:
     """How many gates each sample turns on."""
 
-    per_sample: Array  # int64 [n]
-    total: int         # exact integer: sum over the whole log
     min: int
     max: int
-    mean: float        # total / n
+    mean: float        # the exact integer total over the log / n
     histogram: Histogram
 
 
@@ -205,14 +188,11 @@ def fired_count_per_sample(log: GateLog, bins: int = 100) -> FiredCountReport:
         raise ValueError(f"cannot count fired gates from an empty log ("
                          f"{log.num_samples} samples x {log.num_gates} gates)")
     per_sample = log.gates.sum(axis=1, dtype=np.int64)
-    total = int(per_sample.sum())
     counts, edges = np.histogram(per_sample, bins=bins, range=(0, log.num_gates))
     return FiredCountReport(
-        per_sample=per_sample,
-        total=total,
         min=int(per_sample.min()),
         max=int(per_sample.max()),
-        mean=total / log.num_samples,
+        mean=int(per_sample.sum()) / log.num_samples,
         histogram=Histogram(counts=counts.astype(np.int64), edges=edges),
     )
 
@@ -250,12 +230,6 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
     # eigh puts a zero eigenvalue at up to ~eps * evals[0], not eps**2 * evals[0]
     tol = evals[0] * max(n, d) * np.finfo(np.float64).eps
     rank = int((evals > tol).sum())
-    if k > rank:
-        warnings.warn(
-            f"requested {k} components but the centered data has rank {rank}; "
-            f"trailing components carry zero variance",
-            stacklevel=2,
-        )
     components = evecs[:, ::-1].T[:k].copy()
     lead = components[np.arange(k), np.abs(components).argmax(axis=1)]
     components[lead < 0] *= -1

@@ -13,7 +13,6 @@ import dataclasses
 import logging
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from gaternet.analyze import (
@@ -145,18 +144,15 @@ def cmd_analyze(args) -> int:
     if not 1 <= pca_k <= min(n, c):
         raise ConfigError(f"--pca-k must be in [1, {min(n, c)}] for {n} samples "
                           f"x {c} gates, got {pca_k}")
-    out.mkdir(parents=True, exist_ok=True)
 
     tax = classify_gates(gate_log)
     write_taxonomy_csv(out / "taxonomy.csv", gate_log, tax)
     write_layer_distribution_csv(out / "layer_distribution.csv", tax)
-    on_report = on_count_histogram(gate_log, tax, bins=args.bins)
-    write_histogram_csv(out / "on_count_histogram.csv", on_report.histogram)
+    write_histogram_csv(out / "on_count_histogram.csv",
+                        on_count_histogram(gate_log, tax, bins=args.bins))
     fired = fired_count_per_sample(gate_log, bins=args.bins)
     write_histogram_csv(out / "fired_count_histogram.csv", fired.histogram)
-    with warnings.catch_warnings():  # a rank below pca_k is printed instead
-        warnings.simplefilter("ignore", UserWarning)
-        result = export_usage_vectors(gate_log, pca_k, out / "usage_vectors.csv")
+    result = export_usage_vectors(gate_log, pca_k, out / "usage_vectors.csv")
 
     print(f"samples: {n}")
     print(f"gates: {c}")

@@ -13,7 +13,7 @@ original size, and a 0.5-probability horizontal mirror.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,8 @@ from gaternet.tensor import Array
 CIFAR_RECORD = 3073
 CIFAR_CLASSES = 10
 PAD = 4
+
+log = logging.getLogger(__name__)
 
 
 class DataError(ValueError):
@@ -56,8 +58,11 @@ class DatasetDescriptor:
         if len(self.mean) != 3 or len(self.std) != 3:
             raise DataError(f"mean and std need one entry per channel (3), got "
                             f"{self.mean} and {self.std}")
-        if any(s <= 0 for s in self.std):
-            raise DataError(f"std entries must be positive, got {self.std}")
+        # normalize divides in float32, where a tiny std rounds to zero
+        with np.errstate(over="ignore"):
+            std32 = np.asarray(self.std, dtype=np.float32)
+        if not np.all(std32 > 0):
+            raise DataError(f"std entries must be positive in float32, got {self.std}")
         if self.kind == "synthetic":
             if self.num_classes < 2:
                 raise DataError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -106,14 +111,14 @@ def load_cifar10_binary(paths, mean, std) -> tuple[Array, Array]:
     Each record is a label byte then 3072 bytes: three 1024-byte channel
     planes (R, G, B), row-major within a plane. Truncated files and label
     bytes outside [0, 10) are rejected with the offending byte offset.
-    An empty file contributes zero records and a warning.
+    An empty file contributes zero records and a logged warning.
     """
     images = []
     labels = []
     for path in paths:
         raw = np.fromfile(str(path), dtype=np.uint8)
         if raw.size == 0:
-            warnings.warn(f"empty dataset file: {path}")
+            log.warning("empty dataset file: %s", path)
             continue
         if raw.size % CIFAR_RECORD:
             good = (raw.size // CIFAR_RECORD) * CIFAR_RECORD

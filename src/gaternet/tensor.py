@@ -200,19 +200,14 @@ class Tensor:
     # -- reductions and shape ops ---------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-        axes = _normalize_axes(axis, a.ndim)
-
-        def backward(g: Array) -> None:
-            gg = g
-            if axes is not None and not keepdims:
-                for ax in sorted(axes):
-                    gg = np.expand_dims(gg, ax)
-            a._accumulate(np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
-
-        return apply_op(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward)
+        return self._reduce("sum", axis, keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
+        return self._reduce("mean", axis, keepdims)
+
+    def _reduce(self, how: str, axis, keepdims: bool):
+        """a.data.sum or .mean over axis; the backward spreads g over the
+        reduced axes, divided by their element count for a mean."""
         a = self
         axes = _normalize_axes(axis, a.ndim)
         if axes is None:
@@ -221,13 +216,14 @@ class Tensor:
             count = int(np.prod([a.shape[ax] for ax in axes]))
 
         def backward(g: Array) -> None:
-            gg = g / count
+            gg = g / count if how == "mean" else g
             if axes is not None and not keepdims:
                 for ax in sorted(axes):
                     gg = np.expand_dims(gg, ax)
             a._accumulate(np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
 
-        return apply_op(a.data.mean(axis=axes, keepdims=keepdims), (a,), backward)
+        return apply_op(getattr(a.data, how)(axis=axes, keepdims=keepdims), (a,),
+                        backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

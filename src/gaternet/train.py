@@ -213,14 +213,11 @@ class SGD:
 
 @dataclass
 class PhaseResult:
-    phase: str
     checkpoint_path: Path
     metrics_path: Path
-    rows: list[dict]
     final_eval_acc: float
     final_train_loss: float
     final_gate_activation: float | None
-    model: GaterNet
 
 
 # glibc's mallopt parameter numbers (malloc.h) and the values pin_heap
@@ -562,14 +559,11 @@ def run_phase(
     last = rows[-1]  # so a resumed finished phase reports its stored finals
     gate = last["mean_gate_activation"]
     return PhaseResult(
-        phase=phase,
         checkpoint_path=ckpt_path,
         metrics_path=metrics_path,
-        rows=rows,
         final_eval_acc=float(last["eval_acc"]),
         final_train_loss=float(last["train_loss"]),
         final_gate_activation=float(gate) if phase == "joint" else None,
-        model=model,
     )
 
 

@@ -10,8 +10,9 @@ that layers.bn_relu_gate is checked against, the masked gated conv built
 on it, the discretizer composed from six graph nodes that semhash_forward
 is checked against, an rng stand-in that pins every training sample to
 one discretizer branch, the thin-SVD PCA that pca_reduce is checked
-against, and the quoting csv.writer form that persist.write_csv's row
-templates are checked against."""
+against, the quoting csv.writer form that persist.write_csv's row
+templates are checked against, and the restore of a finished phase's model
+from its checkpoint (run_phase returns none)."""
 
 from __future__ import annotations
 
@@ -33,10 +34,10 @@ from gaternet.layers import (
     conv_output_hw,
     relu,
 )
-from gaternet.model import GaterNet
+from gaternet.model import GaterNet, ModelSpec
 from gaternet.semhash import _sat_sigmoid_data, _sat_sigmoid_grad
 from gaternet.tensor import Array, Tensor, apply_op
-from gaternet.train import l1_gate_penalty
+from gaternet.train import PhaseResult, l1_gate_penalty, restore
 
 
 def grad_check(
@@ -377,3 +378,11 @@ def csv_writer_reference(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
+
+
+def phase_model(spec: ModelSpec, res: PhaseResult) -> GaterNet:
+    """The model a finished run_phase trained, restored from the
+    checkpoint it wrote last."""
+    model = GaterNet(spec)
+    restore(model, res.checkpoint_path)
+    return model

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import resource
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,8 @@ from gaternet.data import load_dataset
 from gaternet.model import GaterNet, conv_macs, spec_to_dict
 from gaternet.persist import dict_hash, load_checkpoint, save_checkpoint
 from gaternet.tensor import Tensor, no_grad
-from gaternet.train import PHASES, TrainConfig, restore, run_phase
+from gaternet.train import PHASES, TrainConfig, evaluate, restore, run_phase
+from oracles import phase_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SYNTHETIC_SMALL = (Path(__file__).resolve().parent.parent / "configs"
@@ -345,6 +347,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
 
+    def test_std_underflowing_float32_is_a_config_error(self, tmp_path, capsys):
+        doc = base_config(tmp_path)
+        doc["dataset"]["std"] = [1e-300, 1, 1]
+        assert main(["train", "--config", write_config(tmp_path, doc),
+                     "--phase", "pretrain-backbone"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: dataset: std entries must be positive in float32, "
+            "got (1e-300, 1.0, 1.0)\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("bad", [5, "run.json", ["run.json", 1]])
     def test_cifar_train_paths_must_be_a_list_of_strings(self, tmp_path, bad):
         doc = base_config(tmp_path)
@@ -518,7 +530,10 @@ class TestLoadConfig:
         assert ckpt.read_bytes() == runs[1].checkpoint_path.read_bytes()
 
         x = Tensor(splits.eval_x)
-        trained = runs[0].model
+        trained = phase_model(cfg.model, runs[0])
+        acc, gate, _ = evaluate(trained, "joint", splits.eval_x, splits.eval_y,
+                                joint.batch_size)
+        assert (acc, gate) == (runs[0].final_eval_acc, runs[0].final_gate_activation)
         restored = GaterNet(cfg.model, seed=seed + 1)
         restore(restored, ckpt)
         (logits, bundle), (logits2, bundle2) = (
@@ -622,7 +637,7 @@ class TestCli:
         assert "pca_rank: 0" in stdout.splitlines()
 
     @pytest.mark.parametrize("empty_split", ["train", "eval"])
-    def test_empty_cifar_split_exits_4(self, tmp_path, capsys, empty_split):
+    def test_empty_cifar_split_exits_4(self, tmp_path, capsys, caplog, empty_split):
         (tmp_path / "full.bin").write_bytes(b"\x00" * 3073 * 2)
         (tmp_path / "empty.bin").write_bytes(b"")
 
@@ -642,20 +657,25 @@ class TestCli:
                                          if empty_split == "train"
                                          else ("full.bin", "empty.bin")))
         capsys.readouterr()
-        with pytest.warns(UserWarning, match="empty dataset file"):
-            for argv in (["train", "--config", bad, "--phase", "joint",
-                          "--from-scratch"],
-                         ["train", "--config", bad, "--phase", "pretrain-backbone"],
-                         ["eval", "--config", bad, "--ckpt", ckpt]):
-                if argv[0] == "eval" and empty_split == "train":
-                    # eval decodes only the eval split
-                    assert main(argv) == 0, argv
-                    assert "accuracy:" in capsys.readouterr().out
-                    continue
-                assert main(argv) == 4, argv
-                out, err = capsys.readouterr()
-                assert f"{empty_split} split has no records" in err
-                assert out == ""
+        caplog.clear()
+        for argv in (["train", "--config", bad, "--phase", "joint",
+                      "--from-scratch"],
+                     ["train", "--config", bad, "--phase", "pretrain-backbone"],
+                     ["eval", "--config", bad, "--ckpt", ckpt]):
+            if argv[0] == "eval" and empty_split == "train":
+                # eval decodes only the eval split
+                assert main(argv) == 0, argv
+                assert "accuracy:" in capsys.readouterr().out
+                continue
+            assert main(argv) == 4, argv
+            out, err = capsys.readouterr()
+            assert f"{empty_split} split has no records" in err
+            assert out == ""
+        # each run that decodes the empty file logs it once
+        empty = str(tmp_path / "empty.bin")
+        assert ([r.getMessage() for r in caplog.records
+                 if r.name == "gaternet.data"]
+                == [f"empty dataset file: {empty}"] * (2 if empty_split == "train" else 3))
 
     def test_joint_without_pretrains_exits_3(self, tmp_path, capsys):
         doc = base_config(tmp_path)
@@ -1147,6 +1167,62 @@ class TestCli:
         capsys.readouterr()
         assert main(["eval", "--config", cfg_path, "--ckpt", str(ckpt)]) == 3
         assert "head.b2" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_gatelog_exits_0_or_3(self, tmp_path_factory, data):
+        """A small valid gate log cut at a drawn offset, with one drawn byte
+        changed, or with drawn bytes appended: analyze exits 0, or 3 with
+        one line and no --out directory; exit 1 is an unexpected
+        exception."""
+        tmp_path = tmp_path_factory.mktemp("glog")
+        path, out = tmp_path / "g.glog", tmp_path / "an"
+        rng = np.random.default_rng(0)
+        save_gate_log(path, GateLog(gates=(rng.random((6, 10)) < 0.5).astype(np.uint8),
+                                    labels=np.arange(6) % 3,
+                                    layer_ids=np.repeat([0, 1], 5),
+                                    filter_ids=np.tile(np.arange(5), 2)))
+        blob = bytearray(path.read_bytes())
+        how = data.draw(st.sampled_from(["truncate", "overwrite", "append"]),
+                        label="mutation")
+        if how == "truncate":
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+        elif how == "overwrite":
+            pos = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        else:
+            blob += data.draw(st.binary(min_size=1, max_size=16), label="tail")
+        path.write_bytes(bytes(blob))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["analyze", "--gatelog", str(path), "--out", str(out)])
+        assert code in (0, 3), err.getvalue()
+        if code:
+            assert err.getvalue().startswith("checkpoint error: "), err.getvalue()
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        # a dtype alias numpy deprecates
+        lambda blob: blob.replace(b"<i8", b"<a8", 1),
+        # a name length that swallows the next bytes, a newline among them
+        lambda blob: blob.replace(struct.pack("<H", 9) + b"layer_ids",
+                                  struct.pack("<H", 15) + b"layer_ids"),
+    ], ids=["dtype-alias", "name-with-newline"])
+    def test_gatelog_refusal_is_one_line(self, tmp_path, capsys, edit):
+        path = tmp_path / "g.glog"
+        save_gate_log(path, GateLog(gates=np.ones((6, 10), dtype=np.uint8),
+                                    labels=np.zeros(6), layer_ids=np.zeros(10),
+                                    filter_ids=np.arange(10)))
+        blob = path.read_bytes()
+        path.write_bytes(edit(blob))
+        assert path.read_bytes() != blob
+        assert main(["analyze", "--gatelog", str(path),
+                     "--out", str(tmp_path / "an")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "an").exists()
 
     def test_empty_gatelog_exits_3(self, tmp_path, capsys):
         empty = GateLog(gates=np.zeros((0, 4), dtype=np.uint8),

@@ -1,5 +1,7 @@
 """Dataset decoding, the synthetic stripe set, and train-time augmentation."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -73,20 +75,24 @@ class TestCifarDecoding:
         with pytest.raises(DataError, match=r"label byte 10.*offset 3073"):
             load_cifar10_binary([path], (0, 0, 0), (1, 1, 1))
 
-    def test_empty_file_warns_and_is_skipped(self, tmp_path):
+    def test_empty_file_warns_and_is_skipped(self, tmp_path, caplog):
         empty, full = tmp_path / "empty.bin", tmp_path / "full.bin"
         empty.write_bytes(b"")
         full.write_bytes(make_record(7))
-        with pytest.warns(UserWarning, match="empty"):
-            x, y = load_cifar10_binary([empty, full], (0, 0, 0), (1, 1, 1))
+        x, y = load_cifar10_binary([empty, full], (0, 0, 0), (1, 1, 1))
+        # a logged warning, not a Python warning (the suite turns those
+        # into errors)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, f"empty dataset file: {empty}")]
         assert x.shape == (1, 3, 32, 32)
         assert y.tolist() == [7]
 
-    def test_all_empty_gives_zero_records(self, tmp_path):
+    def test_all_empty_gives_zero_records(self, tmp_path, caplog):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
-        with pytest.warns(UserWarning):
-            x, y = load_cifar10_binary([empty], (0, 0, 0), (1, 1, 1))
+        x, y = load_cifar10_binary([empty], (0, 0, 0), (1, 1, 1))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"empty dataset file: {empty}"]
         assert x.shape == (0, 3, 32, 32)
         assert y.shape == (0,)
 
@@ -251,16 +257,28 @@ class TestLoadDataset:
         assert splits.eval_y.tolist() == [2]
 
     @pytest.mark.parametrize("empty_split", ["train", "eval"])
-    def test_cifar_empty_split_is_data_error(self, tmp_path, empty_split):
+    def test_cifar_empty_split_is_data_error(self, tmp_path, caplog, empty_split):
         full, empty = tmp_path / "full.bin", tmp_path / "empty.bin"
         full.write_bytes(make_record(3))
         empty.write_bytes(b"")
         train, evalf = (empty, full) if empty_split == "train" else (full, empty)
         desc = DatasetDescriptor(kind="cifar10", train_paths=(str(train),),
                                  eval_path=str(evalf))
-        with pytest.warns(UserWarning, match="empty"):
-            with pytest.raises(DataError, match=f"{empty_split} split has no records"):
-                load_dataset(desc, seed=0)
+        with pytest.raises(DataError, match=f"{empty_split} split has no records"):
+            load_dataset(desc, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"empty dataset file: {empty}"]
+
+    @pytest.mark.parametrize("std", [1e-300, -1e-300, 2.0 ** -150])
+    def test_std_that_rounds_to_zero_in_float32_is_refused(self, std):
+        # images are normalized in float32, so a float64 std that rounds to
+        # 0 there would divide by zero
+        with pytest.raises(DataError, match="positive in float32"):
+            DatasetDescriptor(kind="synthetic", num_classes=3, train_size=5,
+                              eval_size=5, std=(std, 1.0, 1.0))
+        # the smallest float32 subnormal is still positive
+        DatasetDescriptor(kind="synthetic", num_classes=3, train_size=5,
+                          eval_size=5, std=(2.0 ** -149, 1.0, 1.0))
 
     def test_descriptor_validation(self):
         with pytest.raises(DataError):

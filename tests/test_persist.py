@@ -114,9 +114,9 @@ class TestCorruption:
 
 
 def crafted_blob(meta=b"{}", tag=b"<f4", shape=(2,), payload=bytes(8),
-                 copies=1) -> bytes:
-    """A checkpoint holding `copies` tensors all named "x", built field by field."""
-    entry = (struct.pack("<H", 1) + b"x"
+                 copies=1, name=b"x") -> bytes:
+    """A checkpoint holding `copies` tensors all named name, built field by field."""
+    entry = (struct.pack("<H", len(name)) + name
              + struct.pack("<B", len(tag)) + tag
              + struct.pack(f"<B{len(shape)}Q", len(shape), *shape)
              + struct.pack("<Q", len(payload)) + payload)
@@ -142,6 +142,10 @@ class TestMalformedFields:
         ({"payload": bytes(12)}, "payload"),
         ({"shape": (1,) * 70, "payload": bytes(4)}, "shape"),
         ({"copies": 2}, "tensor x appears twice"),
+        ({"tag": b"<f3"}, "dtype"),
+        # numpy parses the alias with a DeprecationWarning
+        ({"tag": b"<a8"}, "unsupported dtype"),
+        ({"name": b"x\ny", "tag": b"zz9"}, "not printable"),
     ])
     def test_raises_checkpoint_error(self, tmp_path, fields, match):
         (tmp_path / "bad.ckpt").write_bytes(crafted_blob(**fields))

@@ -1,8 +1,9 @@
 """No test-only code in src/: every module-level function and class of
 the gaternet package, and every non-dunder method of its classes, is
 referenced by name somewhere in src/ or scripts/ outside its own
-definition. Code that only tests (or the benchmark harness) call belongs
-in tests/oracles.py, or nowhere."""
+definition, and every field of its dataclasses is read there. Code that
+only tests (or the benchmark harness) call belongs in tests/oracles.py,
+or nowhere; a result field that only tests read belongs nowhere."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,13 @@ PACKAGE = REPO / "src" / "gaternet"
 # with replacing the tracer's monkeypatching by a hook in src/ (ROADMAP
 # item 1), which changes bench/.
 ALLOWED = {"layers.sigmoid", "model.spec_from_dict"}
+
+# Dataclass fields read only outside src/ and scripts/. bench/ reads the
+# gate bundle's scores and hard gates (ROADMAP item 1 moves that read to a
+# hook in src/); pca_reduce computes the basis anyway to project `reduced`,
+# and the PCA tests check the projection against it.
+ALLOWED_FIELDS = {"semhash.GateBundle.g_pre", "semhash.GateBundle.g_beta",
+                  "analyze.PCAResult.components"}
 
 
 def _definitions() -> dict[str, tuple[Path, ast.AST]]:
@@ -60,6 +68,50 @@ def _unreferenced() -> set[str]:
     return missing
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _fields() -> dict[str, tuple[Path, ast.ClassDef]]:
+    """'module.Class.field' -> (file, class node) for every annotated field
+    of a @dataclass in the package."""
+    fields = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        fields[f"{path.stem}.{node.name}.{item.target.id}"] = (
+                            path, node)
+    return fields
+
+
+def _unread_fields() -> set[str]:
+    """Fields that no attribute load in src/ or scripts/ reads, outside the
+    class's own __post_init__ (validating a field is not using it). Reads
+    match by name alone, so a field that shares its name with a read
+    attribute of anything else counts as read."""
+    loads = []
+    for path in sorted([*REPO.glob("src/**/*.py"), *REPO.glob("scripts/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((path, node.lineno, node.attr))
+    missing = set()
+    for qualname, (path, cls) in _fields().items():
+        name = qualname.rsplit(".", 1)[1]
+        post_inits = [range(f.lineno, f.end_lineno + 1) for f in cls.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+        if not any(attr == name and not (p == path and any(line in r for r in post_inits))
+                   for p, line, attr in loads):
+            missing.add(qualname)
+    return missing
+
+
 def test_every_definition_in_src_is_used_outside_tests():
     assert _unreferenced() - ALLOWED == set()
 
@@ -68,3 +120,12 @@ def test_allowlist_is_current():
     # an allowlisted name that is gone or now used must leave the list
     assert ALLOWED <= _definitions().keys()
     assert ALLOWED <= _unreferenced()
+
+
+def test_every_dataclass_field_in_src_is_read_outside_tests():
+    assert _unread_fields() - ALLOWED_FIELDS == set()
+
+
+def test_field_allowlist_is_current():
+    assert ALLOWED_FIELDS <= _fields().keys()
+    assert ALLOWED_FIELDS <= _unread_fields()

@@ -38,7 +38,7 @@ from gaternet.train import (
     evaluate,
     restore,
 )
-from oracles import csv_writer_reference, gradient_routing_check
+from oracles import csv_writer_reference, gradient_routing_check, phase_model
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -66,6 +66,11 @@ def tiny_splits():
 def tiny_cfg(phase, epochs=2, **kw):
     kw.setdefault("lr_schedule", ((0, 0.05),))
     return TrainConfig(phase=phase, epochs=epochs, batch_size=16, **kw)
+
+
+def metrics_rows(res) -> list[dict]:
+    """A finished phase's per-epoch metrics, as its checkpoint stores them."""
+    return load_checkpoint(res.checkpoint_path)[1]["metrics_rows"]
 
 
 class TestLrSchedule:
@@ -447,12 +452,15 @@ import numpy as np
 from gaternet import train
 from gaternet.config import load_config
 from gaternet.data import load_dataset
+from gaternet.model import GaterNet
 from gaternet.tensor import Tensor
 
 cfg = load_config(sys.argv[1])
 splits = load_dataset(cfg.dataset, cfg.seed)
-model = train.run_phase(cfg.model, cfg.make_phase_config("joint"), splits,
-                        sys.argv[2], from_scratch=True).model
+res = train.run_phase(cfg.model, cfg.make_phase_config("joint"), splits,
+                      sys.argv[2], from_scratch=True)
+model = GaterNet(cfg.model)
+train.restore(model, res.checkpoint_path)
 opt = train.SGD(model.params, momentum=0.9)
 rng = np.random.default_rng(0)
 for _ in range(2):
@@ -524,20 +532,21 @@ class TestRunPhase:
                         tiny_splits(), tmp_path)
         assert res.checkpoint_path.is_file()
         assert res.metrics_path.is_file()
-        assert len(res.rows) == 2
-        for row in res.rows:
+        rows = metrics_rows(res)
+        assert len(rows) == 2
+        for row in rows:
             assert row["phase"] == "pretrain_backbone"
             assert row["mean_gate_activation"] == 1.0
             assert row["dropout_rate"] == 0.0
             assert 0.0 <= row["eval_acc"] <= 1.0
-        assert res.final_eval_acc == res.rows[-1]["eval_acc"]
-        assert res.final_train_loss == res.rows[-1]["train_loss"]
+        assert res.final_eval_acc == rows[-1]["eval_acc"]
+        assert res.final_train_loss == rows[-1]["train_loss"]
         assert res.final_gate_activation is None
 
     def test_pretrain_gater_blank_gate_column(self, tmp_path):
         res = run_phase(tiny_spec(), tiny_cfg("pretrain_gater"),
                         tiny_splits(), tmp_path)
-        assert all(row["mean_gate_activation"] == "" for row in res.rows)
+        assert all(row["mean_gate_activation"] == "" for row in metrics_rows(res))
 
     @pytest.mark.parametrize("phase", PHASES)
     def test_phase_trains_only_its_groups(self, tmp_path, phase):
@@ -548,14 +557,15 @@ class TestRunPhase:
         res = run_phase(spec, cfg, tiny_splits(), tmp_path,
                         from_scratch=phase == "joint")
         groups = _TRAINED_PREFIXES[phase]
-        init, trained = _state(GaterNet(spec, seed=cfg.seed)), _state(res.model)
+        trained_model = phase_model(spec, res)
+        init, trained = _state(GaterNet(spec, seed=cfg.seed)), _state(trained_model)
         assert init.keys() == trained.keys()
         changed = {k.split(".", 1)[0] for k in init
                    if not np.array_equal(init[k], trained[k])}
         assert changed == set(groups)
         tensors, _ = load_checkpoint(res.checkpoint_path)
         assert ({k for k in tensors if k.startswith("opt.")}
-                == {f"opt.{k}" for k in res.model.params
+                == {f"opt.{k}" for k in trained_model.params
                     if k.split(".", 1)[0] in groups})
 
     def test_joint_from_scratch(self, tmp_path):
@@ -564,11 +574,12 @@ class TestRunPhase:
                         from_scratch=True)
         # 48 samples / batch 16 = 3 steps per epoch, 2 epochs, ramp span 5:
         # epoch 0 ends after step 2 (rate 0.02), epoch 1 after step 5 (0.05)
-        assert res.rows[0]["dropout_rate"] == pytest.approx(0.02)
-        assert res.rows[-1]["dropout_rate"] == cfg.dropout_end
-        for row in res.rows:
+        rows = metrics_rows(res)
+        assert rows[0]["dropout_rate"] == pytest.approx(0.02)
+        assert rows[-1]["dropout_rate"] == cfg.dropout_end
+        for row in rows:
             assert 0.0 <= row["mean_gate_activation"] <= 1.0
-        assert res.final_gate_activation == res.rows[-1]["mean_gate_activation"]
+        assert res.final_gate_activation == rows[-1]["mean_gate_activation"]
 
     def test_joint_requires_pretrained_weights(self, tmp_path):
         with pytest.raises(CheckpointError, match="from-scratch"):
@@ -608,7 +619,8 @@ class TestRunPhase:
         for phase in PHASES:  # pretrain_gater writes "" for the gate column
             res = run_phase(spec, tiny_cfg(phase), splits, tmp_path)
             assert res.metrics_path.read_bytes() == csv_writer_reference(
-                METRIC_COLUMNS, [[r[k] for k in METRIC_COLUMNS] for r in res.rows])
+                METRIC_COLUMNS,
+                [[r[k] for k in METRIC_COLUMNS] for r in metrics_rows(res)])
 
     def test_rerun_is_bit_identical(self, tmp_path):
         spec, cfg = tiny_spec(), tiny_cfg("pretrain_backbone")
@@ -651,7 +663,6 @@ class TestRunPhase:
         snapshot = done.checkpoint_path.read_bytes()
         again = run_phase(spec, cfg, splits, tmp_path,
                           resume_ckpt=done.checkpoint_path)
-        assert again.rows == done.rows
         assert again.final_eval_acc == done.final_eval_acc
         assert again.final_train_loss == done.final_train_loss
         assert again.final_gate_activation == done.final_gate_activation
@@ -689,13 +700,14 @@ class TestRunPhase:
         fresh = GaterNet(spec, seed=0)
         restore(fresh, pb.checkpoint_path, ("backbone",))
         restore(fresh, pg.checkpoint_path, ("gater",))
+        pb_model, pg_model = phase_model(spec, pb), phase_model(spec, pg)
         for name, t in fresh.params.items():
             if name.startswith("backbone."):
-                assert np.array_equal(t.data, pb.model.params[name].data), name
+                assert np.array_equal(t.data, pb_model.params[name].data), name
             if name.startswith("gater."):
-                assert np.array_equal(t.data, pg.model.params[name].data), name
+                assert np.array_equal(t.data, pg_model.params[name].data), name
         for name, arr in fresh.buffers.items():
-            src = pb.model if name.startswith("backbone.") else pg.model
+            src = pb_model if name.startswith("backbone.") else pg_model
             assert np.array_equal(arr, src.buffers[name]), name
 
     def test_load_rejects_wrong_spec_hash(self, tmp_path):
@@ -748,9 +760,14 @@ class TestRunPhase:
             assert after[name].tobytes() == arr.tobytes(), name
 
     def test_checkpoint_restores_eval_behavior_bitwise(self, tmp_path):
-        spec, splits = tiny_spec(), tiny_splits()
-        res = run_phase(spec, tiny_cfg("joint", epochs=1), splits, tmp_path,
-                        from_scratch=True)
+        spec, splits, cfg = tiny_spec(), tiny_splits(), tiny_cfg("joint", epochs=1)
+        res = run_phase(spec, cfg, splits, tmp_path, from_scratch=True)
+        # restored through train.restore, the model repeats the final eval
+        # of the model run_phase held
+        restored = phase_model(spec, res)
+        acc, gate, _ = evaluate(restored, "joint", splits.eval_x, splits.eval_y,
+                                cfg.batch_size)
+        assert (acc, gate) == (res.final_eval_acc, res.final_gate_activation)
         tensors, meta = load_checkpoint(res.checkpoint_path)
         assert meta["phase"] == "joint"
         clone = GaterNet(spec, seed=99)  # deliberately different init
@@ -759,7 +776,7 @@ class TestRunPhase:
         for name, arr in clone.buffers.items():
             arr[...] = tensors[name]
         x = Tensor(splits.eval_x[:16])
-        a, ba = res.model.forward(x, training=False)
+        a, ba = restored.forward(x, training=False)
         b, bb = clone.forward(x, training=False)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(ba.selected.data, bb.selected.data)
