@@ -134,10 +134,9 @@ class GateTaxonomy:
 
 def classify_gates(log: GateLog) -> GateTaxonomy:
     """always_on iff a column is all ones, always_off iff all zeros,
-    input_dependent otherwise. Needs at least one sample."""
+    input_dependent otherwise. The log has samples and gates: gaternet
+    analyze refuses an empty one before any analysis."""
     n, c = log.gates.shape
-    if n < 1:
-        raise ValueError("cannot classify gates from an empty log")
     on_counts = log.gates.sum(axis=0, dtype=np.int64)
     categories = np.full(c, INPUT_DEPENDENT, dtype=np.int8)
     categories[on_counts == n] = ALWAYS_ON
@@ -157,13 +156,10 @@ class Histogram:
     edges: Array   # float64 [bins + 1]
 
 
-def on_count_histogram(log: GateLog, tax: GateTaxonomy,
-                       bins: int = 100) -> Histogram:
+def on_count_histogram(log: GateLog, tax: GateTaxonomy, bins: int) -> Histogram:
     """Histogram of per-gate on-counts, input-dependent gates only (tax
     is classify_gates(log)), over equal-width bins spanning
-    [0, num_samples]."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    [0, num_samples]. gaternet analyze checks bins >= 1."""
     counts, edges = np.histogram(tax.on_counts[tax.categories == INPUT_DEPENDENT],
                                  bins=bins, range=(0, log.num_samples))
     return Histogram(counts=counts.astype(np.int64), edges=edges)
@@ -179,14 +175,10 @@ class FiredCountReport:
     histogram: Histogram
 
 
-def fired_count_per_sample(log: GateLog, bins: int = 100) -> FiredCountReport:
-    """Row sums with summary stats; histogram spans [0, num_gates]. Needs
-    at least one sample and one gate."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if log.num_samples < 1 or log.num_gates < 1:
-        raise ValueError(f"cannot count fired gates from an empty log ("
-                         f"{log.num_samples} samples x {log.num_gates} gates)")
+def fired_count_per_sample(log: GateLog, bins: int) -> FiredCountReport:
+    """Row sums with summary stats; histogram spans [0, num_gates].
+    gaternet analyze checks bins >= 1 and that the log has samples and
+    gates."""
     per_sample = log.gates.sum(axis=1, dtype=np.int64)
     counts, edges = np.histogram(per_sample, bins=bins, range=(0, log.num_gates))
     return FiredCountReport(
@@ -215,14 +207,13 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
     reproducible. Ratios are against the total variance of the data, so
     they sum to at most 1. Asking for more components than the data's
     rank is allowed: the trailing components carry zero variance and the
-    result's rank is below its number of components.
+    result's rank is below its number of components. k is in
+    [1, min(n, d)], as gaternet analyze checks --pca-k.
     """
     x = np.asarray(vectors)
     if x.ndim != 2:
         raise ValueError(f"vectors must be 2-D [samples, features], got {x.shape}")
     n, d = x.shape
-    if not 1 <= k <= min(n, d):
-        raise ValueError(f"k must be in [1, min(n, d)] = [1, {min(n, d)}], got {k}")
     mean = x.mean(axis=0, dtype=np.float64)
     xc = x - mean  # float64 whatever the input dtype: the one [n, d] copy
     evals, evecs = np.linalg.eigh(xc.T @ xc)

@@ -173,9 +173,8 @@ class RunConfig:
 
     def make_phase_config(self, phase: str) -> TrainConfig:
         """The phase's TrainConfig under this config's seed, which a --seed
-        override may have replaced since load."""
-        if phase not in PHASES:
-            raise ConfigError(f"unknown phase {phase!r}, expected one of {PHASES}")
+        override may have replaced since load. phase is one of PHASES, as
+        the CLI's --phase choices and restore's check hold it."""
         return replace(self.phases[phase], seed=self.seed)
 
 

@@ -91,13 +91,12 @@ class DatasetSplits:
 
 def normalize(images: Array, mean, std) -> Array:
     """(x - mean) / std per channel, on [N, C, H, W] float input; a
-    DataError unless std is positive and std and every result are finite
-    in the images' dtype (an infinite std would zero every image)."""
+    DataError unless std and every result are finite in the images' dtype
+    (an infinite std would zero every image). std is positive in float32:
+    DatasetDescriptor checks it."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.asarray(mean, dtype=images.dtype).reshape(1, -1, 1, 1)
         s = np.asarray(std, dtype=images.dtype).reshape(1, -1, 1, 1)
-        if np.any(s <= 0):
-            raise DataError("std entries must be positive")
         out = (images - m) / s
     if not (np.isfinite(s).all() and np.isfinite(out).all()):
         raise DataError(f"mean {tuple(mean)} and std {tuple(std)} give images "
@@ -145,17 +144,14 @@ def load_cifar10_binary(paths, mean, std) -> tuple[Array, Array]:
 
 
 def synthetic_dataset(seed: int, n: int, num_classes: int,
-                      image_size: int = 16, noise: float = 0.25) -> tuple[Array, Array]:
+                      image_size: int, noise: float) -> tuple[Array, Array]:
     """Oriented-stripe images: class k fixes the stripe angle and frequency.
 
     Each sample draws a random phase (so the pattern shifts) and additive
     Gaussian noise; labels cycle round-robin, so class counts are balanced
-    within one. Deterministic: one seed gives bit-identical arrays.
+    within one. Deterministic: one seed gives bit-identical arrays. The
+    sizes and noise are a DatasetDescriptor's, which checks their ranges.
     """
-    if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
-    if num_classes < 2:
-        raise DataError(f"num_classes must be >= 2, got {num_classes}")
     rng = np.random.default_rng(seed)
     s = image_size
     ii, jj = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
@@ -182,10 +178,9 @@ def hflip(image: Array) -> Array:
 
 
 def pad_crop(image: Array, pad: int, oy: int, ox: int) -> Array:
-    """Zero-pad by `pad` on each spatial side, crop back at offset (oy, ox)."""
+    """Zero-pad by `pad` on each spatial side, crop back at offset (oy, ox),
+    each in [0, 2 * pad] as augment draws them."""
     c, h, w = image.shape
-    if not (0 <= oy <= 2 * pad and 0 <= ox <= 2 * pad):
-        raise DataError(f"crop offset ({oy}, {ox}) outside [0, {2 * pad}]")
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=image.dtype)
     padded[:, pad : pad + h, pad : pad + w] = image
     return padded[:, oy : oy + h, ox : ox + w].copy()

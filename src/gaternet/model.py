@@ -458,6 +458,8 @@ class GaterNet:
     ) -> tuple[Tensor, GateBundle]:
         """Full gated pass; returns logits and the gate bundle.
 
+        A training pass draws its noise, branch coins and gate dropout from
+        rng, which its caller gives (run_phase passes the epoch's).
         dropout_rate only applies in training mode, after branch selection,
         so binary gates stay binary. An eval pass runs under no_grad and
         records no graph.

@@ -59,15 +59,14 @@ def semhash_forward(
     """Discretize gate scores [N, c] into a GateBundle.
 
     Training draws standard-normal noise of g_pre's shape, then one coin
-    per row (hard view where coin < 0.5), so it needs an rng. selected is
+    per row (hard view where coin < 0.5), from rng, which GaterNet.forward
+    passes from the training step. selected is
     one graph node over g_pre whose backward is the straight-through
     g * sat'(noisy score), computed only when backward runs.
     """
     if g_pre.ndim != 2:
         raise ValueError(f"g_pre must be [N, c], got shape {g_pre.shape}")
     if training:
-        if rng is None:
-            raise ValueError("training needs an rng for noise and branch choice")
         g_noisy = g_pre.data + rng.standard_normal(g_pre.shape, dtype=g_pre.dtype)
         hard = (g_noisy > 0).astype(g_pre.dtype)
         use_hard = rng.random(g_pre.shape[0]) < 0.5
@@ -91,12 +90,9 @@ def gate_dropout(
     """Zero each gate independently with the given probability.
 
     No 1/(1-rate) rescaling: gates must stay exactly binary, and the
-    backbone sees a genuine off gate rather than a scaled one. rate 0 is
-    the identity. Training-time only; callers skip this in eval.
+    backbone sees a genuine off gate rather than a scaled one. Training-time
+    only, with 0 < rate < 1: GaterNet.forward calls it only for a rate above
+    0, and TrainConfig bounds the schedule below 1.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return selected
     keep = (rng.random(selected.shape) >= rate).astype(selected.dtype)
     return selected * Tensor(keep)

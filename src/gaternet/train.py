@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -113,17 +114,15 @@ class TrainConfig:
             raise ValueError(f"learning rates must be positive: {self.lr_schedule}")
 
     def lr(self, epoch: int) -> float:
-        """Piecewise-constant: the rate of the last breakpoint <= epoch."""
-        if epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {epoch}")
+        """Piecewise-constant: the rate of the last breakpoint <= epoch,
+        for epoch >= 0 (run_phase counts epochs from 0)."""
         return next(lr for e, lr in reversed(self.lr_schedule) if e <= epoch)
 
     def dropout_rate(self, step: int, steps_per_epoch: int) -> float:
         """Gate-dropout rate at an optimizer step: 0.0 outside joint; in
         joint a linear ramp from dropout_start at step 0 to exactly
-        dropout_end at the run's final step, then clamped there."""
-        if step < 0:
-            raise ValueError(f"step must be >= 0, got {step}")
+        dropout_end at the run's final step, then clamped there. step >= 0:
+        run_phase counts steps from 0."""
         if self.phase != "joint":
             return 0.0
         # Steps are numbered 0..E*S-1, so a span of E*S-1 puts the ramp's
@@ -134,17 +133,10 @@ class TrainConfig:
         frac = step / span
         return self.dropout_start + (self.dropout_end - self.dropout_start) * frac
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lr_schedule"] = [list(pair) for pair in self.lr_schedule]
-        return d
-
 
 def l1_gate_penalty(selected: Tensor, lambda_: float) -> Tensor:
     """lambda * mean_batch(||g||_1 / c); gates are nonnegative, so the L1
-    norm is a plain sum."""
-    if lambda_ < 0:
-        raise ValueError(f"lambda must be >= 0, got {lambda_}")
+    norm is a plain sum. TrainConfig holds lambda >= 0."""
     n, c = selected.shape
     return selected.sum() * (lambda_ / (n * c))
 
@@ -158,9 +150,8 @@ def total_loss(
     """Cross entropy plus the sparse-gate penalty.
 
     With lambda 0 or no gates this IS the cross-entropy node, not a copy.
+    TrainConfig holds lambda >= 0.
     """
-    if lambda_ < 0:
-        raise ValueError(f"lambda must be >= 0, got {lambda_}")
     ce = softmax_cross_entropy(logits, labels)
     if selected_gates is None or lambda_ == 0:
         return ce
@@ -177,15 +168,12 @@ class SGD:
 
     Weight decay applies only to weight matrices and filters; 1-D
     parameters (biases, batchnorm gamma/beta) are exempt. Parameters with
-    no gradient this step are skipped entirely.
+    no gradient this step are skipped entirely. The momentum, weight decay
+    and learning rates come from a TrainConfig, which checks their ranges.
     """
 
-    def __init__(self, params: dict[str, Tensor], momentum: float = 0.9,
-                 weight_decay: float = 0.0):
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+    def __init__(self, params: dict[str, Tensor], momentum: float,
+                 weight_decay: float):
         self.params = dict(params)
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -198,8 +186,6 @@ class SGD:
     def step(self, lr: float) -> None:
         """In place, per parameter: v <- momentum * v + grad + wd * param;
         param <- param - lr * v."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
         for name, t in self.params.items():
             if t.grad is None:
                 continue
@@ -343,19 +329,19 @@ def restore(model: GaterNet, ckpt_path: str | Path,
     """
     tensors, meta = load_checkpoint(ckpt_path)
     if meta.get("format") != 1 or meta.get("phase") not in PHASES:
-        kind = f" ({meta['kind']})" if "kind" in meta else ""
+        kind = f" ({meta['kind']!r})" if "kind" in meta else ""
         raise CheckpointError(f"{ckpt_path} is not a training checkpoint{kind}")
     spec_hash = dict_hash(spec_to_dict(model.spec))
     if meta.get("spec_hash") != spec_hash:
         raise CheckpointError(
             f"{ckpt_path}: model spec hash mismatch "
-            f"(checkpoint {meta.get('spec_hash')}, current {spec_hash})"
+            f"(checkpoint {meta.get('spec_hash')!r}, current {spec_hash!r})"
         )
     for key, want in (require or {}).items():
         if meta.get(key) != want:
             raise CheckpointError(
                 f"{ckpt_path}: {key} mismatch "
-                f"(checkpoint {meta.get(key)}, requested {want})"
+                f"(checkpoint {meta.get(key)!r}, requested {want!r})"
             )
     targets = _state(model, opt)
     if prefixes is not None:
@@ -449,7 +435,7 @@ def run_phase(
                               resume_ckpt, from_scratch)
     pin_heap()
     spec_hash = dict_hash(spec_to_dict(spec))
-    cfg_hash = dict_hash(cfg.to_dict())
+    cfg_hash = dict_hash(asdict(cfg))
 
     model = GaterNet(spec, seed=cfg.seed)
     if start is not None:
@@ -477,12 +463,15 @@ def run_phase(
         step = meta["step"]
         rows = meta["metrics_rows"]
         for i, row in enumerate(rows):
-            # as written below: JSON numbers (never bools) after epoch and
-            # phase, but for pretrain_gater's blank mean_gate_activation
+            # as written below: finite JSON numbers (never bools, nor
+            # integers past float range) after epoch and phase, but for
+            # pretrain_gater's blank mean_gate_activation
             if not (isinstance(row, dict) and set(row) == set(METRIC_COLUMNS)
                     and row["epoch"] == i and type(row["epoch"]) is int
                     and row["phase"] == phase
-                    and all(type(row[k]) in (int, float) for k in METRIC_COLUMNS[2:]
+                    and all(type(row[k]) in (int, float)
+                            and abs(row[k]) <= sys.float_info.max
+                            for k in METRIC_COLUMNS[2:]
                             if (phase, k, row[k])
                             != ("pretrain_gater", "mean_gate_activation", ""))):
                 raise CheckpointError(
@@ -598,10 +587,10 @@ def sweep(spec: ModelSpec, phases: dict[str, TrainConfig], dataset: DatasetDescr
     for seed, (backbone_cfg, gater_cfg), joint_cfgs in runs:
         splits = load_dataset(dataset, seed)
         pre = Path(out_root, f"seed{seed}", "pretrain")
-        baseline = run_phase(spec, backbone_cfg, splits, pre).final_eval_acc
-        run_phase(spec, gater_cfg, splits, pre)
+        backbone = run_phase(spec, backbone_cfg, splits, pre)
+        gater = run_phase(spec, gater_cfg, splits, pre)
         for cfg in joint_cfgs:
             joint = run_phase(spec, cfg, splits, pre.parent / f"lambda{cfg.lambda_}",
-                              pre / "pretrain_backbone.ckpt", pre / "pretrain_gater.ckpt")
+                              backbone.checkpoint_path, gater.checkpoint_path)
             yield SweepRow(seed, cfg.lambda_, joint.final_eval_acc,
-                           joint.final_gate_activation, baseline)
+                           joint.final_gate_activation, backbone.final_eval_acc)

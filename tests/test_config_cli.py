@@ -130,6 +130,35 @@ def write_config(tmp_path, doc, name="run.json") -> str:
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def joint_run(tmp_path_factory) -> tuple[str, Path]:
+    """(config path, checkpoint) of a one-epoch joint run from scratch on
+    the base config."""
+    tmp_path = tmp_path_factory.mktemp("joint_run")
+    doc = base_config(tmp_path)
+    doc["train"]["phases"]["joint"]["epochs"] = 1
+    cfg_path = write_config(tmp_path, doc)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", cfg_path, "--phase", "joint",
+                     "--from-scratch"]) == 0
+    return cfg_path, tmp_path / "run" / "joint.ckpt"
+
+
+# the metadata keys a restore or resume reads
+CHECKPOINT_META_KEYS = ("format", "phase", "kind", "spec_hash", "train_config_hash",
+                        "epochs_done", "step", "metrics_rows")
+JSON_VALUE = st.one_of(
+    # integers past float range, and text a terminal would act on
+    st.sampled_from([10**400, -10**400, math.nan, "a\nb", "\r", "\x1b[2J", "joint"]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda kids: st.lists(kids, max_size=3)
+        | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
 _GEOMETRY_LAYER = st.one_of(
     st.fixed_dictionaries({
         "kind": st.just("conv"), "filters": st.integers(1, 3),
@@ -414,7 +443,7 @@ class TestLoadConfig:
             )
             got = cfg.make_phase_config(phase)
             assert got == want, phase
-            assert dict_hash(got.to_dict()) == SYNTHETIC_SMALL_HASHES[phase]
+            assert dict_hash(dataclasses.asdict(got)) == SYNTHETIC_SMALL_HASHES[phase]
         reseeded = dataclasses.replace(cfg, seed=5)
         assert [reseeded.make_phase_config(p).seed for p in PHASES] == [5] * 3
 
@@ -442,11 +471,6 @@ class TestLoadConfig:
         assert cfg.model.gated_filter_total == 2 * (32 + 64 + 128)
         assert cfg.model.feature_size == 32
         assert [cfg.phases[p].epochs for p in PHASES] == [30, 20, 40]
-
-    def test_unknown_phase_request(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
-        with pytest.raises(ConfigError, match="unknown phase"):
-            cfg.make_phase_config("finetune")
 
     def test_unknown_dataset_kind(self, tmp_path):
         doc = base_config(tmp_path)
@@ -926,6 +950,53 @@ class TestCli:
         if flag != "--gater-ckpt":  # a refused run creates no out dir
             assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("meta,why", [
+        ({"kind": "a\nb"}, " is not a training checkpoint ('a\\nb')"),
+        ({"format": 1, "phase": "joint", "spec_hash": "x\ny"},
+         ": model spec hash mismatch (checkpoint 'x\\ny', current '"),
+    ], ids=["kind", "spec_hash"])
+    def test_restore_refusal_quotes_metadata(self, tmp_path, capsys, meta, why):
+        cfg_path = write_config(tmp_path, base_config(tmp_path))
+        ckpt = tmp_path / "crafted.ckpt"
+        save_checkpoint(ckpt, {}, meta)
+        assert main(["eval", "--config", cfg_path, "--ckpt", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"checkpoint error: {ckpt}{why}"), err
+        assert err.count("\n") == 1, err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_crafted_checkpoint_metadata_exits_on_one_line(
+            self, tmp_path_factory, joint_run, data):
+        """A joint checkpoint re-saved with one metadata key (or one field of
+        its metrics row) set to a drawn JSON value: eval exits 0 or 3 and a
+        resume 0, 2 or 3, a refusal with one line on stderr; exit 1 is an
+        unexpected exception."""
+        cfg_path, src = joint_run
+        tmp_path = tmp_path_factory.mktemp("crafted")
+        tensors, meta = load_checkpoint(src)
+        key = data.draw(st.sampled_from(CHECKPOINT_META_KEYS), label="key")
+        value = data.draw(JSON_VALUE, label="value")
+        if key == "metrics_rows" and data.draw(st.booleans(), label="one field"):
+            field = data.draw(st.sampled_from(sorted(meta[key][0])), label="field")
+            value = [{**meta[key][0], field: value}]
+        meta[key] = value
+        ckpt = str(tmp_path / "crafted.ckpt")
+        save_checkpoint(ckpt, tensors, meta)
+        for argv, codes in (
+            (["eval", "--config", cfg_path, "--ckpt", ckpt], (0, 3)),
+            (["train", "--config", cfg_path, "--phase", "joint", "--resume", ckpt,
+              "--out-dir", str(tmp_path / "out")], (0, 2, 3)),
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in codes, (argv[0], err.getvalue())
+            if code:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert err.getvalue().endswith("\n"), err.getvalue()
+
     def test_glog_from_earlier_version_exits_3(self, tmp_path, capsys):
         # the former format: b"GLOG", four little-endian u32 header fields
         # (version 1, samples, gates, 0), the int64 arrays, packed gate bits
@@ -1036,20 +1107,23 @@ class TestCli:
         assert "seed" in capsys.readouterr().err
 
     def test_out_dir_precedence(self, tmp_path, capsys, monkeypatch):
+        """--out-dir, then GATERNET_OUT_DIR, then the config's out_dir; an
+        empty variable counts as unset."""
         cfg_path = write_config(tmp_path, base_config(tmp_path))
-        env_dir = tmp_path / "from_env"
-        flag_dir = tmp_path / "from_flag"
+        train = ["train", "--config", cfg_path, "--phase", "pretrain-backbone"]
+        flag_dir, env_dir, cfg_dir = (tmp_path / "from_flag", tmp_path / "from_env",
+                                      tmp_path / "run")
 
         monkeypatch.setenv("GATERNET_OUT_DIR", str(env_dir))
-        assert main(["train", "--config", cfg_path,
-                     "--phase", "pretrain-backbone"]) == 0
-        assert (env_dir / "pretrain_backbone.ckpt").is_file()
-        assert not (tmp_path / "run").exists()
-
-        assert main(["train", "--config", cfg_path,
-                     "--phase", "pretrain-backbone",
-                     "--out-dir", str(flag_dir)]) == 0
-        assert (flag_dir / "pretrain_backbone.ckpt").is_file()
+        assert main([*train, "--out-dir", str(flag_dir)]) == 0
+        assert main(train) == 0
+        monkeypatch.setenv("GATERNET_OUT_DIR", "")
+        assert main(train) == 0
+        for d in (flag_dir, env_dir, cfg_dir):  # one run each
+            assert [p.name for p in sorted(d.iterdir())] == [
+                "metrics_pretrain_backbone.csv", "pretrain_backbone.ckpt"], d
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "from_env", "from_flag", "run", "run.json"]
         capsys.readouterr()
 
     def test_seed_override_reaches_checkpoint(self, tmp_path, capsys):
@@ -1086,7 +1160,7 @@ class TestCli:
                      "--resume", str(ckpt)]) == 3
         out, err = capsys.readouterr()
         assert err == (f"checkpoint error: {ckpt}: phase mismatch (checkpoint "
-                       f"pretrain_backbone, requested joint)\n")
+                       f"'pretrain_backbone', requested 'joint')\n")
         assert out == ""
         assert ckpt.read_bytes() == before
 
@@ -1122,6 +1196,14 @@ class TestCli:
             "epoch": 0, "phase": "pretrain_backbone", "train_loss": 1.0,
             "eval_acc": 0.5, "mean_gate_activation": "", "lr": 0.1,
             "dropout_rate": 0.0}]}, id="metrics_rows-blank-gate"),
+        pytest.param({"metrics_rows": [{
+            "epoch": 0, "phase": "pretrain_backbone", "train_loss": 1.0,
+            "eval_acc": 10**400, "mean_gate_activation": 1.0, "lr": 0.1,
+            "dropout_rate": 0.0}]}, id="metrics_rows-int-past-float"),
+        pytest.param({"metrics_rows": [{
+            "epoch": 0, "phase": "pretrain_backbone", "train_loss": math.nan,
+            "eval_acc": 0.5, "mean_gate_activation": 1.0, "lr": 0.1,
+            "dropout_rate": 0.0}]}, id="metrics_rows-nan"),
         pytest.param({"step": -3}, id="step-negative"),
         pytest.param({"step": 1000000}, id="step-past-epochs"),
     ])

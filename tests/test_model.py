@@ -617,12 +617,6 @@ class TestGaterNetForward:
         for out in (logits, bundle.selected):
             assert out.requires_grad and out._parents
 
-    def test_train_needs_rng(self):
-        model = GaterNet(small_spec(), seed=0)
-        x = Tensor(np.zeros((2, 3, 8, 8), np.float32))
-        with pytest.raises(ValueError):
-            model.forward(x, training=True)
-
     def test_every_model_has_the_probe(self):
         model = GaterNet(small_spec(), seed=0)
         x = Tensor(np.zeros((2, 3, 8, 8), np.float32))

@@ -82,8 +82,6 @@ class TestLrSchedule:
         assert cfg.lr(8) == 0.01
         assert cfg.lr(9) == 0.001
         assert cfg.lr(100) == 0.001
-        with pytest.raises(ValueError):
-            cfg.lr(-1)
 
     # TrainConfig checks the schedule once, so a bad one never reaches lr()
     @pytest.mark.parametrize("sched,epoch", [
@@ -104,13 +102,6 @@ class TestTrainConfig:
         cfg = tiny_cfg("joint", lr_schedule=[[0, 0.1], (4, 0.01)])
         assert cfg.lr_schedule == ((0, 0.1), (4, 0.01))
         assert isinstance(cfg.lr_schedule[0][0], int)
-
-    def test_to_dict_is_json_ready(self):
-        cfg = tiny_cfg("joint")
-        d = cfg.to_dict()
-        json.dumps(d)
-        assert d["lr_schedule"] == [[0, 0.05]]
-        assert d["phase"] == "joint"
 
     @pytest.mark.parametrize("kw", [
         {"phase": "warmup"},
@@ -156,11 +147,6 @@ class TestGatePenalty:
         # sum 3 over n=2, c=3: 0.6 * (3 / (2*3)) = 0.3
         assert l1_gate_penalty(sel, 0.6).item() == pytest.approx(0.3)
 
-    def test_rejects(self):
-        sel = Tensor(np.ones((2, 3), np.float32))
-        with pytest.raises(ValueError):
-            l1_gate_penalty(sel, -0.1)
-
     def test_total_loss_adds_penalty(self):
         rng = np.random.default_rng(0)
         logits = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
@@ -190,8 +176,6 @@ class TestGatePenalty:
         assert np.isfinite(total_loss(logits, labels, None, 0.1).item())
         with pytest.raises(ValueError):
             total_loss(logits, labels, Tensor(np.ones((3, 5), np.float32)), 0.1)
-        with pytest.raises(ValueError):
-            total_loss(logits, labels, None, -0.5)
 
 
 class TestGradientRouting:
@@ -253,14 +237,6 @@ class TestSgd:
         assert self._steps(0.25, [0.5, 0.25]) == [(0.75, 0.8125),
                                                   (0.828125, 0.60546875)]
 
-    def test_lr_must_be_positive(self):
-        w = Tensor(np.ones((2, 2), np.float32))
-        w.grad = np.ones((2, 2), np.float32)
-        for lr in (0.0, -0.1):
-            with pytest.raises(ValueError, match="learning rate"):
-                SGD({"w": w}).step(lr)
-        assert np.all(w.data == 1.0)
-
     def test_optimizer_exempts_vectors_from_decay(self):
         w = Tensor(np.ones((2, 2), np.float32))
         b = Tensor(np.ones(2, np.float32))
@@ -273,7 +249,7 @@ class TestSgd:
 
     def test_skips_params_without_grads(self):
         w = Tensor(np.ones((2, 2), np.float32))
-        opt = SGD({"w": w}, momentum=0.9)
+        opt = SGD({"w": w}, momentum=0.9, weight_decay=0.0)
         opt.step(0.1)
         assert np.all(w.data == 1.0)
         assert np.all(opt.velocity["w"] == 0.0)
@@ -281,15 +257,8 @@ class TestSgd:
     def test_zero_grad(self):
         w = Tensor(np.ones((2, 2), np.float32))
         w.grad = np.ones((2, 2), np.float32)
-        SGD({"w": w}).zero_grad()
+        SGD({"w": w}, momentum=0.9, weight_decay=0.0).zero_grad()
         assert w.grad is None
-
-    def test_validation(self):
-        w = {"w": Tensor(np.ones(2, np.float32))}
-        with pytest.raises(ValueError):
-            SGD(w, momentum=1.0)
-        with pytest.raises(ValueError):
-            SGD(w, weight_decay=-0.1)
 
 
 class TestEpochRng:
@@ -461,7 +430,7 @@ res = train.run_phase(cfg.model, cfg.make_phase_config("joint"), splits,
                       sys.argv[2], from_scratch=True)
 model = GaterNet(cfg.model)
 train.restore(model, res.checkpoint_path)
-opt = train.SGD(model.params, momentum=0.9)
+opt = train.SGD(model.params, momentum=0.9, weight_decay=0.0)
 rng = np.random.default_rng(0)
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -742,7 +711,8 @@ class TestRunPhase:
                         from_scratch=True)
         model = GaterNet(spec, seed=99)
         opt = SGD({k: t for k, t in model.params.items()
-                   if k.split(".", 1)[0] in _TRAINED_PREFIXES["joint"]})
+                   if k.split(".", 1)[0] in _TRAINED_PREFIXES["joint"]},
+                  momentum=0.9, weight_decay=0.0)
         last = list(_state(model, opt))[-1]
         assert last.startswith("opt.")
         tensors, meta = load_checkpoint(res.checkpoint_path)
