@@ -133,6 +133,14 @@ class TestSynthetic:
         assert counts.max() - counts.min() <= 1
         assert np.all(np.isfinite(x))
 
+    def test_validation(self):
+        # synthetic_dataset takes its sizes from a DatasetDescriptor, which
+        # refuses an empty split or fewer than two classes
+        for kw in ({"train_size": 0}, {"eval_size": 0}, {"num_classes": 1}):
+            with pytest.raises(DataError):
+                DatasetDescriptor(kind="synthetic", **{
+                    "num_classes": 3, "train_size": 5, "eval_size": 5, **kw})
+
     def test_classes_are_visibly_distinct_without_noise(self):
         x, y = synthetic_dataset(1, 8, 4, image_size=16, noise=0.0)
         # same class, different phase: highly correlated stripe layout is
@@ -268,9 +276,6 @@ class TestLoadDataset:
             DatasetDescriptor(kind="imagenet")
         with pytest.raises(DataError):
             DatasetDescriptor(kind="synthetic", num_classes=3, train_size=0,
-                              eval_size=5)
-        with pytest.raises(DataError):
-            DatasetDescriptor(kind="synthetic", num_classes=1, train_size=5,
                               eval_size=5)
         with pytest.raises(DataError):
             DatasetDescriptor(kind="synthetic", num_classes=3, train_size=5,

@@ -103,6 +103,12 @@ class TestTrainConfig:
         assert cfg.lr_schedule == ((0, 0.1), (4, 0.01))
         assert isinstance(cfg.lr_schedule[0][0], int)
 
+    def test_to_dict_is_json_ready(self):
+        # run_phase hashes dataclasses.asdict(cfg) as JSON
+        d = json.loads(json.dumps(dataclasses.asdict(tiny_cfg("joint"))))
+        assert d["lr_schedule"] == [[0, 0.05]]
+        assert d["phase"] == "joint"
+
     @pytest.mark.parametrize("kw", [
         {"phase": "warmup"},
         {"epochs": 0},
