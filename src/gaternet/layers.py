@@ -36,6 +36,28 @@ step at batch 64 (1 BLAS thread), forward plus backward took 20.3 and
 21.6 ms in two runs, against 29.8 and 31.4 ms as separate batchnorm, relu
 and gate nodes.
 
+Two cores. A training step runs the largest pieces of its work in two
+fixed halves (_in_halves): the first on one worker thread, the second on
+the calling thread; numpy releases the GIL inside GEMMs, copies and
+ufuncs, so the halves overlap. conv2d's training im2col and forward GEMM
+split by output rows, its filters' gradient by patch-matrix rows, then
+its input gradient and col2im by input channels; bn_relu_gate's
+elementwise forward passes after the normalize, and its whole backward,
+split by channels. The batch mean and variance keep their whole-array
+reductions, so they keep their bits. The pool has exactly one worker. It
+starts at the first split, never on import or in eval: work under no_grad
+never splits. Where the process's CPU affinity holds one CPU there is no
+worker, and both halves run on the calling thread, one after the other.
+The split points depend only on shapes, so the output bytes do not depend
+on the number of CPUs. Work splits only where each half is big enough to
+repay the hand-off (SPLIT_MIN_MACS, SPLIT_MIN_ELEMENTS), and a GEMM half
+that big sums as the whole product does, so the bytes are also those of
+the unsplit kernels. Every large buffer a half writes is allocated
+before the split: where the halves allocated their own, the order of two
+threads' allocations changed the heap's layout, and a training run's peak
+RSS varied by up to 4 MB from run to run. See BENCH_30.json for the
+measured gain.
+
 avg_pool2d is one op whose forward adds window**2 strided slices of its
 input in one fixed order: each window row left to right, then the row
 sums top to bottom, then one division by window**2. Wherever the pooled
@@ -50,11 +72,18 @@ in both of its stacks (five pools per forward in synthetic_small).
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from gaternet.tensor import Array, Tensor, apply_op, recording, _stable_sigmoid
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 @dataclass
@@ -146,6 +175,71 @@ def conv_output_hw(shape: tuple, p: Conv2dParams) -> tuple[int, int]:
 # filters' gradient.
 FORWARD_BLOCK = 16
 
+# Work runs in two halves (_in_halves) only where each half is at least
+# this big: SPLIT_MIN_MACS multiply-adds for a GEMM, SPLIT_MIN_ELEMENTS
+# elements for an epilogue. Handing a half to the worker took 50-200 us on
+# a 2-vCPU VM (more the longer the worker had slept), and at 2**20
+# multiply-adds the split 4x4 convs of synthetic_small ran slower than
+# whole. The GEMM bound also keeps bits: OpenBLAS runs products of up to
+# about 10**6 multiply-adds in small-matrix kernels that sum in another
+# order, and halves above the bound gave the whole product's bits on every
+# synthetic_small shape and on 230 random conv shapes.
+SPLIT_MIN_MACS = 1 << 22
+SPLIT_MIN_ELEMENTS = 1 << 17
+
+# The worker that runs the first half of _in_halves's work, started on
+# first use, so that importing gaternet or evaluating starts no thread;
+# the lock keeps two threads that train at once from starting two.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child's copies of the pool and its lock may belong to
+    threads the child does not have."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker() -> ThreadPoolExecutor | None:
+    """The one-thread pool, or None where this process may use one CPU."""
+    global _pool
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            # here: processes that never train do not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="gaternet-half")
+        return _pool
+
+
+def _in_halves(f: Callable[[int, int], None], n: int, split: bool = True) -> None:
+    """f(0, n // 2) on the worker thread while f(n // 2, n) runs on this
+    one; f(0, n) alone here when split is False or n < 2. With one CPU both
+    halves run here, one after the other: the split point depends on n
+    alone, so the bytes f writes do not depend on the CPUs. The worker runs
+    f in a copy of this thread's context, which holds numpy's errstate; f
+    must run numpy only, no Tensor op, since no_grad is per thread."""
+    mid = n // 2 if split else 0
+    if mid == 0:
+        f(0, n)
+        return
+    pool = _worker()
+    if pool is None:
+        f(0, mid)
+        f(mid, n)
+        return
+    first = pool.submit(contextvars.copy_context().run, f, 0, mid)
+    try:
+        f(mid, n)
+    finally:
+        first.result()
+
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """2-D convolution (cross-correlation) over [N, C, H, W] input: filters
@@ -169,13 +263,27 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = p.filters.shape
     s, pad = p.stride, p.padding
+    k = kh * kw
     w_flat = p.filters.data.reshape(c_out, -1)
     keep = p.filters.requires_grad and recording()
     kept = None  # the whole batch's patches, while backward may need them
-    if keep or n <= FORWARD_BLOCK:
+    # multiply-adds of each GEMM's smaller half: the forward's over output
+    # rows, the backward's over input channels
+    split_fwd = (oh // 2) * ow * n * c_out * c_in * k >= SPLIT_MIN_MACS
+    split_bwd = (c_in // 2) * k * c_out * oh * ow * n >= SPLIT_MIN_MACS
+    if keep:
+        kept = _extract_patches(x.data, kh, kw, s, pad, oh, ow, split_fwd)
+        out = np.empty((c_out, oh, ow, n), dtype=np.result_type(w_flat, kept))
+        out_flat = out.reshape(c_out, -1)
+
+        def out_rows(lo: int, hi: int) -> None:
+            cols = slice(lo * ow * n, hi * ow * n)
+            np.matmul(w_flat, kept[:, cols], out=out_flat[:, cols])
+
+        _in_halves(out_rows, oh, split_fwd)
+    elif n <= FORWARD_BLOCK:
         patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
         out = (w_flat @ patches).reshape(c_out, oh, ow, n)
-        kept = patches if keep else None
     else:
         out = np.empty((c_out, oh, ow, n), dtype=x.dtype)
         for lo in range(0, n, FORWARD_BLOCK):
@@ -189,39 +297,61 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         g_flat = g.transpose(1, 2, 3, 0).reshape(c_out, -1)
         if p.filters.requires_grad:
             if kept is None:
-                kept = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
-            p.filters._accumulate((kept @ g_flat.T).T.reshape(c_out, c_in, kh, kw))
-            kept = None
+                kept = _extract_patches(x.data, kh, kw, s, pad, oh, ow, split_fwd)
+            dw = np.empty((c_in * k, c_out), dtype=np.result_type(kept, g_flat))
+
+            def filter_rows(lo: int, hi: int) -> None:
+                rows = slice(lo * k, hi * k)
+                np.matmul(kept[rows], g_flat.T, out=dw[rows])
+
+            _in_halves(filter_rows, c_in, split_bwd)
+            kept = None  # before the input gradient allocates its dpatch
+            p.filters._accumulate(dw.T.reshape(c_out, c_in, kh, kw))
         if x.requires_grad:
-            dpatch = (w_flat.T @ g_flat).reshape(c_in, kh, kw, oh, ow, n)
+            dpatch = np.empty((c_in * k, g_flat.shape[1]),
+                              dtype=np.result_type(w_flat, g_flat))
+            dpatch6 = dpatch.reshape(c_in, kh, kw, oh, ow, n)
             dxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
-            for ki in range(kh):
-                for kj in range(kw):
-                    dxp[:, ki : ki + s * oh : s, kj : kj + s * ow : s] += (
-                        dpatch[:, ki, kj]
-                    )
+
+            def input_channels(lo: int, hi: int) -> None:
+                np.matmul(w_flat[:, lo * k : hi * k].T, g_flat,
+                          out=dpatch[lo * k : hi * k])
+                for ki in range(kh):
+                    for kj in range(kw):
+                        dxp[lo:hi, ki : ki + s * oh : s, kj : kj + s * ow : s] += (
+                            dpatch6[lo:hi, ki, kj]
+                        )
+
+            _in_halves(input_channels, c_in, split_bwd)
             x._accumulate(dxp[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2))
 
     return apply_op(out.transpose(3, 0, 1, 2), (x, p.filters), backward)
 
 
 def _extract_patches(
-    x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int
+    x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int,
+    split: bool = False,
 ) -> Array:
     """im2col: [N, C, H, W] -> [C*kh*kw, oh*ow*N], rows in (c, ki, kj) order
     and columns in (i, j, n) order, one strided slice copy per kernel
     offset out of a padded [C, H, W, N] copy of x, which for a channel-major
     x reads contiguous memory. With the sample axis innermost, each slice
-    copy moves runs of N contiguous values."""
+    copy moves runs of N contiguous values. With split, the slice copies
+    run in two halves of the output rows (_in_halves)."""
     n, c, h, w = x.shape
     xt = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
     xt[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
     cols = np.empty((c, kh, kw, oh, ow, n), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, ki, kj] = xt[
-                :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride
-            ]
+
+    def out_rows(lo: int, hi: int) -> None:
+        for ki in range(kh):
+            for kj in range(kw):
+                cols[:, ki, kj, lo:hi] = xt[
+                    :, ki + stride * lo : ki + stride * hi : stride,
+                    kj : kj + stride * ow : stride
+                ]
+
+    _in_halves(out_rows, oh, split)
     return cols.reshape(c * kh * kw, oh * ow * n)
 
 
@@ -249,24 +379,23 @@ def _bn_normalize(xt: Array, p: BatchNormParams, training: bool
     return xhat, std
 
 
-def _bn_backward(dy: Array, xhat: Array, std: Array, p: BatchNormParams,
-                 training: bool, x_grad: bool) -> Array | None:
-    """Batchnorm's backward over [C, M] views: accumulates dgamma and dbeta
-    into p, computed once and reused, then if x_grad returns the input's
-    gradient gamma/std * (dy - dbeta/M - xhat * dgamma/M) in dy's buffer
-    (the two subtractions in training only: eval statistics are constants)."""
+def _bn_backward(dy: Array, xhat: Array, std: Array, gamma: Array,
+                 training: bool, x_grad: bool, scratch: Array | None = None
+                 ) -> tuple[Array, Array]:
+    """Batchnorm's backward over [C, M] views, numpy only: returns (dgamma,
+    dbeta), computed once and reused, and if x_grad turns dy, in place,
+    into the input's gradient gamma/std * (dy - dbeta/M - xhat * dgamma/M)
+    (the two subtractions in training only: eval statistics are constants),
+    with xhat * dgamma/M in scratch when given."""
     c, m = dy.shape
     dbeta = dy.sum(axis=1)
     dgamma = np.einsum("cm,cm->c", dy, xhat)
-    p.gamma._accumulate(dgamma)
-    p.beta._accumulate(dbeta)
-    if not x_grad:
-        return None
-    if training:
-        dy -= (dbeta / m)[:, None]
-        dy -= xhat * (dgamma / m)[:, None]
-    dy *= (p.gamma.data.reshape(std.shape) / std).reshape(c, 1)
-    return dy
+    if x_grad:
+        if training:
+            dy -= (dbeta / m)[:, None]
+            dy -= np.multiply(xhat, (dgamma / m)[:, None], out=scratch)
+        dy *= (gamma.reshape(std.shape) / std).reshape(c, 1)
+    return dgamma, dbeta
 
 
 def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
@@ -290,10 +419,12 @@ def batchnorm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     def backward(g: Array) -> None:
         # a [C, N] copy in g's memory order, so the sums over N run as
         # they would over g
-        dx = _bn_backward(g.T.copy(order="K"), xhat, std, p, training,
-                          x.requires_grad)
-        if dx is not None:
-            x._accumulate(dx.T)
+        dy = g.T.copy(order="K")
+        dgamma, dbeta = _bn_backward(dy, xhat, std, p.gamma.data, training,
+                                     x.requires_grad)
+        p.gamma._accumulate(dgamma)
+        p.beta._accumulate(dbeta)
+        x._accumulate(dy.T)
 
     return apply_op(out.T, (x, p.gamma, p.beta), backward)
 
@@ -325,31 +456,61 @@ def bn_relu_gate(x: Tensor, bn: BatchNormParams, gates: Tensor | None,
     xhat, std = _bn_normalize(x.data.transpose(1, 2, 3, 0), bn, training)
     cshape = (c, 1, 1, 1)
     gamma = bn.gamma.data.reshape(cshape)
-    # with no graph to keep xhat and r for the backward, the rest runs in
-    # xhat's buffer
-    graph = recording()
-    r = gamma * xhat if graph else np.multiply(xhat, gamma, out=xhat)
-    r += bn.beta.data.reshape(cshape)
-    np.maximum(r, 0, out=r)
+    beta = bn.beta.data.reshape(cshape)
     gt = None if gates is None else gates.data.T[:, None, None, :]
-    if gt is None:
-        out = r
+    split = (c // 2) * (xhat.size // c) >= SPLIT_MIN_ELEMENTS
+    if not recording():
+        # no graph keeps xhat and r for the backward: the rest runs in
+        # xhat's buffer
+        r = np.multiply(xhat, gamma, out=xhat)
+        r += beta
+        np.maximum(r, 0, out=r)
+        out = r if gt is None else np.multiply(r, gt, out=r)
     else:
-        out = r * gt if graph else np.multiply(r, gt, out=r)
+        r = np.empty_like(xhat)
+        out = r if gt is None else np.empty_like(r)
+
+        def forward_channels(lo: int, hi: int) -> None:
+            rc = r[lo:hi]
+            np.multiply(gamma[lo:hi], xhat[lo:hi], out=rc)
+            rc += beta[lo:hi]
+            np.maximum(rc, 0, out=rc)
+            if gt is not None:
+                np.multiply(rc, gt[lo:hi], out=out[lo:hi])
+
+        _in_halves(forward_channels, c, split)
 
     def backward(g: Array) -> None:
         gy = g.transpose(1, 2, 3, 0)
-        dy = np.sign(r)  # the relu mask, exactly 0 or 1
-        dy *= gy
+        m = gy.size // c
+        # [C, M]: the relu mask, then dy, then (in place) x's gradient
+        dy = np.empty((c, m), dtype=r.dtype)
+        dy4 = dy.reshape(gy.shape)
+        xhat2 = xhat.reshape(c, m)  # a copy unless x is channel-major
+        dgamma = np.empty(c, dtype=dy.dtype)
+        dbeta = np.empty(c, dtype=dy.dtype)
+        dgates = None if gt is None else np.empty((n, c), dtype=dy.dtype)
+        # allocated here, not in the halves: two threads allocating at once
+        # leave the heap's layout, and so its peak, to their timing
+        scratch = np.empty_like(dy) if training and x.requires_grad else None
+
+        def backward_channels(lo: int, hi: int) -> None:
+            d = dy4[lo:hi]
+            np.sign(r[lo:hi], out=d)  # the relu mask, exactly 0 or 1
+            d *= gy[lo:hi]
+            if gt is not None:
+                dgates[:, lo:hi] = np.einsum("chwn,chwn->nc", gy[lo:hi], r[lo:hi])
+                d *= gt[lo:hi]
+            dgamma[lo:hi], dbeta[lo:hi] = _bn_backward(
+                dy[lo:hi], xhat2[lo:hi], std[lo:hi], gamma[lo:hi], training,
+                x.requires_grad, None if scratch is None else scratch[lo:hi])
+
+        _in_halves(backward_channels, c, split)
         if gt is not None:
-            gates._accumulate(np.einsum("chwn,chwn->nc", gy, r))
-            dy *= gt
-        # [C, M] views (copies unless x is channel-major)
-        m = dy.size // c
-        dx = _bn_backward(dy.reshape(c, m), xhat.reshape(c, m), std, bn,
-                          training, x.requires_grad)
-        if dx is not None:
-            x._accumulate(dx.reshape(dy.shape).transpose(3, 0, 1, 2))
+            gates._accumulate(dgates)
+        bn.gamma._accumulate(dgamma)
+        bn.beta._accumulate(dbeta)
+        x._accumulate(dy4.transpose(3, 0, 1, 2))
 
     parents = (x, bn.gamma, bn.beta) + (() if gates is None else (gates,))
     return apply_op(out.transpose(3, 0, 1, 2), parents, backward)

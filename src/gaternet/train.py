@@ -214,9 +214,15 @@ class PhaseResult:
 # threshold. A joint step at batch 64 grows the heap by ~41 MB and leaves
 # ~26 MB free at its top; at batch 256, ~167 MB and ~45 MB (mallinfo2).
 # 256 MiB keeps all of that, and the heap still never grows past what a
-# step reaches.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_THRESHOLDS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
+# step reaches. One arena: whatever layers' worker thread allocates comes
+# from the main heap too, not from a second arena that keeps its own free
+# pages. layers allocates every large buffer before a split, so the worker
+# now allocates only small temporaries, and 15 benchmark train-joint ops
+# in one process peaked at 77.0-77.2 MB RSS with two arenas and at 77.1 MB
+# with one; the arena limit keeps it so if that changes.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20),
+                  (_M_ARENA_MAX, 1))
 
 
 @functools.cache
@@ -227,9 +233,11 @@ def pin_heap() -> None:
     those pages back to the kernel and the next step faults them in again
     (~4k minor faults per synthetic_small joint step at batch 64). This
     sets both of glibc's thresholds once per process: setting only one
-    turns the dynamic mmap threshold off and made the step slower. The
-    cost is that RSS stays at its high-water mark after training. Changes
-    nothing where the C library has no mallopt (not glibc)."""
+    turns the dynamic mmap threshold off and made the step slower. It also
+    keeps every thread's blocks in one arena (see _HEAP_SETTINGS), so it
+    must run before layers' worker thread first allocates. The cost is
+    that RSS stays at its high-water mark after training. Changes nothing
+    where the C library has no mallopt (not glibc)."""
     import ctypes  # here: processes that never train do not load it
 
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -237,7 +245,7 @@ def pin_heap() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    for param, value in _HEAP_THRESHOLDS:
+    for param, value in _HEAP_SETTINGS:
         if mallopt(param, value) != 1:
             log.warning("mallopt(%d, %d) failed; the heap is not pinned", param, value)
 
@@ -317,18 +325,21 @@ def restore(model: GaterNet, ckpt_path: str | Path,
             opt: SGD | None = None, require: dict | None = None) -> dict:
     """Copy checkpoint tensors into the model, in place; returns the metadata.
 
-    Refuses a container that is not a training checkpoint (meta format 1
-    and a known phase), was saved for another model spec, or whose
-    metadata differs from any key: value of require, all before any tensor
-    is copied. Targets the names of _state(model, opt) whose first dotted
-    part is in prefixes (all of them when prefixes is None; opt.* names
-    are under "opt"). Each target must be present in the checkpoint with
-    its exact shape and dtype; tensors the checkpoint holds beyond the
-    targets are ignored. Every target is checked before any is copied, so
-    a refused restore leaves the model and optimizer unchanged.
+    Refuses a container that is not a training checkpoint (meta format
+    the integer 1 and a known phase), was saved for another model spec, or
+    whose metadata differs from any key: value of require, all before any
+    tensor is copied. Targets the names of _state(model, opt) whose first
+    dotted part is in prefixes (all of them when prefixes is None; opt.*
+    names are under "opt"). Each target must be present in the checkpoint
+    with its exact shape and dtype and hold only finite values; tensors
+    the checkpoint holds beyond the targets are ignored. Every target is
+    checked before any is copied, so a refused restore leaves the model
+    and optimizer unchanged.
     """
     tensors, meta = load_checkpoint(ckpt_path)
-    if meta.get("format") != 1 or meta.get("phase") not in PHASES:
+    fmt = meta.get("format")
+    # not == 1 alone: JSON true and 1.0 equal 1
+    if type(fmt) is not int or fmt != 1 or meta.get("phase") not in PHASES:
         kind = f" ({meta['kind']!r})" if "kind" in meta else ""
         raise CheckpointError(f"{ckpt_path} is not a training checkpoint{kind}")
     spec_hash = dict_hash(spec_to_dict(model.spec))
@@ -356,6 +367,8 @@ def restore(model: GaterNet, ckpt_path: str | Path,
                 f"{ckpt_path}: tensor {name} is {src.dtype} {src.shape}, "
                 f"model needs {dst.dtype} {dst.shape}"
             )
+        if not np.isfinite(src).all():
+            raise CheckpointError(f"{ckpt_path}: tensor {name} holds a non-finite value")
     for name, dst in targets.items():
         dst[...] = tensors[name]
     return meta

@@ -11,6 +11,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hypothesis  # noqa: E402
+import pytest  # noqa: E402
 
 # Hypothesis prints a patch for a failing example through
 # hypothesis.extra._patching, whose libcst import raises a
@@ -32,3 +33,24 @@ hypothesis.settings.register_profile(
     max_examples=50,
 )
 hypothesis.settings.load_profile("repo")
+
+
+@pytest.fixture
+def worker_pool(monkeypatch):
+    """layers' worker, started whatever the CPU count, counting the halves
+    handed to it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from gaternet import layers
+
+    class CountingPool(ThreadPoolExecutor):
+        submitted = 0
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    pool = CountingPool(1)
+    monkeypatch.setattr(layers, "_worker", lambda: pool)
+    yield pool
+    pool.shutdown()

@@ -964,6 +964,37 @@ class TestCli:
         assert err.startswith(f"checkpoint error: {ckpt}{why}"), err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("fmt", [True, 1.0], ids=["true", "float"])
+    def test_restore_refuses_a_format_that_only_equals_1(self, joint_run,
+                                                         tmp_path, capsys, fmt):
+        """JSON true and 1.0 compare equal to 1 but are no format 1."""
+        cfg_path, src = joint_run
+        tensors, meta = load_checkpoint(src)
+        meta["format"] = fmt
+        ckpt = tmp_path / "crafted.ckpt"
+        save_checkpoint(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--ckpt", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"checkpoint error: {ckpt} is not a training checkpoint\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_restore_refuses_a_non_finite_tensor(self, joint_run, tmp_path,
+                                                 capsys, value):
+        cfg_path, src = joint_run
+        tensors, meta = load_checkpoint(src)
+        filters = tensors["backbone.0.filters"].copy()
+        filters.flat[5] = value
+        tensors["backbone.0.filters"] = filters
+        ckpt = tmp_path / "crafted.ckpt"
+        save_checkpoint(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--ckpt", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"checkpoint error: {ckpt}: tensor backbone.0.filters "
+                       "holds a non-finite value\n")
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_crafted_checkpoint_metadata_exits_on_one_line(

@@ -701,3 +701,96 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(Tensor(np.zeros((0, 3))),
                                   np.zeros(0, np.int64))
+
+
+class TestInHalves:
+    @pytest.mark.parametrize("n, split, want", [
+        (0, True, [(0, 0)]),
+        (1, True, [(0, 1)]),
+        (7, True, [(0, 3), (3, 7)]),
+        (7, False, [(0, 7)]),
+    ])
+    def test_halves_cover_the_range(self, worker_pool, n, split, want):
+        import threading
+
+        calls = []
+        layers._in_halves(
+            lambda lo, hi: calls.append((lo, hi, threading.get_ident())), n, split)
+        assert sorted(c[:2] for c in calls) == want
+        # the first of two halves on the worker, everything else here
+        here = threading.get_ident()
+        on_worker = [lo for lo, _, thread in calls if thread != here]
+        assert on_worker == ([0] if len(want) == 2 else [])
+        assert worker_pool.submitted == len(on_worker)
+
+    @pytest.mark.parametrize("over", ["raise", "ignore"])
+    def test_worker_half_runs_under_callers_errstate(self, worker_pool, over):
+        """numpy's errstate is per thread; the worker's half overflows
+        under the caller's, so it raises, or stays silent (where a warning
+        would be an error under this suite's filterwarnings)."""
+        out = np.zeros(4, dtype=np.float32)
+
+        def f(lo, hi):
+            out[lo:hi] = np.full(hi - lo, 1e38, dtype=np.float32) * np.float32(10)
+
+        with np.errstate(over=over):
+            if over == "raise":
+                with pytest.raises(FloatingPointError):
+                    layers._in_halves(f, 4)
+            else:
+                layers._in_halves(f, 4)
+                assert np.isinf(out).all()
+        assert worker_pool.submitted == 1
+
+    def test_concurrent_training_threads_share_one_worker(self, monkeypatch):
+        """Four threads, more than the cores, train conv2d -> bn_relu_gate
+        at once, with every piece split and a short switch interval: each
+        gets the bytes of a lone inline run, and they start one worker."""
+        import sys
+        import threading
+
+        monkeypatch.setattr(layers, "SPLIT_MIN_MACS", 0)
+        monkeypatch.setattr(layers, "SPLIT_MIN_ELEMENTS", 0)
+
+        def step(seed):
+            rng = np.random.default_rng(seed)
+            x = Tensor(rng.standard_normal((6, 3, 8, 8)).astype(np.float32),
+                       requires_grad=True)
+            p = _conv_params(4, 3, 3, seed=seed)
+            bn = BatchNormParams(Tensor(np.ones(4, np.float32), requires_grad=True),
+                                 Tensor(np.zeros(4, np.float32), requires_grad=True),
+                                 np.zeros(4, np.float32), np.ones(4, np.float32))
+            gates = Tensor(rng.random((6, 4)).astype(np.float32), requires_grad=True)
+            y = bn_relu_gate(conv2d(x, p), bn, gates, True)
+            (y * y).sum().backward()
+            return [a.tobytes() for a in (y.data, x.grad, p.filters.grad,
+                                          bn.gamma.grad, gates.grad)]
+
+        monkeypatch.setattr(layers, "_worker", lambda: None)
+        want = {seed: step(seed) for seed in range(4)}
+        monkeypatch.undo()
+        monkeypatch.setattr(layers, "SPLIT_MIN_MACS", 0)
+        monkeypatch.setattr(layers, "SPLIT_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(layers, "_pool", None)  # started by the threads
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1})
+        before = set(threading.enumerate())
+        got = {}
+
+        def train(seed):
+            got[seed] = [step(seed) == want[seed] for _ in range(10)]
+
+        threads = [threading.Thread(target=train, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {seed: [True] * 10 for seed in range(4)}
+        started = set(threading.enumerate()) - before - set(threads)
+        assert len(started) == 1
+        layers._pool.shutdown()

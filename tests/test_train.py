@@ -470,6 +470,83 @@ def test_joint_step_does_not_refault_its_heap(tmp_path):
     assert int(proc.stdout) <= JOINT_STEP_FAULT_BOUND
 
 
+def synthetic_small_run(tmp_path, epochs: int):
+    """configs/synthetic_small.json on 64 train and 32 eval images: one
+    step of 64 per epoch, with every conv shape of the full run."""
+    doc = json.loads((REPO / "configs" / "synthetic_small.json").read_text())
+    doc["dataset"].update(train_size=64, eval_size=32)
+    doc["train"]["phases"]["joint"]["epochs"] = epochs
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path)
+    return cfg.model, cfg.make_phase_config("joint"), load_dataset(cfg.dataset, cfg.seed)
+
+
+@pytest.mark.parametrize("every_split", [False, True], ids=["default", "every"])
+def test_joint_run_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch,
+                                                     worker_pool, every_split):
+    """Two epochs from scratch write the same checkpoint and metrics bytes
+    with layers' halves on the worker thread and with both run inline; with
+    every_split, also where the size thresholds would run work whole."""
+    import gaternet.layers as layers_mod
+
+    if every_split:
+        monkeypatch.setattr(layers_mod, "SPLIT_MIN_MACS", 0)
+        monkeypatch.setattr(layers_mod, "SPLIT_MIN_ELEMENTS", 0)
+    spec, cfg, splits = synthetic_small_run(tmp_path, epochs=2)
+    threaded = run_phase(spec, cfg, splits, tmp_path / "threaded", from_scratch=True)
+    assert worker_pool.submitted > 0
+    monkeypatch.setattr(layers_mod, "_worker", lambda: None)
+    inline = run_phase(spec, cfg, splits, tmp_path / "inline", from_scratch=True)
+    for a, b in ((threaded.checkpoint_path, inline.checkpoint_path),
+                 (threaded.metrics_path, inline.metrics_path)):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+THREAD_PROBE = """
+import os, sys, threading
+before = threading.active_count()
+import numpy as np
+import gaternet
+from gaternet import config, model, train
+from gaternet.tensor import Tensor
+assert threading.active_count() == before, "import"
+net = model.GaterNet(config.load_config(sys.argv[1]).model, seed=0)
+x = Tensor(np.random.default_rng(0).standard_normal((64, 3, 16, 16), dtype=np.float32))
+net.forward(x, training=False)
+assert threading.active_count() == before, "eval forward"
+
+def step():
+    logits, gates = train.phase_forward(net, "joint", x, True,
+                                        np.random.default_rng(1), 0.0)
+    train.total_loss(logits, np.zeros(64, np.int64), gates, 0.1).backward()
+
+step()
+# the worker, where this process may use two CPUs
+started = len(os.sched_getaffinity(0)) > 1
+assert threading.active_count() == before + started, "training step"
+pid = os.fork()
+if pid == 0:  # the child's copy of the worker has no thread behind it
+    step()
+    os._exit(0)
+assert os.waitpid(pid, 0)[1] == 0, "forked child"
+"""
+
+
+def test_threads_start_only_for_training():
+    """Importing gaternet and an eval forward start no thread, so a process
+    forked after them is safe; a training step starts the one worker, and
+    a child forked after that starts its own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE,
+         str(REPO / "configs" / "synthetic_small.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class _Mallopt:
     """A mallopt stand-in that records its calls and returns ret."""
 
@@ -482,15 +559,16 @@ class _Mallopt:
         return self.ret
 
 
-@pytest.mark.parametrize("ret, warnings", [(1, 0), (0, 2)])
+@pytest.mark.parametrize("ret, warnings", [(1, 0), (0, 3)])
 def test_pin_heap_sets_both_thresholds(monkeypatch, caplog, ret, warnings):
-    """M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to 256 MiB,
-    each call checked: a refused one (return value 0) is logged."""
+    """M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to 256 MiB
+    and M_ARENA_MAX (-8) to 1, each call checked: a refused one (return
+    value 0) is logged."""
     mallopt = _Mallopt(ret)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
     with caplog.at_level(logging.WARNING, logger="gaternet.train"):
         train_mod.pin_heap.__wrapped__()
-    assert mallopt.calls == [(-3, 32 << 20), (-1, 256 << 20)]
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
     assert len(caplog.records) == warnings
 
 
@@ -707,8 +785,9 @@ class TestRunPhase:
         with pytest.raises(CheckpointError, match="head.b2"):
             restore(GaterNet(spec, seed=0), pb.checkpoint_path)
 
-    @pytest.mark.parametrize("edit", [None, lambda a: a[:1]],
-                             ids=["missing", "shape"])
+    @pytest.mark.parametrize("edit", [None, lambda a: a[:1],
+                                      lambda a: np.full_like(a, np.nan)],
+                             ids=["missing", "shape", "nan"])
     def test_refused_restore_changes_nothing(self, tmp_path, edit):
         """A checkpoint refused only at its last target, the last optimizer
         velocity, leaves every parameter, buffer and velocity bit-identical."""
