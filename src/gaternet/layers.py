@@ -44,19 +44,22 @@ split by output rows, its filters' gradient by patch-matrix rows, then
 its input gradient and col2im by input channels; bn_relu_gate's
 elementwise forward passes after the normalize, and its whole backward,
 split by channels. The batch mean and variance keep their whole-array
-reductions, so they keep their bits. The pool has exactly one worker. It
-starts at the first split, never on import or in eval: work under no_grad
-never splits. Where the process's CPU affinity holds one CPU there is no
+reductions, so they keep their bits. An eval (no_grad) conv or epilogue
+never splits; instead GaterNet's eval forward runs a batch of more than
+32 samples as two halves of samples through _in_halves, each half the
+gated forward up to the backbone's fc layers under its own no_grad. The
+pool has exactly one worker. It starts at the first split, never on
+import. Where the process's CPU affinity holds one CPU there is no
 worker, and both halves run on the calling thread, one after the other.
 The split points depend only on shapes, so the output bytes do not depend
 on the number of CPUs. Work splits only where each half is big enough to
 repay the hand-off (SPLIT_MIN_MACS, SPLIT_MIN_ELEMENTS), and a GEMM half
 that big sums as the whole product does, so the bytes are also those of
-the unsplit kernels. Every large buffer a half writes is allocated
-before the split: where the halves allocated their own, the order of two
+the unsplit kernels. Every large buffer a half writes is allocated before
+the split: where the halves allocated their own, the order of two
 threads' allocations changed the heap's layout, and a training run's peak
-RSS varied by up to 4 MB from run to run. See BENCH_30.json for the
-measured gain.
+RSS varied by up to 4 MB from run to run. See BENCH_30.json (training)
+and BENCH_31.json (eval) for the measured gains.
 
 avg_pool2d is one op whose forward adds window**2 strided slices of its
 input in one fixed order: each window row left to right, then the row
@@ -165,15 +168,21 @@ def conv_output_hw(shape: tuple, p: Conv2dParams) -> tuple[int, int]:
     return oh, ow
 
 
-# Where no backward can follow (eval, under no_grad), the forward builds
-# its im2col patches over blocks of at most this many samples, because the
-# patch matrix is kh*kw times the size of its input and sets the process's
-# peak memory: on a 64-image gated eval of the synthetic_small model, peak
-# RSS was 19% above one-sample blocks with full-batch patches, 6% with
-# 32-sample blocks and 1% with 16, with no time difference beyond noise.
-# A training forward builds full-batch patches once and keeps them for the
-# filters' gradient.
-FORWARD_BLOCK = 16
+# Where the forward keeps no patches (eval, or filters that need no
+# gradient), it builds at most this many im2col elements at once, over
+# blocks of whole samples: the patch matrix is kh*kw times the size of its
+# input and sets the process's peak memory. In synthetic_small that is
+# 16-sample blocks for the 16->16 conv at 16x16 (36864 elements a sample)
+# and one GEMM over a 32-sample eval half for each of the other eight
+# convs, with the bytes of 16-sample blocks in every conv
+# (tests/oracles.py's blocked_conv2d). On bench/run.py's eval-gated (2
+# vCPUs, halves of 32), 4 alternating pairs against 2**18 elements (blocks
+# of 7, 18 and 28 samples in three convs) read raw op p50s of 10.5-12.4 ms
+# against 11.4-14.0 ms, and peak RSS 61.9-62.1 MB against 60.6-60.9 MB
+# (57.6 MB one-threaded with 16-sample blocks in every conv): each thread's
+# malloc arena keeps its own freed patch memory. A training forward builds
+# full-batch patches once and keeps them for the filters' gradient.
+EVAL_PATCH_ELEMENTS = 9 << 16  # 2.25 MiB of float32
 
 # Work runs in two halves (_in_halves) only where each half is at least
 # this big: SPLIT_MIN_MACS multiply-adds for a GEMM, SPLIT_MIN_ELEMENTS
@@ -188,8 +197,8 @@ SPLIT_MIN_MACS = 1 << 22
 SPLIT_MIN_ELEMENTS = 1 << 17
 
 # The worker that runs the first half of _in_halves's work, started on
-# first use, so that importing gaternet or evaluating starts no thread;
-# the lock keeps two threads that train at once from starting two.
+# first use, so that importing gaternet starts no thread; the lock keeps
+# two threads that train or evaluate at once from starting two.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -211,7 +220,7 @@ def _worker() -> ThreadPoolExecutor | None:
         return None
     with _pool_lock:
         if _pool is None:
-            # here: processes that never train do not load it
+            # here: processes that never split work do not load it
             from concurrent.futures import ThreadPoolExecutor
 
             _pool = ThreadPoolExecutor(1, thread_name_prefix="gaternet-half")
@@ -224,7 +233,8 @@ def _in_halves(f: Callable[[int, int], None], n: int, split: bool = True) -> Non
     halves run here, one after the other: the split point depends on n
     alone, so the bytes f writes do not depend on the CPUs. The worker runs
     f in a copy of this thread's context, which holds numpy's errstate; f
-    must run numpy only, no Tensor op, since no_grad is per thread."""
+    must run numpy only, or eval work under its own no_grad (no_grad is per
+    thread, so a Tensor op on the worker would otherwise record a graph)."""
     mid = n // 2 if split else 0
     if mid == 0:
         f(0, n)
@@ -271,6 +281,8 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     # rows, the backward's over input channels
     split_fwd = (oh // 2) * ow * n * c_out * c_in * k >= SPLIT_MIN_MACS
     split_bwd = (c_in // 2) * k * c_out * oh * ow * n >= SPLIT_MIN_MACS
+    # samples per patch matrix where none is kept
+    block = max(1, EVAL_PATCH_ELEMENTS // (c_in * k * oh * ow))
     if keep:
         kept = _extract_patches(x.data, kh, kw, s, pad, oh, ow, split_fwd)
         out = np.empty((c_out, oh, ow, n), dtype=np.result_type(w_flat, kept))
@@ -281,13 +293,13 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
             np.matmul(w_flat, kept[:, cols], out=out_flat[:, cols])
 
         _in_halves(out_rows, oh, split_fwd)
-    elif n <= FORWARD_BLOCK:
+    elif n <= block:
         patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
         out = (w_flat @ patches).reshape(c_out, oh, ow, n)
     else:
         out = np.empty((c_out, oh, ow, n), dtype=x.dtype)
-        for lo in range(0, n, FORWARD_BLOCK):
-            xb = x.data[lo : lo + FORWARD_BLOCK]
+        for lo in range(0, n, block):
+            xb = x.data[lo : lo + block]
             out[..., lo : lo + len(xb)] = (
                 w_flat @ _extract_patches(xb, kh, kw, s, pad, oh, ow)
             ).reshape(c_out, oh, ow, len(xb))

@@ -279,13 +279,24 @@ def phase_forward(model: GaterNet, phase: str, x: Tensor, training: bool,
                   rng: np.random.Generator | None = None,
                   dropout_rate: float = 0.0) -> tuple[Tensor, Tensor | None]:
     """The forward pass a phase trains and evaluates: logits, plus in joint
-    the selected gates [N, c] (before dropout), else None."""
+    the selected gates [N, c] (before dropout), else None. An eval pass
+    whose logits or gate scores are not all finite raises CheckpointError:
+    restore admits only finite parameters, but finite ones can still
+    overflow float32 or hold a negative running variance."""
+    scores = gates = None
     if phase == "pretrain_backbone":
-        return model.forward_backbone(x, training), None
-    if phase == "pretrain_gater":
-        return model.forward_probe(x, training), None
-    logits, bundle = model.forward(x, training, rng, dropout_rate=dropout_rate)
-    return logits, bundle.selected
+        logits = model.forward_backbone(x, training)
+    elif phase == "pretrain_gater":
+        logits = model.forward_probe(x, training)
+    else:
+        logits, bundle = model.forward(x, training, rng, dropout_rate=dropout_rate)
+        scores, gates = bundle.g_pre, bundle.selected
+    if not training:
+        for what, t in (("logits", logits), ("gate scores", scores)):
+            if t is not None and not np.isfinite(t.data).all():
+                raise CheckpointError(f"model: eval {what} are not all finite: "
+                                      "its parameters are out of range")
+    return logits, gates
 
 
 def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
@@ -293,10 +304,12 @@ def evaluate(model: GaterNet, phase: str, x: Array, y: Array,
     """Eval-mode accuracy; in joint also the uint8 [N, c] eval gates and
     their mean as an exact count ratio (both None in the other phases).
     Runs under no_grad, so no phase records a graph. A batch too large for
-    memory is a ConfigError."""
+    memory is a ConfigError; non-finite logits or gate scores are a
+    CheckpointError (phase_forward), with numpy's floating-point warnings
+    off."""
     correct = 0
     rows = []
-    with no_grad(), _fits_at(batch_size):
+    with no_grad(), _fits_at(batch_size), np.errstate(all="ignore"):
         for lo in range(0, len(x), batch_size):
             xb, yb = Tensor(x[lo : lo + batch_size]), y[lo : lo + batch_size]
             logits, gates = phase_forward(model, phase, xb, training=False)
@@ -439,8 +452,8 @@ def run_phase(
     resumed with resume_ckpt. backbone_ckpt, gater_ckpt and from_scratch
     act as start_checkpoints says, which checks them before any work. A
     training step or evaluation too large for memory is a ConfigError
-    naming the batch size, and so is a run whose loss or parameters go
-    non-finite.
+    naming the batch size, and so is a run whose loss, parameters or eval
+    output go non-finite.
     """
     out_dir = Path(out_dir)
     phase = cfg.phase
@@ -538,8 +551,12 @@ def run_phase(
                                                   *model.buffers.values())):
             raise _diverged(cfg, lr, f"non-finite parameters after step {step - 1}")
         train_loss = float(np.mean(losses))
-        eval_acc, mean_gate, _ = evaluate(model, phase, splits.eval_x,
-                                          splits.eval_y, cfg.batch_size)
+        try:
+            eval_acc, mean_gate, _ = evaluate(model, phase, splits.eval_x,
+                                              splits.eval_y, cfg.batch_size)
+        except CheckpointError:  # these parameters came from training
+            raise _diverged(cfg, lr, f"non-finite eval output after step {step - 1}"
+                            ) from None
         # gates are forced on while the backbone pretrains
         gate_field = 1.0 if phase == "pretrain_backbone" else mean_gate
         last_rate = cfg.dropout_rate(step - 1, steps_per_epoch)

@@ -35,13 +35,10 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("repo")
 
 
-@pytest.fixture
-def worker_pool(monkeypatch):
-    """layers' worker, started whatever the CPU count, counting the halves
-    handed to it."""
+@pytest.fixture(scope="module")
+def counting_pool():
+    """A one-thread pool, counting the halves handed to it."""
     from concurrent.futures import ThreadPoolExecutor
-
-    from gaternet import layers
 
     class CountingPool(ThreadPoolExecutor):
         submitted = 0
@@ -51,6 +48,16 @@ def worker_pool(monkeypatch):
             return super().submit(*args, **kwargs)
 
     pool = CountingPool(1)
-    monkeypatch.setattr(layers, "_worker", lambda: pool)
     yield pool
     pool.shutdown()
+
+
+@pytest.fixture
+def worker_pool(counting_pool, monkeypatch):
+    """layers' worker, started whatever the CPU count, counting the halves
+    handed to it from zero."""
+    from gaternet import layers
+
+    counting_pool.submitted = 0
+    monkeypatch.setattr(layers, "_worker", lambda: counting_pool)
+    return counting_pool

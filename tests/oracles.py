@@ -3,16 +3,18 @@
 A finite-difference gradient checker, the gradient-routing proof for the
 sparsity penalty, the parameter count behind the bottleneck-head claim,
 the exact loop convolution that layers.conv2d is checked against, the
-filters' gradient in the GEMM orientation conv2d's backward used before, the
-reshape-mean average pool that layers.avg_pool2d is checked against, the
-conv epilogue composed of batchnorm, relu and a broadcast gate multiply
-that layers.bn_relu_gate is checked against, the masked gated conv built
-on it, the discretizer composed from six graph nodes that semhash_forward
-is checked against, an rng stand-in that pins every training sample to
-one discretizer branch, the thin-SVD PCA that pca_reduce is checked
-against, the quoting csv.writer form that persist.write_csv's row
-templates are checked against, and the restore of a finished phase's model
-from its checkpoint (run_phase returns none)."""
+16-sample blocked eval convolution whose bytes conv2d's patch budget
+keeps, the filters' gradient in the GEMM orientation conv2d's backward
+used before, the reshape-mean average pool that layers.avg_pool2d is
+checked against, the conv epilogue composed of batchnorm, relu and a
+broadcast gate multiply that layers.bn_relu_gate is checked against, the
+masked gated conv built on it, the discretizer composed from six graph
+nodes that semhash_forward is checked against, an rng stand-in that pins
+every training sample to one discretizer branch, the thin-SVD PCA that
+pca_reduce is checked against, the quoting csv.writer form that
+persist.write_csv's row templates are checked against, and the restore
+of a finished phase's model from its checkpoint (run_phase returns
+none)."""
 
 from __future__ import annotations
 
@@ -262,6 +264,22 @@ def loop_conv2d(x: Array, p: Conv2dParams) -> Array:
                 )
                 out += tmp
     return out
+
+
+def blocked_conv2d(x: Array, p: Conv2dParams, block: int = 16) -> Array:
+    """conv2d's eval forward before the patch budget: one im2col GEMM per
+    block of at most block samples, into a [c_out, oh, ow, N] array seen
+    as NCHW."""
+    oh, ow = conv_output_hw(x.shape, p)
+    n = x.shape[0]
+    c_out, _, kh, kw = p.filters.shape
+    w_flat = p.filters.data.reshape(c_out, -1)
+    out = np.empty((c_out, oh, ow, n), dtype=x.dtype)
+    for lo in range(0, n, block):
+        xb = x[lo : lo + block]
+        patches = _extract_patches(xb, kh, kw, p.stride, p.padding, oh, ow)
+        out[..., lo : lo + len(xb)] = (w_flat @ patches).reshape(c_out, oh, ow, len(xb))
+    return out.transpose(3, 0, 1, 2)
 
 
 def conv_weight_grad_reference(x: Array, p: Conv2dParams, g: Array) -> Array:

@@ -995,6 +995,67 @@ class TestCli:
         assert err == (f"checkpoint error: {ckpt}: tensor backbone.0.filters "
                        "holds a non-finite value\n")
 
+    @pytest.mark.parametrize("name, value, what", [
+        ("backbone.0.filters", 1e38, "logits"),   # overflows float32
+        ("gater.0.bn.running_var", -1.0, "gate scores"),  # sqrt of a negative
+    ], ids=["overflow", "negative-variance"])
+    def test_eval_of_finite_parameters_out_of_range_exits_3(
+            self, joint_run, tmp_path, capsys, name, value, what):
+        """A checkpoint tensor that restore admits, since it is finite, but
+        whose eval output is not: its largest magnitude scaled to value.
+        eval refuses on one line, with no numpy warning on the way (the
+        suite turns warnings into errors)."""
+        cfg_path, src = joint_run
+        tensors, meta = load_checkpoint(src)
+        t = tensors[name]
+        tensors[name] = (t * np.float32(value / np.abs(t).max())).astype(t.dtype)
+        ckpt = tmp_path / "crafted.ckpt"
+        save_checkpoint(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--ckpt", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"checkpoint error: model: eval {what} are not all "
+                       "finite: its parameters are out of range\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_tensor_values_exit_on_one_line(self, tmp_path_factory,
+                                                  joint_run, data):
+        """A joint checkpoint re-saved with one tensor scaled by a drawn
+        finite factor, or with one drawn entry NaN: eval exits 0 or 3 and a
+        resume 0, 2 or 3, a refusal with one line on stderr and no numpy
+        warning; exit 1 is an unexpected exception."""
+        cfg_path, src = joint_run
+        tmp_path = tmp_path_factory.mktemp("scaled")
+        tensors, meta = load_checkpoint(src)
+        name = data.draw(st.sampled_from(sorted(tensors)), label="tensor")
+        t = tensors[name].copy()
+        if data.draw(st.booleans(), label="nan"):
+            t.flat[data.draw(st.integers(0, t.size - 1), label="index")] = np.nan
+        else:
+            factor = data.draw(st.one_of(
+                st.builds(lambda sign, k: sign * 10.0**k, st.sampled_from([1, -1]),
+                          st.integers(-45, 38)),
+                st.floats(allow_nan=False, allow_infinity=False)), label="factor")
+            with np.errstate(all="ignore"):  # a factor past float32 is inf
+                t *= np.float32(factor)
+        tensors[name] = t
+        ckpt = str(tmp_path / "scaled.ckpt")
+        save_checkpoint(ckpt, tensors, meta)
+        for argv, codes in (
+            (["eval", "--config", cfg_path, "--ckpt", ckpt], (0, 3)),
+            (["train", "--config", cfg_path, "--phase", "joint", "--resume", ckpt,
+              "--out-dir", str(tmp_path / "out")], (0, 2, 3)),
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in codes, (argv[0], err.getvalue())
+            if code:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert err.getvalue().endswith("\n"), err.getvalue()
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_crafted_checkpoint_metadata_exits_on_one_line(

@@ -8,6 +8,10 @@ Value-level cross-checks against scipy run in float64 as a second,
 structurally unrelated route.
 """
 
+import json
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -18,7 +22,7 @@ from gaternet import layers
 from gaternet.layers import (
     BN_EPS,
     BN_MOMENTUM,
-    FORWARD_BLOCK,
+    EVAL_PATCH_ELEMENTS,
     BatchNormParams,
     Conv2dParams,
     avg_pool2d,
@@ -32,14 +36,19 @@ from gaternet.layers import (
     softmax_cross_entropy,
     _extract_patches,
 )
+from gaternet.model import spec_from_dict, trace_shapes
 from gaternet.tensor import Tensor, no_grad
 from oracles import (
     avg_pool_reference,
+    blocked_conv2d,
     conv_block_reference,
     conv_weight_grad_reference,
     grad_check,
     loop_conv2d,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def naive_conv2d(x, w, stride, padding):
@@ -156,14 +165,16 @@ class TestConv2d:
 
 
 class TestConv2dGemm:
-    # n reaches past four forward blocks, so a partial last block is covered
+    # a budget of one patch element builds one sample at a time, 500 a few
+    # samples with a partial last block, and the real one the whole batch
     @settings(max_examples=60, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
-           padding=st.sampled_from([0, 1]),
-           n=st.integers(1, 4 * FORWARD_BLOCK + 1), c_in=st.integers(1, 6),
-           c_out=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+           padding=st.sampled_from([0, 1]), n=st.integers(1, 65),
+           c_in=st.integers(1, 6), c_out=st.integers(1, 7),
+           budget=st.sampled_from([1, 500, EVAL_PATCH_ELEMENTS]),
+           seed=st.integers(0, 2**32 - 1))
     def test_matches_loop_within_rounding(self, kernel, stride, padding,
-                                          n, c_in, c_out, seed):
+                                          n, c_in, c_out, budget, seed):
         rng = np.random.default_rng(seed)
         h, w = rng.integers(max(kernel - 2 * padding, 1), 10, size=2)
         x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
@@ -173,7 +184,7 @@ class TestConv2dGemm:
         # the filters need a gradient, so a recorded forward keeps one
         # full-batch patch matrix; under no_grad it runs in blocks
         recorded = conv2d(Tensor(x), p).data
-        with no_grad():
+        with no_grad(), mock.patch.object(layers, "EVAL_PATCH_ELEMENTS", budget):
             blocked = conv2d(Tensor(x), p).data
         for got in (recorded, blocked):
             assert got.shape == want.shape
@@ -210,10 +221,36 @@ class TestConv2dGemm:
         bound = 2 * k * np.finfo(np.float32).eps * scale
         assert np.all(np.abs(p.filters.grad - want) <= bound)
 
+    @pytest.mark.parametrize("config", ["synthetic_small.json", "cifar10.json"])
+    def test_eval_gives_the_bytes_of_sixteen_sample_blocks(self, config):
+        """The patch budget sets how many samples one eval GEMM covers; on
+        every conv shape of the config's model, at batches 1, 17, 64 and
+        128, conv2d under no_grad gives the bytes of 16-sample blocks
+        (oracles.blocked_conv2d), for the layout the model feeds it: the
+        NCHW input batch to a stack's first conv, channel-major after."""
+        doc = json.loads((CONFIGS / config).read_text())
+        spec = spec_from_dict(doc["model"])
+        rng = np.random.default_rng(21)
+        for stack in (spec.backbone, spec.gater):
+            entries, _ = trace_shapes(stack, spec.input_shape)
+            for i, layer in enumerate(stack):
+                if layer.kind != "conv":
+                    continue
+                c_in, h, w = entries[i]
+                p = _conv_params(layer.filters, c_in, layer.kernel, seed=i,
+                                 stride=layer.stride, padding=layer.padding)
+                for n in (1, 17, 64, 128):
+                    x = rng.standard_normal((n, c_in, h, w), dtype=np.float32)
+                    if i:
+                        x = _channel_major(x)
+                    with no_grad():
+                        got = conv2d(Tensor(x), p).data
+                    want = blocked_conv2d(x, p)
+                    assert got.tobytes() == want.tobytes(), (config, i, n)
+
     def test_same_input_gives_identical_bits(self):
-        # a batch of two forward blocks and a partial one
         rng = np.random.default_rng(12)
-        n = 2 * FORWARD_BLOCK + 8
+        n = 40
         x = rng.standard_normal((n, 5, 9, 9)).astype(np.float32)
         mix = Tensor(rng.standard_normal((n, 6, 5, 5)).astype(np.float32))
         runs = []
@@ -235,13 +272,16 @@ class TestConv2dGemm:
 
         monkeypatch.setattr(layers, "_extract_patches", counting)
         rng = np.random.default_rng(14)
-        n = 2 * FORWARD_BLOCK + 3
-        x = Tensor(rng.standard_normal((n, 3, 6, 6)).astype(np.float32),
+        # the 16->16 conv at 16x16 of synthetic_small: over the patch
+        # budget at this n, so an eval forward builds its patches in blocks
+        block = EVAL_PATCH_ELEMENTS // (16 * 9 * 16 * 16)
+        n = 2 * block + 3
+        x = Tensor(rng.standard_normal((n, 16, 16, 16)).astype(np.float32),
                    requires_grad=True)
-        p = _conv_params(4, 3, 3, seed=15)
+        p = _conv_params(16, 16, 3, seed=15)
         with no_grad():
             conv2d(x, p)
-        assert calls == [FORWARD_BLOCK, FORWARD_BLOCK, 3]
+        assert calls == [block, block, 3]
         calls.clear()
         loss = conv2d(x, p).sum()
         loss.backward()
@@ -251,9 +291,8 @@ class TestConv2dGemm:
         assert calls == [n]  # dropped after use, so built again
 
     def test_kept_patch_backward_matches_finite_differences(self):
-        # n past one forward block: the kept patches span the whole batch
         rng = np.random.default_rng(16)
-        x = Tensor(rng.standard_normal((FORWARD_BLOCK + 3, 2, 5, 5)),
+        x = Tensor(rng.standard_normal((19, 2, 5, 5)),
                    requires_grad=True)
         p = _conv_params(3, 2, 3, seed=17, stride=2, dtype=np.float64)
         mix = Tensor(rng.standard_normal(conv2d(x, p).shape))
@@ -264,7 +303,7 @@ class TestConv2dGemm:
 
     def test_second_backward_gives_the_same_leaf_grads(self):
         rng = np.random.default_rng(18)
-        x = Tensor(rng.standard_normal((FORWARD_BLOCK + 5, 3, 7, 7))
+        x = Tensor(rng.standard_normal((21, 3, 7, 7))
                    .astype(np.float32), requires_grad=True)
         p = _conv_params(5, 3, 3, seed=19, stride=2)
         q = _conv_params(2, 5, 3, seed=20)
@@ -621,7 +660,7 @@ class TestBnReluGate:
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
            padding=st.sampled_from([0, 1]),
-           n=st.integers(1, 2 * FORWARD_BLOCK + 1), c_in=st.integers(1, 5),
+           n=st.integers(1, 33), c_in=st.integers(1, 5),
            c_out=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_eval_bytes_do_not_depend_on_input_layout(self, kernel, stride,
                                                       padding, n, c_in, c_out,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaternet.layers as layers_mod
 import gaternet.model as model_mod
 import gaternet.semhash as semhash_mod
 from gaternet.layers import (
@@ -683,3 +684,68 @@ def test_gate_map_total_matches_spec(layers):
         layer, filt = int(gmap.layer_ids[j]), int(gmap.filter_ids[j])
         lo, hi = gmap.slices[layer]
         assert 0 <= filt < hi - lo and lo + filt == j
+
+
+@st.composite
+def _small_specs(draw) -> ModelSpec:
+    """Specs with 1-3 same-padded 3x3 convs in the backbone (at least one
+    gated), an optional pool after the first and an optional hidden fc,
+    and a one-conv gater with an optional pool."""
+    side = draw(st.sampled_from([4, 6, 8]))
+    convs = draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()),
+                          min_size=1, max_size=3))
+    i = draw(st.integers(0, len(convs) - 1))
+    convs[i] = (convs[i][0], True)
+    backbone = [LayerSpec("conv", filters=f, gated=g) for f, g in convs]
+    if draw(st.booleans()):
+        backbone.insert(1, LayerSpec("pool"))
+    if draw(st.booleans()):
+        backbone.append(LayerSpec("fc", width=draw(st.integers(1, 5))))
+    gater = [LayerSpec("conv", filters=draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        gater.append(LayerSpec("pool"))
+    return ModelSpec((3, side, side), 3, (*backbone, LayerSpec("fc", width=3)),
+                     tuple(gater), bottleneck=draw(st.integers(1, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_small_specs(), n=st.integers(1, 65), seed=st.integers(0, 2**16))
+def test_eval_halves_give_the_bytes_of_one_thread(counting_pool, spec, n, seed):
+    """An eval forward gives the same logits and gate bundle bytes with its
+    first half on the worker thread and with both halves run here one
+    after the other (_worker returns None, as with one CPU). With a
+    bottleneck of 2 or more they are also the bytes of the batch run whole
+    (no cut); a bottleneck of 1 makes the head's first fc a matrix-vector
+    product, which OpenBLAS sums in an order that depends on the row
+    count."""
+    model = GaterNet(spec, seed=seed)
+    model.params["head.b2"].data[...] = 0.0  # about half the gates on
+    x = Tensor(np.random.default_rng(seed).standard_normal(
+        (n, *spec.input_shape), dtype=np.float32))
+    submitted = counting_pool.submitted
+    runs = []
+    for worker, cut in ((counting_pool, model_mod.EVAL_CUT),
+                        (None, model_mod.EVAL_CUT), (None, n + 1)):
+        with mock.patch.object(layers_mod, "_worker", lambda: worker), \
+                mock.patch.object(model_mod, "EVAL_CUT", cut):
+            logits, bundle = model.forward(x, training=False)
+        runs.append([t.data.tobytes() for t in (logits, bundle.g_pre,
+                                                bundle.g_beta, bundle.selected)])
+    assert runs[0] == runs[1]
+    if spec.bottleneck > 1:
+        assert runs[1] == runs[2]
+    assert counting_pool.submitted - submitted == (n > 2 * model_mod.EVAL_CUT)
+
+
+def test_worker_exception_reaches_the_caller(worker_pool):
+    """An overflow in the first half, on the worker thread, raises its
+    FloatingPointError in the caller, which runs under errstate raise; the
+    second half alone runs clean."""
+    model = GaterNet(small_spec(), seed=0)
+    x = np.random.default_rng(9).standard_normal((48, 3, 8, 8)).astype(np.float32)
+    x[:16] = 3e38  # the first half: 48 samples cut at 16
+    with np.errstate(all="raise"):
+        model.forward(Tensor(x[16:]), training=False)
+        with pytest.raises(FloatingPointError):
+            model.forward(Tensor(x), training=False)
+    assert worker_pool.submitted == 1

@@ -17,11 +17,10 @@ PACKAGE = REPO / "src" / "gaternet"
 ALLOWED = {"layers.sigmoid", "model.spec_from_dict"}
 
 # Dataclass fields read only outside src/ and scripts/. bench/ reads the
-# gate bundle's scores and hard gates (ROADMAP item 1 moves that read to a
-# hook in src/); pca_reduce computes the basis anyway to project `reduced`,
-# and the PCA tests check the projection against it.
-ALLOWED_FIELDS = {"semhash.GateBundle.g_pre", "semhash.GateBundle.g_beta",
-                  "analyze.PCAResult.components"}
+# gate bundle's hard gates (ROADMAP item 1 moves that read to a hook in
+# src/); pca_reduce computes the basis anyway to project `reduced`, and
+# the PCA tests check the projection against it.
+ALLOWED_FIELDS = {"semhash.GateBundle.g_beta", "analyze.PCAResult.components"}
 
 
 def _definitions() -> dict[str, tuple[Path, ast.AST]]:

@@ -334,6 +334,25 @@ def test_diverging_run_is_a_config_error(tmp_path, kw, what):
     assert not (tmp_path / "joint.ckpt").exists()
 
 
+def test_non_finite_eval_output_is_a_diverged_run(tmp_path, monkeypatch):
+    """Finite parameters whose eval logits overflow end a training run as
+    a diverged one, naming the epoch's last step, before that epoch's
+    checkpoint."""
+    eval_forward = model_mod.GaterNet._eval_forward
+
+    def overflowing(self, x):
+        logits, bundle = eval_forward(self, x)
+        logits.data[0, 0] = np.inf
+        return logits, bundle
+
+    monkeypatch.setattr(model_mod.GaterNet, "_eval_forward", overflowing)
+    with pytest.raises(ConfigError, match=r"^joint: non-finite eval output after "
+                                          r"step 2 \(lr .*\): the run diverged$"):
+        run_phase(tiny_spec(), tiny_cfg("joint"), tiny_splits(), tmp_path,
+                  from_scratch=True)
+    assert not (tmp_path / "joint.ckpt").exists()
+
+
 # Graph nodes one joint training step on the synthetic_small model records:
 # 24 in the 9 conv blocks (conv and bn_relu_gate, plus a gate slice in the
 # 6 gated ones), 5 pools, and 16 in the gater's global pool and head,
@@ -513,30 +532,39 @@ from gaternet.tensor import Tensor
 assert threading.active_count() == before, "import"
 net = model.GaterNet(config.load_config(sys.argv[1]).model, seed=0)
 x = Tensor(np.random.default_rng(0).standard_normal((64, 3, 16, 16), dtype=np.float32))
+net.forward(Tensor(x.data[:32]), training=False)
+assert threading.active_count() == before, "eval forward of 32 images"
 net.forward(x, training=False)
-assert threading.active_count() == before, "eval forward"
+# the worker, where this process may use two CPUs
+started = len(os.sched_getaffinity(0)) > 1
+assert threading.active_count() == before + started, "eval forward of 64 images"
 
 def step():
     logits, gates = train.phase_forward(net, "joint", x, True,
                                         np.random.default_rng(1), 0.0)
     train.total_loss(logits, np.zeros(64, np.int64), gates, 0.1).backward()
 
-step()
-# the worker, where this process may use two CPUs
-started = len(os.sched_getaffinity(0)) > 1
-assert threading.active_count() == before + started, "training step"
 pid = os.fork()
 if pid == 0:  # the child's copy of the worker has no thread behind it
+    net.forward(x, training=False)
     step()
     os._exit(0)
-assert os.waitpid(pid, 0)[1] == 0, "forked child"
+assert os.waitpid(pid, 0)[1] == 0, "child forked after an eval"
+step()
+assert threading.active_count() == before + started, "training step"
+pid = os.fork()
+if pid == 0:
+    step()
+    os._exit(0)
+assert os.waitpid(pid, 0)[1] == 0, "child forked after a training step"
 """
 
 
 def test_threads_start_only_for_training():
-    """Importing gaternet and an eval forward start no thread, so a process
-    forked after them is safe; a training step starts the one worker, and
-    a child forked after that starts its own."""
+    """Importing gaternet and an eval forward of 32 images start no
+    thread; an eval forward of more than 32 (two halves) starts the one
+    worker, a training step after it starts no other, and a child forked
+    after either runs both, starting its own."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
