@@ -194,7 +194,6 @@ class PCAResult:
     reduced: Array                   # float64 [n, k]
     components: Array                # float64 [k, d], rows orthonormal
     explained_variance_ratio: Array  # float64 [k], non-increasing
-    mean: Array                      # float64 [d], the subtracted column means
     rank: int                        # of the centered data
 
 
@@ -214,8 +213,8 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
     if x.ndim != 2:
         raise ValueError(f"vectors must be 2-D [samples, features], got {x.shape}")
     n, d = x.shape
-    mean = x.mean(axis=0, dtype=np.float64)
-    xc = x - mean  # float64 whatever the input dtype: the one [n, d] copy
+    # float64 whatever the input dtype: the one [n, d] copy
+    xc = x - x.mean(axis=0, dtype=np.float64)
     evals, evecs = np.linalg.eigh(xc.T @ xc)
     evals = np.clip(evals[::-1], 0.0, None)
     # eigh puts a zero eigenvalue at up to ~eps * evals[0], not eps**2 * evals[0]
@@ -228,7 +227,7 @@ def pca_reduce(vectors: Array, k: int) -> PCAResult:
     # every eigenvalue is 0 when their sum is, and then so is every ratio
     ratios = evals[:k] / (float(evals.sum()) or 1.0)
     return PCAResult(reduced=reduced, components=components,
-                     explained_variance_ratio=ratios, mean=mean, rank=rank)
+                     explained_variance_ratio=ratios, rank=rank)
 
 
 def write_taxonomy_csv(path: str | Path, log: GateLog, tax: GateTaxonomy) -> None:

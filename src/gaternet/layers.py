@@ -44,10 +44,10 @@ split by output rows, its filters' gradient by patch-matrix rows, then
 its input gradient and col2im by input channels; bn_relu_gate's
 elementwise forward passes after the normalize, and its whole backward,
 split by channels. The batch mean and variance keep their whole-array
-reductions, so they keep their bits. An eval (no_grad) conv or epilogue
-never splits; instead GaterNet's eval forward runs a batch of more than
-32 samples as two halves of samples through _in_halves, each half the
-gated forward up to the backbone's fc layers under its own no_grad. The
+reductions, so they keep their bits. A conv or epilogue that records no
+graph never splits; instead GaterNet's stack walk runs an eval batch of
+more than 32 samples as two halves of samples through _in_halves, each
+half the stack's layers up to its first fc under its own no_grad. The
 pool has exactly one worker. It starts at the first split, never on
 import. Where the process's CPU affinity holds one CPU there is no
 worker, and both halves run on the calling thread, one after the other.
@@ -234,7 +234,9 @@ def _in_halves(f: Callable[[int, int], None], n: int, split: bool = True) -> Non
     alone, so the bytes f writes do not depend on the CPUs. The worker runs
     f in a copy of this thread's context, which holds numpy's errstate; f
     must run numpy only, or eval work under its own no_grad (no_grad is per
-    thread, so a Tensor op on the worker would otherwise record a graph)."""
+    thread, so a Tensor op on the worker would otherwise record a graph).
+    f never splits its own work through _in_halves: there is one worker,
+    so a split made on it would wait on itself."""
     mid = n // 2 if split else 0
     if mid == 0:
         f(0, n)
@@ -283,19 +285,21 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     split_bwd = (c_in // 2) * k * c_out * oh * ow * n >= SPLIT_MIN_MACS
     # samples per patch matrix where none is kept
     block = max(1, EVAL_PATCH_ELEMENTS // (c_in * k * oh * ow))
-    if keep:
-        kept = _extract_patches(x.data, kh, kw, s, pad, oh, ow, split_fwd)
-        out = np.empty((c_out, oh, ow, n), dtype=np.result_type(w_flat, kept))
+    if keep or n <= block:
+        # one GEMM over the whole batch's patches, in halves only where they
+        # are kept: an eval conv may itself run in a half of _in_halves's work
+        split = keep and split_fwd
+        patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow, split)
+        if keep:
+            kept = patches
+        out = np.empty((c_out, oh, ow, n), dtype=np.result_type(w_flat, patches))
         out_flat = out.reshape(c_out, -1)
 
         def out_rows(lo: int, hi: int) -> None:
             cols = slice(lo * ow * n, hi * ow * n)
-            np.matmul(w_flat, kept[:, cols], out=out_flat[:, cols])
+            np.matmul(w_flat, patches[:, cols], out=out_flat[:, cols])
 
-        _in_halves(out_rows, oh, split_fwd)
-    elif n <= block:
-        patches = _extract_patches(x.data, kh, kw, s, pad, oh, ow)
-        out = (w_flat @ patches).reshape(c_out, oh, ow, n)
+        _in_halves(out_rows, oh, split)
     else:
         out = np.empty((c_out, oh, ow, n), dtype=x.dtype)
         for lo in range(0, n, block):
@@ -470,27 +474,23 @@ def bn_relu_gate(x: Tensor, bn: BatchNormParams, gates: Tensor | None,
     gamma = bn.gamma.data.reshape(cshape)
     beta = bn.beta.data.reshape(cshape)
     gt = None if gates is None else gates.data.T[:, None, None, :]
-    split = (c // 2) * (xhat.size // c) >= SPLIT_MIN_ELEMENTS
-    if not recording():
-        # no graph keeps xhat and r for the backward: the rest runs in
-        # xhat's buffer
-        r = np.multiply(xhat, gamma, out=xhat)
-        r += beta
-        np.maximum(r, 0, out=r)
-        out = r if gt is None else np.multiply(r, gt, out=r)
-    else:
-        r = np.empty_like(xhat)
-        out = r if gt is None else np.empty_like(r)
+    # a graph keeps xhat and r for the backward; without one the rest runs
+    # in xhat's buffer, unsplit: an eval epilogue may itself run in a half
+    # of _in_halves's work
+    keep = recording()
+    split = keep and (c // 2) * (xhat.size // c) >= SPLIT_MIN_ELEMENTS
+    r = np.empty_like(xhat) if keep else xhat
+    out = np.empty_like(r) if keep and gt is not None else r
 
-        def forward_channels(lo: int, hi: int) -> None:
-            rc = r[lo:hi]
-            np.multiply(gamma[lo:hi], xhat[lo:hi], out=rc)
-            rc += beta[lo:hi]
-            np.maximum(rc, 0, out=rc)
-            if gt is not None:
-                np.multiply(rc, gt[lo:hi], out=out[lo:hi])
+    def forward_channels(lo: int, hi: int) -> None:
+        rc = r[lo:hi]
+        np.multiply(gamma[lo:hi], xhat[lo:hi], out=rc)
+        rc += beta[lo:hi]
+        np.maximum(rc, 0, out=rc)
+        if gt is not None:
+            np.multiply(rc, gt[lo:hi], out=out[lo:hi])
 
-        _in_halves(forward_channels, c, split)
+    _in_halves(forward_channels, c, split)
 
     def backward(g: Array) -> None:
         gy = g.transpose(1, 2, 3, 0)

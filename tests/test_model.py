@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gaternet.layers as layers_mod
 import gaternet.model as model_mod
@@ -33,7 +33,7 @@ from gaternet.model import (
     spec_to_dict,
     trace_shapes,
 )
-from gaternet.tensor import Tensor
+from gaternet.tensor import Tensor, no_grad
 from oracles import conv_block_reference, masked_reference, param_count
 
 
@@ -708,33 +708,52 @@ def _small_specs(draw) -> ModelSpec:
                      tuple(gater), bottleneck=draw(st.integers(1, 4)))
 
 
+# A spec whose logits split and whole differed by 3e-8 at n = 33 (seed 0):
+# its one-filter conv is a one-row GEMM, and numpy runs it as a
+# matrix-vector product whose bits depend on the number of samples.
+_ONE_FILTER_SPEC = ModelSpec(
+    (3, 4, 4), 3,
+    (LayerSpec("conv", filters=6, gated=True), LayerSpec("pool"),
+     LayerSpec("conv", filters=1), LayerSpec("fc", width=3)),
+    (LayerSpec("conv", filters=1),), bottleneck=2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=_small_specs(), n=st.integers(1, 65), seed=st.integers(0, 2**16))
+@example(spec=_ONE_FILTER_SPEC, n=33, seed=0)
 def test_eval_halves_give_the_bytes_of_one_thread(counting_pool, spec, n, seed):
-    """An eval forward gives the same logits and gate bundle bytes with its
-    first half on the worker thread and with both halves run here one
-    after the other (_worker returns None, as with one CPU). With a
-    bottleneck of 2 or more they are also the bytes of the batch run whole
-    (no cut); a bottleneck of 1 makes the head's first fc a matrix-vector
-    product, which OpenBLAS sums in an order that depends on the row
-    count."""
+    """Each eval forward (gated, forward_backbone and forward_probe, under
+    no_grad) gives the same bytes with the first half of each stack it
+    walks on the worker thread and with both halves run here one after the
+    other (_worker returns None, as with one CPU), and hands one half to the
+    worker per stack. Where no conv has one filter they are also the bytes
+    of the batch run whole (no cut); a one-filter conv's bits depend on the
+    number of samples (_ONE_FILTER_SPEC)."""
     model = GaterNet(spec, seed=seed)
     model.params["head.b2"].data[...] = 0.0  # about half the gates on
     x = Tensor(np.random.default_rng(seed).standard_normal(
         (n, *spec.input_shape), dtype=np.float32))
-    submitted = counting_pool.submitted
-    runs = []
-    for worker, cut in ((counting_pool, model_mod.EVAL_CUT),
-                        (None, model_mod.EVAL_CUT), (None, n + 1)):
-        with mock.patch.object(layers_mod, "_worker", lambda: worker), \
-                mock.patch.object(model_mod, "EVAL_CUT", cut):
-            logits, bundle = model.forward(x, training=False)
-        runs.append([t.data.tobytes() for t in (logits, bundle.g_pre,
-                                                bundle.g_beta, bundle.selected)])
-    assert runs[0] == runs[1]
-    if spec.bottleneck > 1:
-        assert runs[1] == runs[2]
-    assert counting_pool.submitted - submitted == (n > 2 * model_mod.EVAL_CUT)
+    one_filter = any(layer.kind == "conv" and layer.filters == 1
+                     for layer in spec.backbone + spec.gater)
+    for which, stacks in (("forward", 2), ("forward_backbone", 1),
+                          ("forward_probe", 1)):
+        submitted = counting_pool.submitted
+        runs = []
+        for worker, cut in ((counting_pool, model_mod.EVAL_CUT),
+                            (None, model_mod.EVAL_CUT), (None, n + 1)):
+            with mock.patch.object(layers_mod, "_worker", lambda: worker), \
+                    mock.patch.object(model_mod, "EVAL_CUT", cut), no_grad():
+                out = getattr(model, which)(x, training=False)
+            if which == "forward":
+                logits, bundle = out
+                out = (logits, bundle.g_pre, bundle.g_beta, bundle.selected)
+            else:
+                out = (out,)
+            runs.append([t.data.tobytes() for t in out])
+        assert runs[0] == runs[1], which
+        assert one_filter or runs[1] == runs[2], which
+        assert (counting_pool.submitted - submitted
+                == stacks * (n > 2 * model_mod.EVAL_CUT)), which
 
 
 def test_worker_exception_reaches_the_caller(worker_pool):

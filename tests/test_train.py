@@ -338,14 +338,15 @@ def test_non_finite_eval_output_is_a_diverged_run(tmp_path, monkeypatch):
     """Finite parameters whose eval logits overflow end a training run as
     a diverged one, naming the epoch's last step, before that epoch's
     checkpoint."""
-    eval_forward = model_mod.GaterNet._eval_forward
+    forward = model_mod.GaterNet.forward
 
-    def overflowing(self, x):
-        logits, bundle = eval_forward(self, x)
-        logits.data[0, 0] = np.inf
+    def overflowing(self, x, training, *args, **kwargs):
+        logits, bundle = forward(self, x, training, *args, **kwargs)
+        if not training:
+            logits.data[0, 0] = np.inf
         return logits, bundle
 
-    monkeypatch.setattr(model_mod.GaterNet, "_eval_forward", overflowing)
+    monkeypatch.setattr(model_mod.GaterNet, "forward", overflowing)
     with pytest.raises(ConfigError, match=r"^joint: non-finite eval output after "
                                           r"step 2 \(lr .*\): the run diverged$"):
         run_phase(tiny_spec(), tiny_cfg("joint"), tiny_splits(), tmp_path,
